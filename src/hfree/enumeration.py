@@ -1,26 +1,40 @@
 """Exhaustive enumeration of small graphs and the verification campaigns.
 
-Graphs on n vertices are generated by extending every (n-1)-vertex
-representative with one new vertex over all 2^(n-1) neighborhoods and
-keeping each canonical certificate once. Campaigns stream every level up
-to a bound through a per-graph check, optionally sharded across worker
-processes; shard outputs are checkpointed as newline-delimited graph6.
+Graphs on n vertices come from the (n-1)-vertex representatives by
+canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998). A child is a parent plus a new vertex x joined to a
+subset of the parent's vertices, and it is kept only if x lies in the
+child's canonical orbit: x maximises the key (degree, sum of neighbour
+degrees), and among the vertices with that key none has a smaller rooted
+certificate than x. Most children fail the key test and are rejected
+without any labeling. Two isomorphic kept children always come from the
+same parent, so duplicates are removed per parent by x's rooted
+certificate; there is no level-wide dedup set and parent ranges are
+independent shards. Campaigns stream every level up to a bound through a
+per-graph check, optionally across worker processes; shard outputs are
+checkpointed as newline-delimited graph6 next to a manifest.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from . import __version__
 from . import graphs as G
 from .graphs import SmallGraph
 
 DEFAULT_GUARD = 10
 _SHARD_PARENTS = 384
 _CACHE_MAX = 8
+# checkpoint layout: each shard file holds the graph6 of the kept children
+# of its parents, parent by parent; bump when the layout or the generation
+# order changes
+_CHECKPOINT_FORMAT = 2
 
 _levels: dict[int, list[SmallGraph]] = {}
 
@@ -48,37 +62,50 @@ class EnumConfig:
             )
 
 
-def _children(parent: SmallGraph) -> Iterator[SmallGraph]:
-    n = parent.n
-    for mask in range(1 << n):
-        rows = [r | ((mask >> v & 1) << n) for v, r in enumerate(parent.rows)]
-        rows.append(mask)
-        yield SmallGraph(n + 1, rows)
-
-
-def _extend_serial(parents: list[SmallGraph]) -> list[SmallGraph]:
+def _augment(parent: SmallGraph) -> list[SmallGraph]:
+    """The children of ``parent`` that canonical augmentation keeps."""
+    n, prow = parent.n, parent.rows
+    deg = [r.bit_count() for r in prow]
+    nsum = [sum(deg[u] for u in range(n) if r >> u & 1) for r in prow]
+    top = max(deg)
     seen: set[bytes] = set()
     out: list[SmallGraph] = []
-    for p in parents:
-        for child in _children(p):
-            cert = G.canonical_cert(child)
-            if cert not in seen:
-                seen.add(cert)
-                out.append(child)
+    for mask in range(1 << n):
+        s = mask.bit_count()
+        if s < top:
+            continue  # a vertex of top degree would outrank x
+        xsum = s + sum(deg[u] for u in range(n) if mask >> u & 1)
+        ties = []  # parent vertices whose key equals x's
+        for v in range(n):  # a break means some vertex outranks x
+            inx = mask >> v & 1
+            d = deg[v] + inx
+            if d < s:
+                continue
+            if d > s:
+                break
+            t = nsum[v] + (prow[v] & mask).bit_count() + inx * s
+            if t > xsum:
+                break
+            if t == xsum:
+                ties.append(v)
+        else:
+            rows = [r | (mask >> v & 1) << n for v, r in enumerate(prow)]
+            rows.append(mask)
+            cert = G.rooted_cert(rows, n)
+            if cert in seen:
+                continue
+            if any(G.rooted_cert(rows, v) < cert for v in ties):
+                continue
+            seen.add(cert)
+            out.append(SmallGraph(n + 1, rows))
     return out
 
 
-def _extend_shard(task: tuple[int, list[str]]) -> tuple[int, list[tuple[str, str]]]:
+def _extend_shard(task: tuple[int, list[str]]) -> tuple[int, list[str]]:
     idx, parents = task
-    seen: set[bytes] = set()
-    out: list[tuple[str, str]] = []
-    for g6 in parents:
-        for child in _children(G.from_graph6(g6)):
-            cert = G.canonical_cert(child)
-            if cert not in seen:
-                seen.add(cert)
-                out.append((cert.hex(), G.to_graph6(child)))
-    return idx, out
+    return idx, [
+        G.to_graph6(c) for g6 in parents for c in _augment(G.from_graph6(g6))
+    ]
 
 
 def _extend_parallel(
@@ -91,13 +118,13 @@ def _extend_parallel(
         parents[i : i + _SHARD_PARENTS]
         for i in range(0, len(parents), _SHARD_PARENTS)
     ]
-    results: dict[int, list[tuple[str, str]]] = {}
+    results: dict[int, list[str]] = {}
     pending = []
     for i, shard in enumerate(shards):
         path = _shard_path(checkpoint_dir, level, i)
         if path and os.path.exists(path):
             with open(path) as f:
-                results[i] = [tuple(line.split()) for line in f if line.strip()]
+                results[i] = [line.strip() for line in f if line.strip()]
         else:
             pending.append((i, [G.to_graph6(p) for p in shard]))
     if pending:
@@ -111,14 +138,7 @@ def _extend_parallel(
                 idx, out = _extend_shard(task)
                 results[idx] = out
                 _write_shard(checkpoint_dir, level, idx, out)
-    seen: set[str] = set()
-    merged: list[SmallGraph] = []
-    for i in range(len(shards)):
-        for cert_hex, g6 in results[i]:
-            if cert_hex not in seen:
-                seen.add(cert_hex)
-                merged.append(G.from_graph6(g6))
-    return merged
+    return [G.from_graph6(g6) for i in range(len(shards)) for g6 in results[i]]
 
 
 def _shard_path(cp: Optional[str], level: int, idx: int) -> Optional[str]:
@@ -127,16 +147,49 @@ def _shard_path(cp: Optional[str], level: int, idx: int) -> Optional[str]:
     return os.path.join(cp, f"level-{level:02d}.shard-{idx:04d}.txt")
 
 
-def _write_shard(cp: Optional[str], level: int, idx: int, out) -> None:
+def _write_shard(cp: Optional[str], level: int, idx: int, out: list[str]) -> None:
     path = _shard_path(cp, level, idx)
     if path is None:
         return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    _write_lines(path, out)
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
-        for cert_hex, g6 in out:
-            f.write(f"{cert_hex} {g6}\n")
+        for line in lines:
+            f.write(line + "\n")
     os.replace(tmp, path)
+
+
+def _open_checkpoint(cp: str) -> None:
+    """Refuse a checkpoint directory whose files this version cannot trust;
+    start a fresh one with its manifest."""
+    want = {
+        "format": _CHECKPOINT_FORMAT,
+        "shard_parents": _SHARD_PARENTS,
+        "version": __version__,
+    }
+    path = os.path.join(cp, "manifest.json")
+    if os.path.exists(path):
+        with open(path) as f:
+            try:
+                got = json.load(f)
+            except json.JSONDecodeError:
+                got = None
+        if got != want:
+            raise ValueError(
+                f"checkpoint {cp} has manifest {got}, this version writes "
+                f"{want}; use a fresh directory"
+            )
+        return
+    if os.path.isdir(cp) and any(f.startswith("level-") for f in os.listdir(cp)):
+        raise ValueError(
+            f"checkpoint {cp} holds level files but no manifest.json; "
+            "use a fresh directory"
+        )
+    os.makedirs(cp, exist_ok=True)
+    _write_lines(path, [json.dumps(want, sort_keys=True)])
 
 
 def _level_file(cp: Optional[str], level: int) -> Optional[str]:
@@ -154,6 +207,8 @@ def graphs_on(
     """All non-isomorphic graphs on exactly n vertices."""
     if not 1 <= n <= guard:
         raise ResourceGuard(f"n={n} outside 1..{guard}")
+    if checkpoint_path is not None:
+        _open_checkpoint(checkpoint_path)
     if n in _levels:
         return _levels[n]
     lf = _level_file(checkpoint_path, n)
@@ -167,13 +222,9 @@ def graphs_on(
         if workers > 1 or checkpoint_path is not None:
             level = _extend_parallel(parents, workers, checkpoint_path, n)
         else:
-            level = _extend_serial(parents)
+            level = [c for p in parents for c in _augment(p)]
         if lf:
-            tmp = lf + ".tmp"
-            with open(tmp, "w") as f:
-                for g in level:
-                    f.write(G.to_graph6(g) + "\n")
-            os.replace(tmp, lf)
+            _write_lines(lf, [G.to_graph6(g) for g in level])
     if n <= _CACHE_MAX:
         _levels[n] = level
     return level
@@ -203,6 +254,10 @@ def count_labeled_dedup(n: int) -> int:
 # -- campaigns ----------------------------------------------------------------
 
 CAMPAIGNS = ("case_lemmas", "regular_tail", "churn_totality", "W_closure")
+
+# graph6 of the only nontrivial regular graphs with r > n - 5 where neither
+# the graph nor its complement is 3-connected: 2K2, C4 and C5
+REGULAR_TAIL_EXCEPTIONS = ("C`", "Cl", "Dhc")
 
 
 def _check_case_lemmas(g6: str) -> Optional[dict]:
@@ -361,10 +416,12 @@ def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
         report["counterexamples"] = sorted(findings, key=lambda d: d["g6"])
         report["ok"] = not findings
     elif campaign == "regular_tail":
-        report["exceptions"] = sorted(
-            {e["g6"] for e in exceptions}
-        )
-        report["ok"] = True
+        report["exceptions"] = sorted({e["g6"] for e in exceptions})
+        expected = [G.from_graph6(s) for s in REGULAR_TAIL_EXCEPTIONS]
+        expected = [g for g in expected if lo <= g.n <= cfg.n_max]
+        want = {G.canonical_cert(g) for g in _filtered(expected, cfg.filters)}
+        got = [G.canonical_cert(G.from_graph6(s)) for s in report["exceptions"]]
+        report["ok"] = len(got) == len(want) and set(got) == want
     else:
         report["counterexamples"] = sorted(findings, key=lambda d: d["g6"])
         report["ok"] = not findings

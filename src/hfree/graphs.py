@@ -375,17 +375,24 @@ def _pack(n: int, rows: Sequence[int], perm: Sequence[int]) -> bytes:
     return bytes([n]) + (acc << (nbytes * 8 - k)).to_bytes(nbytes, "big")
 
 
-def canonical_cert(g: SmallGraph) -> bytes:
-    """Permutation-invariant certificate: equal certs iff isomorphic."""
-    n, rows = g.n, g.rows
-    if n == 1:
-        return b"\x01"
+def _leaf_search(rows: Sequence[int], root: int | None = None) -> bytes:
+    """Smallest packed leaf of the individualization-refinement tree.
+
+    The search starts from the degree colouring, with ``root`` (if given)
+    alone in a first cell below every degree; a rooted leaf also records
+    the root's position. Every leaf is explored except the interchangeable
+    siblings inside a twin cell, so the result depends only on the
+    isomorphism class of the (rooted) graph.
+    """
+    n = len(rows)
     adj = [tuple(_bits(r)) for r in rows]
     degs = [len(a) for a in adj]
-    order = {d: i for i, d in enumerate(sorted(set(degs)))}
-    colors = _refine(n, adj, [order[d] for d in degs])
+    order = {d: i + 1 for i, d in enumerate(sorted(set(degs)))}
+    start = [order[d] for d in degs]
+    if root is not None:
+        start[root] = 0
     best: bytes | None = None
-    stack = [colors]
+    stack = [_refine(n, adj, start)]
     while stack:
         cols = stack.pop()
         cells = _cells(n, cols)
@@ -397,6 +404,9 @@ def canonical_cert(g: SmallGraph) -> bytes:
         if target is None:
             perm = [c[0] for c in cells]
             cert = _pack(n, rows, perm)
+            if root is not None:
+                # individualized vertices can precede the root: record it
+                cert += perm.index(root).to_bytes(2, "big")
             if best is None or cert < best:
                 best = cert
             continue
@@ -409,9 +419,19 @@ def canonical_cert(g: SmallGraph) -> bytes:
     return best
 
 
-def canonical_form(g: SmallGraph) -> bytes:
-    """Interface alias for :func:`canonical_cert`."""
-    return canonical_cert(g)
+def canonical_cert(g: SmallGraph) -> bytes:
+    """Permutation-invariant certificate: equal certs iff isomorphic."""
+    return _leaf_search(g.rows)
+
+
+def rooted_cert(rows: Sequence[int], v: int) -> bytes:
+    """Certificate of the graph with adjacency ``rows`` and vertex v marked:
+    equal for (g, v) and (g', v') iff some isomorphism g -> g' maps v to v'.
+
+    Internal to the package (canonical augmentation in ``enumeration``); it
+    takes bare rows so that candidates need no ``SmallGraph``.
+    """
+    return _leaf_search(rows, v)
 
 
 def are_isomorphic(g1: SmallGraph, g2: SmallGraph) -> bool:

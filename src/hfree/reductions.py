@@ -755,6 +755,9 @@ class ReductionStep:
         }
 
 
+_DUAL_MODE = {"delete": "complete", "complete": "delete", "edit": "edit"}
+
+
 def execute_step(step: ReductionStep, inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     """Map an instance of the target_h-free problem to one of the
     source_h-free problem (hardness flows from target to source)."""
@@ -763,6 +766,7 @@ def execute_step(step: ReductionStep, inst: EditInstance, cap: int = VERTEX_CAP)
     g = G.complement(inst.g) if step.complemented else inst.g
     c = step.construction
     p = step.params
+    mode = inst.mode
     if c == "ConMain":
         out = con_main(g, inst.k, p["h"], p["vprime"], cap=cap)
     elif c == "ConMod":
@@ -774,12 +778,14 @@ def execute_step(step: ReductionStep, inst: EditInstance, cap: int = VERTEX_CAP)
     elif c == "LargestComponent":
         out = largest_component_reduction(g, inst.k, p["h"], mode=inst.mode, cap=cap).g
     elif c == "Complement":
-        out = g
+        # H-free deletion on G is co-H-free completion on co-G
+        out = G.complement(g)
+        mode = _DUAL_MODE[mode]
     else:
         raise KeyError(f"step construction {c} is not executable here")
-    if step.complemented or c == "Complement":
+    if step.complemented:
         out = G.complement(out)
-    return EditInstance(out, inst.k, inst.mode)
+    return EditInstance(out, inst.k, mode)
 
 
 # -- per-rule target computations ------------------------------------------------

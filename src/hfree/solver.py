@@ -77,9 +77,16 @@ class GuardrailError(RuntimeError):
     """Raised when an exact search would exceed its configured budget."""
 
 
+class WitnessError(RuntimeError):
+    """A search produced a witness that is not a solution of its instance."""
+
+
 def _check_witness(inst: EditInstance, h: SmallGraph, pairs) -> None:
-    assert all(p in set(inst.permissible_pairs()) for p in pairs)
-    assert G.is_free_of(G.apply_flips(inst.g, pairs), h)
+    allowed = set(inst.permissible_pairs())
+    if not all(p in allowed for p in pairs):
+        raise WitnessError(f"witness {sorted(pairs)} touches a pair the mode forbids")
+    if not G.is_free_of(G.apply_flips(inst.g, pairs), h):
+        raise WitnessError(f"witness {sorted(pairs)} leaves an induced copy of h")
 
 
 def solve(
@@ -91,8 +98,9 @@ def solve(
     """Bounded-depth branching search, deterministic branch order.
 
     Finds one induced copy of h, branches over every permissible pair
-    inside it (any solution must touch such a pair), and recurses with a
-    decremented budget.
+    inside it not yet flipped on the current branch, and recurses with a
+    decremented budget. This is complete (Cai, IPL 1996): a solution that
+    extends the branch's flips must flip some other pair of the copy.
     """
     if inst.g.n > max_n:
         raise GuardrailError(f"solve guardrail: n={inst.g.n} > {max_n}")
@@ -101,28 +109,29 @@ def solve(
     forbidden = inst.forbidden
     mode = inst.mode
 
-    def rec(g: SmallGraph, k: int) -> Optional[list[tuple[int, int]]]:
+    def rec(
+        g: SmallGraph, k: int, flipped: frozenset[tuple[int, int]]
+    ) -> Optional[frozenset[tuple[int, int]]]:
         hit = G.first_induced(g, h)
         if hit is None:
-            return []
+            return flipped
         if k == 0:
             return None
         vs = sorted(hit)
         for u, v in itertools.combinations(vs, 2):
-            if (u, v) in forbidden:
+            if (u, v) in forbidden or (u, v) in flipped:
                 continue
             e = g.has_edge(u, v)
             if (mode == "delete" and not e) or (mode == "complete" and e):
                 continue
-            sub = rec(G.flip_pair(g, u, v), k - 1)
-            if sub is not None:
-                return [(u, v)] + sub
+            found = rec(G.flip_pair(g, u, v), k - 1, flipped | {(u, v)})
+            if found is not None:
+                return found
         return None
 
-    picked = rec(inst.g, inst.k)
-    if picked is None:
+    witness = rec(inst.g, inst.k, frozenset())
+    if witness is None:
         return Solution(False)
-    witness = frozenset(picked)
     _check_witness(inst, h, witness)
     return Solution(True, witness)
 

@@ -1,6 +1,8 @@
 """Core graph value tests: constructions, predicates, certificates, graph6."""
 
 import itertools
+import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,58 @@ def test_canonical_agrees_with_brute_force_n_le_6():
         for g in graphs[:40]:
             perm = list(reversed(range(n)))
             assert G.canonical_cert(G.relabel(g, perm)) == G.canonical_cert(g)
+
+
+def test_canonical_cert_bytes_match_golden_list():
+    """The graph6 and certificate of every class on n <= 6, as computed
+    before the leaf search was shared with rooted_cert; the current
+    enumeration must produce exactly these certificates."""
+    path = os.path.join(os.path.dirname(__file__), "data", "canonical_certs_n6.txt")
+    golden: dict[int, set[str]] = {}
+    with open(path) as f:
+        for line in f:
+            g6, cert = line.split()
+            g = G.from_graph6(g6)
+            assert G.canonical_cert(g).hex() == cert, g6
+            golden.setdefault(g.n, set()).add(cert)
+    assert sorted(golden) == list(range(1, 7))
+    for n, certs in golden.items():
+        assert {G.canonical_cert(g).hex() for g in E.graphs_on(n)} == certs
+
+
+def _random_graph(rng: random.Random, n: int) -> G.SmallGraph:
+    p = rng.random()
+    return G.from_edges(
+        n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    )
+
+
+def test_rooted_cert_relabel_invariant():
+    rng = random.Random(20)
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        g = _random_graph(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = G.relabel(g, perm)  # vertex perm[i] of g is vertex i of h
+        for i in range(n):
+            assert G.rooted_cert(h.rows, i) == G.rooted_cert(g.rows, perm[i])
+
+
+def test_rooted_cert_separates_orbits_n_le_6():
+    """Two roots share a certificate exactly when an automorphism maps one
+    to the other, checked by a search over all vertex permutations."""
+    rng = random.Random(21)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        g = _random_graph(rng, n)
+        autos = [
+            p for p in itertools.permutations(range(n)) if G.relabel(g, p) == g
+        ]
+        certs = [G.rooted_cert(g.rows, v) for v in range(n)]
+        for v, w in itertools.combinations(range(n), 2):
+            same_orbit = any(p[v] == w for p in autos)
+            assert (certs[v] == certs[w]) == same_orbit, (G.to_graph6(g), v, w)
 
 
 def test_degree_partition():

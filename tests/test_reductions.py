@@ -1,6 +1,7 @@
 """Construction size laws, chain-table integrity, instance equivalences."""
 
 import itertools
+import random
 
 import pytest
 
@@ -487,3 +488,25 @@ def test_con_cai_degenerate_formula():
     inst = R.con_cai(phi, 2, h, sc, bu, "delete")
     assert inst.g.n == 1
     assert S.solve(inst, h, max_n=40, max_k=inst.k).feasible
+
+
+@pytest.mark.parametrize(
+    "src,tgt", [("D__", "D^["), ("DZ[", "Dc_"), ("DHC", "Duw"), ("D{g", "DBS"), ("D|c", "DAW")]
+)
+def test_complement_step_swaps_delete_and_complete(src, tgt):
+    """co-H-free deletion on G is H-free completion on co-G."""
+    step = R.ReductionStep("Complement", "complement-duality",
+                           G.from_graph6(src), G.from_graph6(tgt))
+    rng = random.Random(src)
+    for _ in range(12):
+        n = rng.randint(4, 7)
+        p = rng.random()
+        g = G.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        )
+        for mode, dual in (("delete", "complete"), ("complete", "delete")):
+            inst = S.EditInstance(g, rng.randint(0, 2), mode)
+            built = R.execute_step(step, inst)
+            assert built.mode == dual and built.g == G.complement(g)
+            assert (S.solve(inst, step.target_h).feasible
+                    == S.solve(built, step.source_h).feasible)

@@ -1,6 +1,7 @@
 """Solver tests: examples, oracle agreement, monotonicity, duality."""
 
 import itertools
+import random
 
 import pytest
 
@@ -107,3 +108,43 @@ def test_complement_duality():
                         G.complement(h),
                     ).feasible
                     assert a == b
+
+
+@pytest.mark.parametrize("g6,h6", [("FXIlW", "C^"), ("FOO?O", "CI"), ("F~^~w", "Bo")])
+def test_edit_branch_never_reflips_a_pair(g6, h6):
+    """Instances where flipping one pair twice on a branch used to yield
+    a witness that leaves an induced h."""
+    inst = S.EditInstance(G.from_graph6(g6), 3, "edit")
+    h = G.from_graph6(h6)
+    sol = S.solve(inst, h)
+    assert sol.feasible == S.solve_exhaustive(inst, h).feasible
+    if sol.feasible:
+        assert len(sol.witness) <= 3
+        assert G.is_free_of(G.apply_flips(inst.g, sol.witness), h)
+
+
+def test_bad_witness_raises_witness_error():
+    c4 = G.cycle_graph(4)
+    with pytest.raises(S.WitnessError):
+        S._check_witness(S.EditInstance(c4, 1, "delete"), c4, frozenset())
+    with pytest.raises(S.WitnessError):  # (0, 2) is a nonedge: not deletable
+        S._check_witness(S.EditInstance(c4, 2, "delete"), c4, frozenset([(0, 2)]))
+
+
+def test_solver_oracle_agreement_seeded_random():
+    """solve against solve_exhaustive on random graphs up to seven
+    vertices, budgets up to three, in every mode."""
+    rng = random.Random(1996)
+    hs = [g for n in range(3, 6) for g in E.graphs_on(n) if g.edge_count()]
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        p = rng.random()
+        g = G.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        )
+        h = rng.choice(hs)
+        k = rng.randint(0, 3)
+        for mode in S.MODES:
+            inst = S.EditInstance(g, k, mode)
+            assert S.solve(inst, h).feasible == S.solve_exhaustive(inst, h).feasible, (
+                G.to_graph6(g), G.to_graph6(h), k, mode)
