@@ -227,13 +227,12 @@ def recognize_family(g: SmallGraph) -> Optional[FamilyId]:
     return None
 
 
-def membership_W(g: SmallGraph, variant: str = "editing") -> Optional[WReason]:
+def membership_W(g: SmallGraph) -> Optional[WReason]:
     """Locate g inside W (named entries, families, and their complements).
 
     The set W is closed under complementation and is the same for every
-    problem variant; the argument is accepted for interface compatibility.
+    problem variant.
     """
-    del variant
     name = identify(g)
     if name is not None:
         base = name[3:] if name.startswith("co-") else name

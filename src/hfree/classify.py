@@ -1,10 +1,9 @@
 """End-to-end classification: churning, catalogue resolution, verdicts.
 
-classify() runs the decision pipeline for one of the three problems:
-easy kernels first, then known-hard witnesses, then the churning loop
-that peels extreme-degree classes and resolves catalogue members through
-their simulation chains. Every verdict carries the executable chain that
-justifies it.
+classify() walks one ordered rule table for one of the three problems:
+easy kernels first, then known-hard witnesses, then catalogue members
+resolved through their simulation chains and the peels of the churning
+loop. Every verdict carries the executable chain that justifies it.
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ STATUSES = (
     "ClawExcluded",
     "Unclassified",
 )
-
-_SMALL_KERNEL = {"P3", "co-P3", "P4", "paw", "co-paw", "diamond", "co-diamond"}
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -54,15 +50,17 @@ class ChurnResult:
     trace: tuple[tuple[str, SmallGraph], ...]  # ("low"/"high", graph after)
 
 
-_churn_memo: dict[bytes, tuple[str, ...]] = {}
-_classify_memo: dict[tuple[bytes, str], Verdict] = {}
-_pipeline_cache: dict[tuple[bytes, str], Verdict] = {}
+# The one memo, keyed by canonical certificate: (cert, problem) holds the
+# chain-producing part of the rule table (rules 6-8), (cert, "churn") the
+# peel decisions of churn(). Unbounded: an evicted entry would come back
+# labeled after another graph of its class.
+_memo: dict[tuple[bytes, str], Verdict | tuple[str, ...]] = {}
 
 
 def _churn_sides(g: SmallGraph) -> tuple[str, ...]:
     """The iso-invariant sequence of peel decisions for g."""
-    cert = G.canonical_cert(g)
-    hit = _churn_memo.get(cert)
+    key = (G.canonical_cert(g), "churn")
+    hit = _memo.get(key)
     if hit is not None:
         return hit
     if G.is_regular(g):
@@ -76,7 +74,7 @@ def _churn_sides(g: SmallGraph) -> tuple[str, ...]:
             out = ("high",) + _churn_sides(high)
         else:
             out = ()
-    _churn_memo[cert] = out
+    _memo[key] = out
     return out
 
 
@@ -110,12 +108,13 @@ def peel_types(p: SmallGraph) -> list[str]:
     return out
 
 
-def w_member(g: SmallGraph) -> Optional[C.WReason]:
-    return C.membership_W(g)
+def _complement_step(g: SmallGraph, co: SmallGraph) -> R.ReductionStep:
+    return R.ReductionStep("Complement", "complement-duality", g, co)
 
 
-def set_membership(g: SmallGraph) -> M.SetMembership:
-    return M.set_membership(g)
+def _prefixed(steps, sub: Verdict) -> Verdict:
+    return Verdict(sub.problem, sub.status, sub.reason,
+                   tuple(steps) + sub.chain, sub.member)
 
 
 def classify(g: SmallGraph, problem: str) -> Verdict:
@@ -125,58 +124,32 @@ def classify(g: SmallGraph, problem: str) -> Verdict:
     if problem == "completion":
         co = G.complement(g)
         dual = classify(co, "deletion")
-        step = R.ReductionStep(
-            construction="Complement",
-            rule="complement-duality",
-            source_h=g,
-            target_h=co,
-        )
-        return Verdict(
-            "completion",
-            dual.status,
-            f"dual:{dual.reason}",
-            (step,) + dual.chain,
-            dual.member,
-        )
-    key = (G.canonical_cert(g), problem)
-    hit = _classify_memo.get(key)
-    if hit is not None:
-        return hit
-    if problem == "editing":
-        out = _classify_editing(g)
-    else:
-        out = _classify_core(g, problem)
-    _classify_memo[key] = out
-    return out
+        return Verdict("completion", dual.status, f"dual:{dual.reason}",
+                       (_complement_step(g, co),) + dual.chain, dual.member)
+    v = _decide(g, problem)
+    if problem == "editing" and v.status in ("OpenCatalogue", "Unclassified"):
+        # Editing is complement-invariant, but the churning paths of a graph
+        # and its complement can end differently (one may reach a known-hard
+        # anchor while the other stops at an open catalogue member): keep
+        # the stronger verdict.
+        co = G.complement(g)
+        v2 = _decide(co, "editing")
+        if v2.status == "Incompressible" or (
+            v.status != "OpenCatalogue" and v2.status == "OpenCatalogue"
+        ):
+            return _prefixed((_complement_step(g, co),), v2)
+    return v
 
 
-def _classify_editing(g: SmallGraph) -> Verdict:
-    """Editing is complement-invariant, but the churning paths of a graph
-    and its complement can end differently (one may reach a known-hard
-    anchor while the other stops at an open catalogue member). Run both
-    orientations and keep the stronger verdict."""
-    v1 = _classify_core(g, "editing")
-    if v1.status in ("PolyKernel", "ClawExcluded", "Incompressible"):
-        return v1
-    co = G.complement(g)
-    v2 = _classify_core(co, "editing")
-    prefer_v2 = v2.status == "Incompressible" or (
-        v1.status != "OpenCatalogue" and v2.status == "OpenCatalogue"
-    )
-    if prefer_v2:
-        step = R.ReductionStep(
-            construction="Complement",
-            rule="complement-duality",
-            source_h=g,
-            target_h=co,
-        )
-        return Verdict("editing", v2.status, v2.reason,
-                       (step,) + v2.chain, v2.member)
-    return v1
+# -- the rule table ----------------------------------------------------------
+# 1 complete, 2 empty, 3 Y' (claw excluded, the rest small kernels),
+# 4 at most one edge (deletion): none needs a canonical certificate.
+# 5 X witness: peels and chain targets enter the table here.
+# 6 W member, 7 low then high peel, 8 exhausted: memoized by certificate.
 
 
-def _classify_core(g: SmallGraph, problem: str) -> Verdict:
-    # (i) easy kernels and the excluded claw
+def _decide(g: SmallGraph, problem: str) -> Verdict:
+    """Rules 1-8 for g, the first that fires decides."""
     if G.is_complete(g):
         return Verdict(problem, "PolyKernel", "complete")
     if G.is_empty(g):
@@ -184,131 +157,75 @@ def _classify_core(g: SmallGraph, problem: str) -> Verdict:
     yname = M.yprime_name(g)
     if yname in ("claw", "co-claw"):
         return Verdict(problem, "ClawExcluded", yname)
-    if yname in _SMALL_KERNEL:
+    if yname is not None:
         return Verdict(problem, "PolyKernel", f"small-kernel:{yname}")
     if problem == "deletion" and g.edge_count() <= 1:
         return Verdict(problem, "PolyKernel", "at-most-one-edge")
-    # (ii) known-hard witnesses
-    w = M.x_witness_for(g, problem)
-    if w is not None:
-        return Verdict(problem, "Incompressible", w)
-    # (iii) churning pipeline
     return _pipeline(g, problem)
 
 
 def _pipeline(g: SmallGraph, problem: str) -> Verdict:
+    """Rules 5-8: the X witness, then the memoized chain-producing part."""
     w = M.x_witness_for(g, problem)
     if w is not None:
         return Verdict(problem, "Incompressible", w)
-    wr = w_member(g)
+    key = (G.canonical_cert(g), problem)
+    hit = _memo.get(key)
+    if hit is None:
+        hit = _memo[key] = _chain_part(g, problem)
+    return hit
+
+
+def _chain_part(g: SmallGraph, problem: str) -> Verdict:
+    wr = C.membership_W(g)
     if wr is not None:
-        return _resolve_w(g, wr, problem)
+        steps = R.w_steps(g, wr)
+        if steps is None:
+            return _terminal(g, wr, problem)
+        return _prefixed(steps, _pipeline(steps[-1].target_h, problem))
     if not G.is_regular(g):
-        # low peel first, then high, intercepting one-edge peels for editing
-        for rule, getter in (("peel-low", G.peel_low), ("peel-high", G.peel_high)):
-            peel = getter(g)
-            if (
-                problem == "editing"
-                and peel.edge_count() == 1
-                and peel.n >= 5
-            ):
-                return Verdict(
-                    problem,
-                    "Incompressible",
-                    "one-edge>=5-vertices",
-                    (_peel_step(g, rule),),
-                )
-            if not M.in_y_d(peel):
-                return _after_peel(g, rule, peel, problem)
+        for step in _peel_steps(g):
+            v = _one_edge_peel(step, problem)
+            if v is not None:
+                return v
+            if not M.in_y_d(step.target_h):
+                return _prefixed((step,), _pipeline(step.target_h, problem))
     return Verdict(problem, "Unclassified", "pipeline-exhausted")
 
 
-def _peel_step(g: SmallGraph, rule: str) -> R.ReductionStep:
-    side = "low" if rule == "peel-low" else "high"
-    target, params = R.peel_reduce(g, side)
-    return R.ReductionStep("ConMain", rule, g, target, params)
+def _peel_steps(g: SmallGraph):
+    for rule in ("peel-low", "peel-high"):
+        yield R.make_step(rule, g, False)
 
 
-def _after_peel(g: SmallGraph, rule: str, peeled: SmallGraph, problem: str) -> Verdict:
-    step = _peel_step(g, rule)
-    sub = _pipeline_memo(peeled, problem)
-    return Verdict(
-        problem, sub.status, sub.reason, (step,) + sub.chain, sub.member
-    )
-
-
-def _pipeline_memo(g: SmallGraph, problem: str) -> Verdict:
-    key = (G.canonical_cert(g), problem)
-    hit = _pipeline_cache.get(key)
-    if hit is not None:
-        return hit
-    out = _pipeline(g, problem)
-    _pipeline_cache[key] = out
-    return out
-
-
-def _editing_interception(g: SmallGraph, problem: str) -> Optional[Verdict]:
+def _one_edge_peel(step: R.ReductionStep, problem: str) -> Optional[Verdict]:
     """A peel with exactly one edge on >= 5 vertices is hard for editing."""
-    for rule, peel in (("peel-low", G.peel_low(g)), ("peel-high", G.peel_high(g))):
-        if peel.edge_count() == 1 and peel.n >= 5:
-            step = _peel_step(g, rule)
-            return Verdict(
-                problem,
-                "Incompressible",
-                "one-edge>=5-vertices",
-                (step,),
-            )
+    p = step.target_h
+    if problem == "editing" and p.edge_count() == 1 and p.n >= 5:
+        return Verdict(problem, "Incompressible", "one-edge>=5-vertices", (step,))
     return None
 
 
-def _resolve_w(g: SmallGraph, wr: C.WReason, problem: str) -> Verdict:
-    base = wr.id
-    series = base[0]
-    if wr.kind == "named" and series == "H":
-        if problem == "deletion":
-            member = f"co-{base}" if wr.complemented else base
-            return Verdict(problem, "OpenCatalogue", f"catalogue:{member}",
-                           member=member)
+def _terminal(g: SmallGraph, wr: C.WReason, problem: str) -> Verdict:
+    """Verdict for a W member without chain-table steps (H, A, B, D)."""
+    series = wr.id[0]
+    member = str(wr)
+    if series == "A" or (series == "B" and problem == "deletion"):
+        return Verdict(problem, "Incompressible",
+                       f"two-connected-catalogue:{member}")
+    if problem == "deletion":
+        return Verdict(problem, "OpenCatalogue", f"catalogue:{member}",
+                       member=member)
+    if series == "H":
         # editing names the stored orientation via complement invariance
-        chain = ()
-        if wr.complemented:
-            chain = (
-                R.ReductionStep(
-                    "Complement", "complement-duality", g, G.complement(g)
-                ),
-            )
-        return Verdict(problem, "OpenCatalogue", f"catalogue:{base}",
-                       chain, member=base)
-    if wr.kind == "named" and series == "A":
-        member = f"co-{base}" if wr.complemented else base
-        return Verdict(
-            problem, "Incompressible", f"two-connected-catalogue:{member}"
-        )
-    if wr.kind == "named" and series in ("B", "D") and not wr.complemented:
-        if problem == "deletion":
-            if series == "D":
-                return Verdict(problem, "OpenCatalogue", f"catalogue:{base}",
-                               member=base)
-            return Verdict(
-                problem, "Incompressible", f"two-connected-catalogue:{base}"
-            )
-        v = _editing_interception(g, problem)
+        chain = (_complement_step(g, G.complement(g)),) if wr.complemented else ()
+        return Verdict(problem, "OpenCatalogue", f"catalogue:{wr.id}",
+                       chain, member=wr.id)
+    for step in _peel_steps(g):
+        v = _one_edge_peel(step, problem)
         if v is not None:
             return v
-        return Verdict(problem, "Unclassified", f"unresolved:{base}")
-    # remaining members carry chain-table rules (S, F, co-B, co-D)
-    if wr.kind == "named" and series in ("B", "D") and wr.complemented:
-        steps = R.steps_for(f"co-{base}", g, False)
-    else:
-        steps = R.steps_for(base, g, wr.complemented)
-    sub = _pipeline_memo(steps[-1].target_h, problem)
-    return Verdict(
-        problem, sub.status, sub.reason, tuple(steps) + sub.chain, sub.member
-    )
-
-
-def classify_both(g: SmallGraph) -> dict[str, Verdict]:
-    return {p: classify(g, p) for p in PROBLEMS}
+    return Verdict(problem, "Unclassified", f"unresolved:{wr.id}")
 
 
 def verify_case_lemma(
@@ -335,18 +252,13 @@ def verify_case_lemma(
     }
     for n in range(5, n_max + 1):
         for g in E.graphs_on(n, workers=workers):
-            if M.in_y_d(g) or M.x_witness_for(g, "deletion") is not None:
-                continue
-            if G.is_regular(g):
-                continue
-            if type_low not in peel_types(G.peel_low(g)):
-                continue
-            if type_high not in peel_types(G.peel_high(g)):
+            hit = E._check_case_lemmas(G.to_graph6(g))
+            if hit is None or (type_low, type_high) not in hit["cells"]:
                 continue
             report["graphs"] += 1
-            if w_member(g) is None:
-                report["counterexamples"].append(G.to_graph6(g))
-            else:
+            if hit["in_W"]:
                 report["members"] += 1
+            else:
+                report["counterexamples"].append(hit["g6"])
     report["ok"] = not report["counterexamples"]
     return report

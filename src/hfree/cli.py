@@ -105,32 +105,28 @@ def cmd_chain(args) -> int:
     return 0
 
 
+# how ``hfree reduce`` reads each construction parameter from its flag
+_REDUCE_PARAMS = {
+    "h": _parse_graph,
+    "vprime": lambda text: [int(v) for v in text.split(",")],
+    "ell": int,
+    "t": int,
+}
+
+
 def cmd_reduce(args) -> int:
+    build, names = R.CONSTRUCTIONS[args.construction]
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise ValueError(
+            f"--construction {args.construction} needs {' and '.join(missing)}"
+        )
     g = _parse_graph(args.graph)
-    k = args.k
-    meta = {"construction": args.construction, "k": k}
-    if args.construction == "ConMain":
-        h = _parse_graph(args.h)
-        vprime = [int(v) for v in args.vprime.split(",")]
-        out = R.con_main(g, k, h, vprime)
-        kprime = k
-    elif args.construction == "ConMod":
-        out = R.con_mod(g, k, args.ell)
-        kprime = k
-    elif args.construction == "ConNearUni":
-        out = R.con_near_uni(g, k, args.t)
-        kprime = k
-    elif args.construction == "UnionClique":
-        out = R.union_clique(g, k)
-        kprime = k
-    elif args.construction == "LargestComponent":
-        h = _parse_graph(args.h)
-        inst = R.largest_component_reduction(g, k, h)
-        out, kprime = inst.g, inst.k
-    else:
-        raise ValueError(f"unsupported construction {args.construction}")
+    params = [_REDUCE_PARAMS[name](getattr(args, name)) for name in names]
+    out = build(g, args.k, *params)
     payload = {"input": G.to_graph6(g), "output": G.to_graph6(out),
-               "n": out.n, "k_out": kprime, **meta}
+               "n": out.n, "k_out": args.k,
+               "construction": args.construction, "k": args.k}
     _emit(payload, f"reduce: {g.n} -> {out.n} vertices")
     return 0
 
@@ -215,6 +211,8 @@ def cmd_catalogue(args) -> int:
     if args.action == "list":
         _emit({"ids": C.all_ids()}, f"{len(C.all_ids())} entries")
         return 0
+    if args.id is None:
+        raise ValueError("catalogue show needs an id")
     entry = C.lookup(args.id)
     g = entry.graph
     sm = M.set_membership(g)
@@ -263,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_chain)
 
     p = sub.add_parser("reduce", help="run one construction on an instance")
-    p.add_argument("--construction", required=True)
+    p.add_argument("--construction", required=True,
+                   choices=sorted(R.CONSTRUCTIONS))
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h")

@@ -261,6 +261,7 @@ REGULAR_TAIL_EXCEPTIONS = ("C`", "Cl", "Dhc")
 
 
 def _check_case_lemmas(g6: str) -> Optional[dict]:
+    from . import catalogue as C
     from . import classify as CL
     from . import membership as M
 
@@ -275,7 +276,7 @@ def _check_case_lemmas(g6: str) -> Optional[dict]:
     th = CL.peel_types(high)
     if not tl or not th:
         return None  # churn recurses; not a case-table graph
-    member = CL.w_member(g)
+    member = C.membership_W(g)
     return {
         "g6": g6,
         "cells": [(a, b) for a in tl for b in th],

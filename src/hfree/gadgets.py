@@ -69,10 +69,8 @@ def table_gadget(h_id: str, mode: str, role: str) -> Optional[Gadget]:
         return None
     g = G.from_edges(cell["n"], cell["edges"])
     allowed = cell["marked"]
-    if role == "SComponent":
-        allowed = _order_s_allowed(g, allowed, mode, host_graph(h_id))
-    elif role == "BasicUnit":
-        allowed = _order_unit_allowed(g, allowed, mode, host_graph(h_id))
+    if role in ("SComponent", "BasicUnit"):
+        allowed = _order_allowed(g, allowed, mode, host_graph(h_id))
     return Gadget(g, role, mode, tuple(tuple(p) for p in allowed), h_id)
 
 
@@ -81,19 +79,15 @@ def _toggled(g: SmallGraph, pairs, mode: str) -> SmallGraph:
     return G.apply_flips(g, pairs)
 
 
-def _order_s_allowed(g, marked, mode, h):
-    """Put the pair recovering the host graph first: that pair is x."""
+def _order_allowed(g, marked, mode, h):
+    """Put the pair recovering the host graph first: that pair is x of an
+    S-component and the glue-in side of a basic unit."""
     xs = [p for p in marked if G.are_isomorphic(_toggled(g, [p], mode), h)]
     if not xs:
         raise GadgetError("no marked pair recovers the host graph")
     x = xs[0]
     rest = [p for p in marked if p != x]
     return [x] + rest
-
-
-def _order_unit_allowed(g, marked, mode, h):
-    """Pair recovering the host first (the glue-in side of a chain)."""
-    return _order_s_allowed(g, marked, mode, h)
 
 
 # -- propagational tables ----------------------------------------------------
@@ -387,22 +381,15 @@ def attach_enforcer(
     g: SmallGraph, pair: tuple[int, int], enf: Gadget, copies: int
 ) -> SmallGraph:
     """Identify the enforcer's distinguished pair with ``pair``, k+1 times."""
+    from .reductions import _Builder
+
     (ex, ey) = enf.allowed[0]
-    x, y = pair
-    rows = list(g.rows)
-    n = g.n
+    grow = _Builder(g, cap=None)
     for _ in range(copies):
-        mapping = {ex: x, ey: y}
-        for v in range(enf.graph.n):
-            if v not in mapping:
-                mapping[v] = n
-                n += 1
-        rows.extend([0] * (n - len(rows)))
-        for a, b in enf.graph.edges():
-            ma, mb = mapping[a], mapping[b]
-            rows[ma] |= 1 << mb
-            rows[mb] |= 1 << ma
-    return SmallGraph(n, rows)
+        grow.glue(enf.graph, {ex: pair[0], ey: pair[1]})
+    if enf.graph.has_edge(ex, ey):
+        grow.connect(*pair)
+    return grow.graph()
 
 
 def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:

@@ -280,11 +280,6 @@ def _connected_after_removal(g: SmallGraph, removed: int) -> bool:
     return _reach(g.rows, seed, alive) == alive
 
 
-def is_3_connected(g: SmallGraph) -> bool:
-    """Vertex connectivity >= 3 (complete graphs K_n qualify iff n >= 4)."""
-    return vertex_connectivity(g) >= 3
-
-
 def vertex_connectivity(g: SmallGraph) -> int:
     n = g.n
     if is_complete(g):
@@ -579,47 +574,6 @@ def peel_low(g: SmallGraph) -> SmallGraph:
 def peel_high(g: SmallGraph) -> SmallGraph:
     dp = DegreePartition(g)
     return delete_vertices(g, dp.v_high)
-
-
-# -- modular partition -------------------------------------------------------
-
-
-def modular_partition(g: SmallGraph) -> list[frozenset[int]]:
-    """Flat partition into maximal proper modules, by iterated class merging.
-
-    Two classes merge while their union is a proper module (identical
-    neighborhoods outside the union). Merging never reaches the trivial
-    module V, so for complete and empty graphs, where maximal proper
-    modules are not unique, the result is one deterministic choice; callers
-    relying on uniqueness must avoid those inputs.
-    """
-    classes = [frozenset([v]) for v in range(g.n)]
-
-    def is_module(vs: frozenset[int]) -> bool:
-        m = _mask(vs)
-        sample = None
-        for v in vs:
-            out = g.rows[v] & ~m
-            if sample is None:
-                sample = out
-            elif out != sample:
-                return False
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                union = classes[i] | classes[j]
-                if len(union) < g.n and is_module(union):
-                    classes[i] = union
-                    del classes[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    return sorted(classes, key=min)
 
 
 # -- graph6 ------------------------------------------------------------------

@@ -72,63 +72,34 @@ class SetMembership:
     witness: str
 
 
-def _x_witness(g: SmallGraph, co: SmallGraph) -> str | None:
-    """Reason g lies in X_D, or None."""
-    if G.is_cycle(g) and g.n >= 4:
-        return "cycle>=4"
-    if G.is_cycle(co) and g.n >= 4:
-        return "co-cycle>=4"
-    if g.n >= 5 and G.is_path(g):
-        return "path>=5"
-    if g.n >= 5 and G.is_path(co):
-        return "co-path>=5"
-    if G.is_regular(g) and not G.is_complete(g) and not G.is_empty(g):
-        return "regular-nontrivial"
-    if not G.is_complete(g) and is_3_connected(g):
-        return "3-connected"
-    if g.edge_count() >= 2 and is_3_connected(co):
-        return "co-3-connected"
-    return None
-
-
 def set_membership(g: SmallGraph) -> SetMembership:
     """All five set flags with a witness for the strongest applicable one."""
-    co = G.complement(g)
     yname = yprime_name(g)
-    complete = G.is_complete(g)
-    empty = G.is_empty(g)
     near_big = g.edge_count() == 1 and g.n >= 5
-
-    in_yprime = yname is not None
-    in_ye = complete or empty or in_yprime
-    in_yd = in_ye or near_big
-
-    xw = _x_witness(g, co)
-    in_xd = xw is not None
-    in_xe = in_xd or near_big
-
-    if complete:
+    xw = x_witness_for(g, "deletion")
+    in_ye = in_y_e(g)
+    if G.is_complete(g):
         witness = "complete"
-    elif empty:
+    elif G.is_empty(g):
         witness = "empty"
-    elif in_yprime:
+    elif yname is not None:
         witness = yname
     elif near_big:
         witness = "one-edge>=5-vertices"
-    elif xw:
-        witness = xw
     else:
-        witness = "none"
-    return SetMembership(in_xd, in_xe, in_ye, in_yd, in_yprime, witness)
+        witness = xw or "none"
+    return SetMembership(
+        in_XD=xw is not None,
+        in_XE=xw is not None or near_big,
+        in_YE=in_ye,
+        in_YD=in_ye or near_big,
+        in_Yprime=yname is not None,
+        witness=witness,
+    )
 
 
 def in_y_d(g: SmallGraph) -> bool:
-    return (
-        G.is_complete(g)
-        or G.is_empty(g)
-        or yprime_name(g) is not None
-        or (g.edge_count() == 1 and g.n >= 5)
-    )
+    return in_y_e(g) or (g.edge_count() == 1 and g.n >= 5)
 
 
 def in_y_e(g: SmallGraph) -> bool:

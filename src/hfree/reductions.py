@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import comb, perm
 from typing import Sequence
 
 from . import gadgets as GD
@@ -26,6 +27,48 @@ class CapExceeded(RuntimeError):
 
 class PreconditionError(ValueError):
     """Input does not satisfy the reduction's side conditions."""
+
+
+class _Builder:
+    """Adjacency rows of a graph grown from ``g`` by fresh vertices.
+
+    Refuses with CapExceeded a planned ``total`` or a finished graph above
+    ``cap``; ``cap=None`` grows without bound.
+    """
+
+    def __init__(self, g: SmallGraph, cap: int | None = VERTEX_CAP, total: int = 0):
+        self.rows = list(g.rows)
+        self.cap = cap
+        self._check(total)
+
+    def _check(self, n: int) -> None:
+        if self.cap is not None and n > self.cap:
+            raise CapExceeded(f"{n} vertices exceed cap {self.cap}")
+
+    def fresh(self, count: int) -> list[int]:
+        n = len(self.rows)
+        self.rows.extend([0] * count)
+        return list(range(n, n + count))
+
+    def connect(self, a: int, b: int) -> None:
+        self.rows[a] |= 1 << b
+        self.rows[b] |= 1 << a
+
+    def glue(self, h: SmallGraph, image: dict[int, int]) -> None:
+        """Add a copy of h: its vertices in ``image`` are the given ones,
+        the others fresh in order. Edges between two given vertices are
+        left as they are."""
+        local = dict(image)
+        for v in range(h.n):
+            if v not in local:
+                (local[v],) = self.fresh(1)
+        for u, v in h.edges():
+            if u not in image or v not in image:
+                self.connect(local[u], local[v])
+
+    def graph(self) -> SmallGraph:
+        self._check(len(self.rows))
+        return SmallGraph(len(self.rows), self.rows)
 
 
 # -- generic constructions ----------------------------------------------------
@@ -47,34 +90,13 @@ def con_main(
     vp = sorted(set(vprime))
     if any(v < 0 or v >= h.n for v in vp):
         raise ValueError("vprime must be a subset of V(h)")
-    rest = [v for v in range(h.n) if v not in vp]
-    n_inj = 1
-    for i in range(len(vp)):
-        n_inj *= max(gprime.n - i, 0)
-    total = gprime.n + n_inj * (k + 1) * len(rest)
-    if total > cap:
-        raise CapExceeded(f"{total} vertices exceed cap {cap}")
-    rows = list(gprime.rows)
-    n = gprime.n
-
-    def add_satellite(image: dict[int, int]) -> None:
-        nonlocal n, rows
-        local = dict(image)
-        for v in rest:
-            local[v] = n
-            rows.append(0)
-            n += 1
-        for v in rest:
-            for u in G._bits(h.rows[v]):
-                a, b = local[u], local[v]
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-
-    for perm in itertools.permutations(range(gprime.n), len(vp)):
-        image = dict(zip(vp, perm))
+    total = gprime.n + perm(gprime.n, len(vp)) * (k + 1) * (h.n - len(vp))
+    grow = _Builder(gprime, cap, total)
+    for placement in itertools.permutations(range(gprime.n), len(vp)):
+        image = dict(zip(vp, placement))
         for _ in range(k + 1):
-            add_satellite(image)
-    return SmallGraph(n, rows)
+            grow.glue(h, image)
+    return grow.graph()
 
 
 def con_mod(
@@ -87,25 +109,11 @@ def con_mod(
     """
     if ell < 1:
         raise ValueError("ell must be positive")
-    from math import comb
-
-    total = gprime.n + comb(gprime.n, ell) * (k + 1)
-    if total > cap:
-        raise CapExceeded(f"{total} vertices exceed cap {cap}")
-    rows = list(gprime.rows)
-    n = gprime.n
+    grow = _Builder(gprime, cap, gprime.n + comb(gprime.n, ell) * (k + 1))
+    unit = G.complete_graph(ell + k + 1)
     for sub in itertools.combinations(range(gprime.n), ell):
-        clique = list(range(n, n + k + 1))
-        rows.extend([0] * (k + 1))
-        n += k + 1
-        for a, b in itertools.combinations(clique, 2):
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        for c in clique:
-            for s in sub:
-                rows[c] |= 1 << s
-                rows[s] |= 1 << c
-    return SmallGraph(n, rows)
+        grow.glue(unit, dict(enumerate(sub)))
+    return grow.graph()
 
 
 def con_near_uni(
@@ -115,26 +123,12 @@ def con_near_uni(
     t-subset. Sources with fewer than t vertices come back unchanged."""
     if t < 1:
         raise ValueError("t must be positive")
-    from math import comb
-
-    total = gprime.n + comb(gprime.n, t) * (k + 2)
-    if total > cap:
-        raise CapExceeded(f"{total} vertices exceed cap {cap}")
-    rows = list(gprime.rows)
-    n = gprime.n
-    base = (1 << gprime.n) - 1
+    grow = _Builder(gprime, cap, gprime.n + comb(gprime.n, t) * (k + 2))
+    unit = G.complete_bipartite(max(gprime.n - t, 0), k + 2)
     for sub in itertools.combinations(range(gprime.n), t):
-        submask = 0
-        for s in sub:
-            submask |= 1 << s
-        members = list(range(n, n + k + 2))
-        rows.extend([0] * (k + 2))
-        n += k + 2
-        for m in members:
-            rows[m] |= base & ~submask
-            for v in G._bits(base & ~submask):
-                rows[v] |= 1 << m
-    return SmallGraph(n, rows)
+        others = [v for v in range(gprime.n) if v not in sub]
+        grow.glue(unit, dict(enumerate(others)))
+    return grow.graph()
 
 
 def union_clique(gprime: SmallGraph, k: int, cap: int = VERTEX_CAP) -> SmallGraph:
@@ -209,27 +203,15 @@ def con_cai(
     s_comp: GD.Gadget,
     basic_unit: GD.Gadget,
     mode: str,
-) -> EditInstance:
+) -> tuple[EditInstance, list[list[tuple[int, int]]]]:
     """Clause components plus cyclic truth-setting components, restricted.
 
     Every clause gets one satisfaction-testing component; every variable a
     truth-setting component whose three variable pairs are identified with
     the clause pairs of its three occurrences. All pairs except the unit
-    pairs are forbidden; the budget becomes 3*|V(h)|*k.
+    pairs are forbidden; the budget becomes 3*|V(h)|*k. Returns the
+    instance and, per variable, its allowed pairs.
     """
-    inst, _ = con_cai_detailed(phi, k, h, s_comp, basic_unit, mode)
-    return inst
-
-
-def con_cai_detailed(
-    phi: PropFormula,
-    k: int,
-    h: SmallGraph,
-    s_comp: GD.Gadget,
-    basic_unit: GD.Gadget,
-    mode: str,
-) -> tuple[EditInstance, list[list[tuple[int, int]]]]:
-    """con_cai plus the per-variable lists of allowed pairs."""
     if mode not in ("delete", "complete"):
         raise ValueError("mode must be delete or complete")
     if s_comp.role != "SComponent" or basic_unit.role != "BasicUnit":
@@ -386,48 +368,32 @@ def tricky_a7c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     k = inst.k
     gp = inst.g
     R = _ordered_forbidden(inst)
-    total = gp.n + k + 3 * k * len(R)
-    if total > cap:
-        raise CapExceeded(f"{total} vertices exceed cap {cap}")
-    rows = list(gp.rows)
-    n = gp.n
-
-    def fresh(count):
-        nonlocal n, rows
-        out = list(range(n, n + count))
-        rows.extend([0] * count)
-        n += count
-        return out
-
-    def connect(a, b):
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-
-    W = fresh(k)
+    grow = _Builder(gp, cap, gp.n + k + 3 * k * len(R))
+    W = grow.fresh(k)
     for w in W:
         for v in range(gp.n):
-            connect(w, v)
+            grow.connect(w, v)
     C: list[int] = []
     for (u, v) in R:
-        X = fresh(k)
-        Y = fresh(k)
-        Z = fresh(k)
+        X = grow.fresh(k)
+        Y = grow.fresh(k)
+        Z = grow.fresh(k)
         for x in X:
-            connect(u, x)
+            grow.connect(u, x)
             for w in W:
-                connect(w, x)
+                grow.connect(w, x)
         for y in Y:
-            connect(v, y)
+            grow.connect(v, y)
             for w in W:
-                connect(w, y)
+                grow.connect(w, y)
         for i in range(k):
-            connect(X[i], Z[i])
-            connect(Y[i], Z[i])
+            grow.connect(X[i], Z[i])
+            grow.connect(Y[i], Z[i])
         C.extend(X)
         C.extend(Y)
     for a, b in itertools.combinations(C, 2):
-        connect(a, b)
-    return EditInstance(SmallGraph(n, rows), k, "delete")
+        grow.connect(a, b)
+    return EditInstance(grow.graph(), k, "delete")
 
 
 def tricky_a9c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
@@ -437,50 +403,34 @@ def tricky_a9c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     k = inst.k
     gp = inst.g
     R = _ordered_forbidden(inst)
-    total = gp.n + k + 4 * k * len(R)
-    if total > cap:
-        raise CapExceeded(f"{total} vertices exceed cap {cap}")
-    rows = list(gp.rows)
-    n = gp.n
-
-    def fresh(count):
-        nonlocal n, rows
-        out = list(range(n, n + count))
-        rows.extend([0] * count)
-        n += count
-        return out
-
-    def connect(a, b):
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-
-    W = fresh(k)
+    grow = _Builder(gp, cap, gp.n + k + 4 * k * len(R))
+    W = grow.fresh(k)
     for w in W:
         for v in range(gp.n):
-            connect(w, v)
+            grow.connect(w, v)
     C: list[int] = []
     for (u, v) in R:
-        Q = fresh(k)
-        X = fresh(k)
-        Y = fresh(k)
-        Z = fresh(k)
+        Q = grow.fresh(k)
+        X = grow.fresh(k)
+        Y = grow.fresh(k)
+        Z = grow.fresh(k)
         for x in X:
-            connect(u, x)
+            grow.connect(u, x)
         for y in Y:
-            connect(v, y)
+            grow.connect(v, y)
         for w in W:
             for t in Q + X + Y:
-                connect(w, t)
+                grow.connect(w, t)
         for i in range(k):
-            connect(X[i], Z[i])
-            connect(Y[i], Z[i])
-            connect(X[i], Q[i])
-            connect(Y[i], Q[i])
+            grow.connect(X[i], Z[i])
+            grow.connect(Y[i], Z[i])
+            grow.connect(X[i], Q[i])
+            grow.connect(Y[i], Q[i])
         C.extend(X)
         C.extend(Y)
     for a, b in itertools.combinations(C, 2):
-        connect(a, b)
-    return EditInstance(SmallGraph(n, rows), k, "delete")
+        grow.connect(a, b)
+    return EditInstance(grow.graph(), k, "delete")
 
 
 def tricky_a6c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
@@ -493,35 +443,19 @@ def tricky_a6c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     k = inst.k
     gp = inst.g
     R = _ordered_forbidden(inst)
-    total = gp.n + 3 * (k + 1) * len(R)
-    if total > cap:
-        raise CapExceeded(f"{total} vertices exceed cap {cap}")
-    rows = list(gp.rows)
-    n = gp.n
-
-    def fresh(count):
-        nonlocal n, rows
-        out = list(range(n, n + count))
-        rows.extend([0] * count)
-        n += count
-        return out
-
-    def connect(a, b):
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-
+    grow = _Builder(gp, cap, gp.n + 3 * (k + 1) * len(R))
     for (u, v) in R:
-        X = fresh(k + 1)
-        Y = fresh(k + 1)
-        Z = fresh(k + 1)
+        X = grow.fresh(k + 1)
+        Y = grow.fresh(k + 1)
+        Z = grow.fresh(k + 1)
         for t in X + Y + Z:
-            connect(u, t)
+            grow.connect(u, t)
         for t in Y + Z:
-            connect(v, t)
+            grow.connect(v, t)
         for i in range(k + 1):
-            connect(X[i], Y[i])
-            connect(Y[i], Z[i])
-    return EditInstance(SmallGraph(n, rows), k, "delete")
+            grow.connect(X[i], Y[i])
+            grow.connect(Y[i], Z[i])
+    return EditInstance(grow.graph(), k, "delete")
 
 
 def tricky_a8c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
@@ -534,35 +468,19 @@ def tricky_a8c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     k = inst.k
     gp = inst.g
     R = _ordered_forbidden(inst)
-    total = gp.n + 3 * (k + 2) * len(R)
-    if total > cap:
-        raise CapExceeded(f"{total} vertices exceed cap {cap}")
-    rows = list(gp.rows)
-    n = gp.n
-
-    def fresh(count):
-        nonlocal n, rows
-        out = list(range(n, n + count))
-        rows.extend([0] * count)
-        n += count
-        return out
-
-    def connect(a, b):
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-
+    grow = _Builder(gp, cap, gp.n + 3 * (k + 2) * len(R))
     for (u, v) in R:
-        X = fresh(k + 2)
-        Y = fresh(k + 2)
-        Z = fresh(k + 2)
+        X = grow.fresh(k + 2)
+        Y = grow.fresh(k + 2)
+        Z = grow.fresh(k + 2)
         for x in X:
-            connect(u, x)
+            grow.connect(u, x)
         for t in Y + Z:
-            connect(v, t)
+            grow.connect(v, t)
         for i in range(k + 2):
-            connect(X[i], Y[i])
-            connect(X[i], Z[i])
-    return EditInstance(SmallGraph(n, rows), k, "delete")
+            grow.connect(X[i], Y[i])
+            grow.connect(X[i], Z[i])
+    return EditInstance(grow.graph(), k, "delete")
 
 
 def _completion_pre(inst: EditInstance, max_allowed: int = 18) -> None:
@@ -627,80 +545,46 @@ def _completion_pre(inst: EditInstance, max_allowed: int = 18) -> None:
             )
 
 
-def tricky_a1c_com(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
-    """Restricted C4 completion to restricted co-A1 completion."""
+def _completion_gadget(inst: EditInstance, cap: int, tail: bool) -> EditInstance:
+    """Each forbidden nonedge xy with a common neighbor gets a fresh vertex
+    on x, y and their first common neighbor (with ``tail``, also a fresh
+    pendant on that vertex and y); every nonedge at a fresh vertex becomes
+    forbidden."""
     _completion_pre(inst)
     g = inst.g
-    forbidden = set(inst.forbidden)
-    new_vertices = []
-    rows = list(g.rows)
-    n = g.n
-    p3 = G.path_graph(3)
+    grow = _Builder(g, cap)
+    new: list[int] = []
     for (x, y) in sorted(inst.forbidden):
-        mids = sorted(G._bits(g.rows[x] & g.rows[y]))
-        mids = [z for z in mids if not g.has_edge(x, y)]
-        mid = None
-        for z in mids:
-            sub = G.induced_subgraph(g, [x, y, z])
-            if G.are_isomorphic(sub, p3):
-                mid = z
-                break
-        if mid is None:
-            continue
-        v = n
-        rows.append(0)
-        n += 1
+        common = g.rows[x] & g.rows[y]
+        if g.has_edge(x, y) or not common:
+            continue  # no induced P3 x-z-y
+        mid = (common & -common).bit_length() - 1
+        (v,) = grow.fresh(1)
         for t in (x, y, mid):
-            rows[v] |= 1 << t
-            rows[t] |= 1 << v
-        new_vertices.append(v)
-    out = SmallGraph(n, rows)
-    for v in new_vertices:
-        for u in range(n):
-            if u != v and not out.has_edge(u, v):
-                forbidden.add(tuple(sorted((u, v))))
-    if out.n > cap:
-        raise CapExceeded("completion gadget exceeds cap")
+            grow.connect(v, t)
+        new.append(v)
+        if tail:
+            (u,) = grow.fresh(1)
+            grow.connect(u, v)
+            grow.connect(u, y)
+            new.append(u)
+    out = grow.graph()
+    forbidden = set(inst.forbidden)
+    for v in new:
+        for t in range(out.n):
+            if t != v and not out.has_edge(t, v):
+                forbidden.add(tuple(sorted((t, v))))
     return EditInstance(out, inst.k, "complete", frozenset(forbidden))
+
+
+def tricky_a1c_com(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+    """Restricted C4 completion to restricted co-A1 completion."""
+    return _completion_gadget(inst, cap, tail=False)
 
 
 def tricky_a6c_com(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     """Restricted C4 completion to restricted co-A6 completion."""
-    _completion_pre(inst)
-    g = inst.g
-    forbidden = set(inst.forbidden)
-    new_vertices = []
-    rows = list(g.rows)
-    n = g.n
-    p3 = G.path_graph(3)
-    for (x, y) in sorted(inst.forbidden):
-        mid = None
-        for z in sorted(G._bits(g.rows[x] & g.rows[y])):
-            sub = G.induced_subgraph(g, [x, y, z])
-            if G.are_isomorphic(sub, p3):
-                mid = z
-                break
-        if mid is None:
-            continue
-        v, u = n, n + 1
-        rows.extend([0, 0])
-        n += 2
-        for t in (x, y, mid):
-            rows[v] |= 1 << t
-            rows[t] |= 1 << v
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        rows[u] |= 1 << y
-        rows[y] |= 1 << u
-        new_vertices.extend([v, u])
-    out = SmallGraph(n, rows)
-    for v in new_vertices:
-        for t in range(n):
-            if t != v and not out.has_edge(t, v):
-                forbidden.add(tuple(sorted((t, v))))
-    if out.n > cap:
-        raise CapExceeded("completion gadget exceeds cap")
-    return EditInstance(out, inst.k, "complete", frozenset(forbidden))
+    return _completion_gadget(inst, cap, tail=True)
 
 
 _TRICKY_FUNCS = {
@@ -757,6 +641,21 @@ class ReductionStep:
 
 _DUAL_MODE = {"delete": "complete", "complete": "delete", "edit": "edit"}
 
+# construction -> (builder called as builder(g, k, *params, cap=cap), the
+# names of its params); the chain steps and ``hfree reduce`` share it
+CONSTRUCTIONS = {
+    "ConMain": (con_main, ("h", "vprime")),
+    "ConMod": (con_mod, ("ell",)),
+    "ConNearUni": (con_near_uni, ("t",)),
+    "UnionClique": (union_clique, ()),
+    "LargestComponent": (
+        lambda g, k, h, cap=VERTEX_CAP: largest_component_reduction(
+            g, k, h, cap=cap
+        ).g,
+        ("h",),
+    ),
+}
+
 
 def execute_step(step: ReductionStep, inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     """Map an instance of the target_h-free problem to one of the
@@ -765,22 +664,14 @@ def execute_step(step: ReductionStep, inst: EditInstance, cap: int = VERTEX_CAP)
         raise PreconditionError("chain steps execute on unrestricted instances")
     g = G.complement(inst.g) if step.complemented else inst.g
     c = step.construction
-    p = step.params
     mode = inst.mode
-    if c == "ConMain":
-        out = con_main(g, inst.k, p["h"], p["vprime"], cap=cap)
-    elif c == "ConMod":
-        out = con_mod(g, inst.k, p["ell"], cap=cap)
-    elif c == "ConNearUni":
-        out = con_near_uni(g, inst.k, p["t"], cap=cap)
-    elif c == "UnionClique":
-        out = union_clique(g, inst.k, cap=cap)
-    elif c == "LargestComponent":
-        out = largest_component_reduction(g, inst.k, p["h"], mode=inst.mode, cap=cap).g
-    elif c == "Complement":
+    if c == "Complement":
         # H-free deletion on G is co-H-free completion on co-G
         out = G.complement(g)
         mode = _DUAL_MODE[mode]
+    elif c in CONSTRUCTIONS:
+        build, names = CONSTRUCTIONS[c]
+        out = build(g, inst.k, *(step.params[name] for name in names), cap=cap)
     else:
         raise KeyError(f"step construction {c} is not executable here")
     if step.complemented:
@@ -1142,6 +1033,19 @@ def steps_for(entry_id: str, h: SmallGraph, entry_complemented: bool) -> list[Re
     return steps
 
 
+def w_steps(h: SmallGraph, wr) -> list[ReductionStep] | None:
+    """Chain-table steps for h, located in W by ``wr`` (a catalogue
+    ``WReason``), or None for a terminal member: H, A, and B/D in their
+    stored orientation. Complemented B/D have their own table rows; other
+    complemented members run their entry's rules conjugated."""
+    if wr.kind == "named":
+        if wr.id[0] in "HA" or (wr.id[0] in "BD" and not wr.complemented):
+            return None
+        if wr.complemented and f"co-{wr.id}" in CHAIN_TABLE:
+            return steps_for(f"co-{wr.id}", h, False)
+    return steps_for(wr.id, h, wr.complemented)
+
+
 def derive_chain(h: SmallGraph, problem: str = "deletion") -> list[ReductionStep]:
     """Full simulation chain from h down to the finite core or a known-hard
     anchor, following the chain table."""
@@ -1151,28 +1055,19 @@ def derive_chain(h: SmallGraph, problem: str = "deletion") -> list[ReductionStep
     steps: list[ReductionStep] = []
     current = h
     seen = {G.canonical_cert(current)}
-    while True:
-        if M.x_witness_for(current, problem) is not None:
-            return steps
+    while M.x_witness_for(current, problem) is None:
         wr = C.membership_W(current)
         if wr is None:
             raise PreconditionError(
                 "graph left the catalogue without reaching a hard anchor"
             )
-        if wr.kind == "named":
-            base = wr.id
-            if base[0] in ("H", "A") or (
-                base[0] in ("B", "D") and not wr.complemented
-            ):
-                return steps
-            key = f"co-{base}" if wr.complemented else base
-            new = steps_for(key if key in CHAIN_TABLE else base, current,
-                            wr.complemented and key not in CHAIN_TABLE)
-        else:
-            new = steps_for(wr.id, current, wr.complemented)
+        new = w_steps(current, wr)
+        if new is None:
+            break
         steps.extend(new)
         current = steps[-1].target_h
         cert = G.canonical_cert(current)
         if cert in seen:
             raise RuntimeError("cycle detected in reduction chain")
         seen.add(cert)
+    return steps

@@ -1,5 +1,9 @@
 """Churn and classification tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from hfree import catalogue as C
@@ -163,3 +167,23 @@ def test_chain_steps_name_low_or_high_peels():
     assert [s.rule for s in v.chain] == ["peel-high"]
     assert v.chain[0].target_h.edge_count() == 1
     assert v.chain[0].target_h.n == 5
+
+
+def test_symmetric_regular_graph_needs_no_certificate():
+    """K6xK6 (36 vertices, 10-regular) is decided by its X witness before
+    any canonical certificate, whose search visits every automorphism."""
+    code = (
+        "from hfree import classify as CL, graphs as G\n"
+        "rook = G.from_edges(36, [(a, b) for a in range(36)"
+        " for b in range(a + 1, 36) if a // 6 == b // 6 or a % 6 == b % 6])\n"
+        "print(*[CL.classify(rook, p).status for p in CL.PROBLEMS])\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert out.stdout.split() == ["Incompressible"] * 3, out.stderr

@@ -116,3 +116,21 @@ def test_usage_errors(capsys):
     code, _, _ = run(capsys, "catalogue", "show", "H99")
     assert code == 2
     assert cli.main(["bogus"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalogue", "show"],
+        ["reduce", "--construction", "ConMain", "--graph", "Ch", "--k", "1"],
+        ["reduce", "--construction", "ConMain", "--graph", "Ch", "--k", "1",
+         "--h", "P3"],
+        ["reduce", "--construction", "ConMod", "--graph", "Ch", "--k", "1"],
+        ["reduce", "--construction", "ConNearUni", "--graph", "Ch", "--k", "1"],
+        ["reduce", "--construction", "Nope", "--graph", "Ch", "--k", "1"],
+    ],
+)
+def test_missing_arguments_are_usage_errors(capsys, argv):
+    code, payload, err = run(capsys, *argv)
+    assert code == 2 and payload is None
+    assert "error:" in err and "Traceback" not in err

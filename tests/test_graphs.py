@@ -189,7 +189,7 @@ def test_vertex_connectivity():
     assert G.vertex_connectivity(G.empty_graph(3)) == 0
     assert G.vertex_connectivity(G.complete_graph(1)) == 0
     near = G.from_edges(5, [(0, 1)])
-    assert G.is_3_connected(G.complement(near))
+    assert G.vertex_connectivity(G.complement(near)) >= 3
 
 
 def test_connectivity_properties_exhaustive():
@@ -217,15 +217,6 @@ def test_find_induced():
     assert len(G.find_induced(k23, G.cycle_graph(4))) == 3
     assert G.find_induced(G.complete_graph(4), G.cycle_graph(4)) == []
     assert len(G.find_induced(G.path_graph(5), G.path_graph(4))) == 2
-
-
-def test_modular_partition():
-    star = G.star_graph(4)
-    assert sorted(map(sorted, G.modular_partition(star))) == [[0], [1, 2, 3, 4]]
-    assert len(G.modular_partition(G.path_graph(4))) == 4
-    tw = G.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    assert sorted(map(sorted, G.modular_partition(tw))) == [
-        [0], [1], [2, 3], [4, 5]]
 
 
 def test_partition_ab_complement_three_connected():

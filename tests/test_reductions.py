@@ -447,7 +447,7 @@ def test_con_cai_structure():
     sc = GD.table_gadget("co-A1", "delete", "SComponent")
     bu = GD.table_gadget("co-A1", "delete", "BasicUnit")
     phi = R.PropFormula(3, ((0, 1, 2), (0, 1, 2), (0, 1, 2)))
-    inst = R.con_cai(phi, 1, h, sc, bu, "delete")
+    inst, _ = R.con_cai(phi, 1, h, sc, bu, "delete")
     assert inst.k == 3 * h.n * 1
     assert inst.mode == "delete"
     # 3 satisfaction components and 3 truth-setting components, with the
@@ -470,7 +470,7 @@ def test_con_cai_assignment_soundness():
     bu = GD.table_gadget("co-A1", "delete", "BasicUnit")
     table = GD.verify_s_component(sc)
     phi = R.PropFormula(3, ((0, 1, 2), (0, 1, 2), (0, 1, 2)))
-    inst, per_var = R.con_cai_detailed(phi, 1, h, sc, bu, "delete")
+    inst, per_var = R.con_cai(phi, 1, h, sc, bu, "delete")
     assert len(per_var) == 3 and all(len(c) == 15 for c in per_var)
     for assignment in itertools.product((0, 1), repeat=3):
         flips = [p for bit, c in zip(assignment, per_var) if bit for p in c]
@@ -485,7 +485,7 @@ def test_con_cai_degenerate_formula():
     sc = GD.table_gadget("co-A1", "delete", "SComponent")
     bu = GD.table_gadget("co-A1", "delete", "BasicUnit")
     phi = R.PropFormula(0, ())
-    inst = R.con_cai(phi, 2, h, sc, bu, "delete")
+    inst, _ = R.con_cai(phi, 2, h, sc, bu, "delete")
     assert inst.g.n == 1
     assert S.solve(inst, h, max_n=40, max_k=inst.k).feasible
 
