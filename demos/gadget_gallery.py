@@ -17,27 +17,27 @@ def show_row(row: str):
     host = GD.host_graph(row)
     print(f"\n== {row}: {host.n} vertices, {host.edge_count()} edges")
     for mode in ("delete", "complete"):
-        sc = GD.table_gadget(row, mode, "SComponent")
+        sc = GD.verify_row(row, mode, "SComponent")
         if sc:
-            table = GD.verify_s_component(sc)
-            bits = "".join(str(int(v)) for v in table.values)
+            allowed = GD.table_gadget(row, mode, "SComponent").allowed
+            if sc["ok"]:
+                bits = "".join(str(int(v)) for v in sc["table"])
+            else:
+                bits = f"FAILS ({sc['error']})"
             print(f"   {mode:>8} S-component : toggle table {bits} "
-                  f"(x,y,z = {sc.allowed})")
-        bu = GD.table_gadget(row, mode, "BasicUnit")
+                  f"(x,y,z = {allowed})")
+        bu = GD.verify_row(row, mode, "BasicUnit")
         if bu:
-            tc = GD.build_truth_setting(bu)
-            if host.n == 5:
-                ok = GD.verify_truth_setting(tc, host, mode)
+            tc = GD.build_truth_setting(GD.table_gadget(row, mode, "BasicUnit"))
+            if bu["method"] == "exhaustive":
                 how = f"exhaustive over 2^{len(tc.allowed)} subsets"
             else:
-                ok = GD.verify_truth_setting_weak(tc, host)
                 how = "single-toggle forcing check"
             print(f"   {mode:>8} basic unit  : complex on {tc.graph.n} "
-                  f"vertices, {'passes' if ok else 'FAILS'} ({how})")
-        enf = GD.table_gadget(row, mode, "Enforcer")
+                  f"vertices, {'passes' if bu['ok'] else 'FAILS'} ({how})")
+        enf = GD.verify_row(row, mode, "Enforcer", n_host=5)
         if enf:
-            rep = GD.verify_enforcer(enf, n_host=5)
-            lay = rep["layers"]
+            lay = enf["layers"]
             print(f"   {mode:>8} enforcer    : exact={lay['exact']['ok']} "
                   f"structural={lay['structural']['ok']} "
                   f"({lay['structural']['condition']}) "

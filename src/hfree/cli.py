@@ -172,37 +172,13 @@ def cmd_verify(args) -> int:
 def cmd_verify_gadgets(args) -> int:
     rows = [args.row] if args.row else GD.table_rows()
     reports = []
-    all_ok = True
     for row in rows:
         for mode in ("delete", "complete"):
-            for role in ("SComponent", "BasicUnit", "Enforcer"):
-                gadget = GD.table_gadget(row, mode, role)
-                if gadget is None:
-                    continue
-                entry = {"row": row, "mode": mode, "role": role}
-                if role == "SComponent":
-                    try:
-                        table = GD.verify_s_component(gadget)
-                        entry["ok"] = True
-                        entry["table"] = list(table.values)
-                    except GD.GadgetError as exc:
-                        entry["ok"] = False
-                        entry["error"] = str(exc)
-                elif role == "BasicUnit":
-                    tc = GD.build_truth_setting(gadget)
-                    h = GD.host_graph(row)
-                    if len(tc.allowed) <= 21 and tc.graph.n <= 50:
-                        entry["ok"] = GD.verify_truth_setting(tc, h, mode)
-                        entry["method"] = "exhaustive"
-                    else:
-                        entry["ok"] = GD.verify_truth_setting_weak(tc, h)
-                        entry["method"] = "weak"
-                else:
-                    rep = GD.verify_enforcer(gadget, n_host=args.n_host)
-                    entry["ok"] = rep["ok"]
-                    entry["layers"] = rep["layers"]
-                all_ok &= entry["ok"]
-                reports.append(entry)
+            for role in GD.ROLES:
+                entry = GD.verify_row(row, mode, role, n_host=args.n_host)
+                if entry is not None:
+                    reports.append(entry)
+    all_ok = all(entry["ok"] for entry in reports)
     _emit({"rows": reports, "ok": all_ok}, f"gadgets ok={all_ok}")
     return 0 if all_ok else 1
 

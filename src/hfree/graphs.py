@@ -466,19 +466,39 @@ def brute_force_isomorphic(g1: SmallGraph, g2: SmallGraph) -> bool:
 # -- induced subgraph search ------------------------------------------------
 
 
-def _induced_search(g: SmallGraph, h: SmallGraph, first_only: bool):
+def _induced_search(
+    g: SmallGraph, h: SmallGraph, first_only: bool, free: Sequence[int] | None = None
+):
     """Backtracking enumeration of vertex sets of g inducing h.
 
-    Maps h's vertices one at a time in a fixed order, keeping adjacency to
-    all previously mapped vertices consistent; each set is reported once.
+    Maps h's vertices one at a time, by descending degree. The candidates
+    for the next one form one bitmask (Ullmann's bit-vector refinement): the
+    vertices of g with a high enough degree, minus those used, ANDed with
+    each mapped vertex's row where h has the edge and with its complement
+    where it has not. Candidates are tried in ascending order; each set is
+    reported once, in the order first found.
+
+    ``free`` (per-vertex rows of a symmetric pair set) relaxes the match:
+    a free pair may be an edge or a nonedge whatever h has there, and
+    degrees count free pairs as edges.
     """
     n, hn = g.n, h.n
     if hn > n:
         return []
-    gdeg = g.degrees()
-    # map h's vertices by descending degree: fail early on high-degree ones
+    if free is None:
+        yes = hard = g.rows
+    else:
+        yes = [r | f for r, f in zip(g.rows, free)]  # may be an edge
+        hard = [r & ~f for r, f in zip(g.rows, free)]  # must be an edge
+    # atleast[d]: the vertices of g with degree >= d
+    gdeg = [r.bit_count() for r in yes]
+    atleast = [0] * (max(gdeg) + 2)
+    for w, d in enumerate(gdeg):
+        atleast[d] |= 1 << w
+    for d in range(len(atleast) - 2, -1, -1):
+        atleast[d] |= atleast[d + 1]
     horder = sorted(range(hn), key=lambda v: -h.degree(v))
-    hdeg = [h.degree(v) for v in horder]
+    fit = [atleast[min(h.degree(v), len(atleast) - 1)] for v in horder]
     hadj = [[j for j in range(i) if h.has_edge(horder[i], horder[j])] for i in range(hn)]
     hnon = [[j for j in range(i) if not h.has_edge(horder[i], horder[j])] for i in range(hn)]
     found = []
@@ -487,39 +507,37 @@ def _induced_search(g: SmallGraph, h: SmallGraph, first_only: bool):
 
     def rec(i: int, used: int) -> bool:
         if i == hn:
-            key = used
-            if key not in seen_sets:
-                seen_sets.add(key)
+            if used not in seen_sets:
+                seen_sets.add(used)
                 found.append(frozenset(assign))
             return first_only
-        for w in range(n):
-            bit = 1 << w
-            if used & bit or gdeg[w] < hdeg[i]:
-                continue
-            rw = g.rows[w]
-            ok = True
-            for j in hadj[i]:
-                if not rw >> assign[j] & 1:
-                    ok = False
-                    break
-            if ok:
-                for j in hnon[i]:
-                    if rw >> assign[j] & 1:
-                        ok = False
-                        break
-            if ok:
-                assign[i] = w
-                if rec(i + 1, used | bit):
-                    return True
+        cand = fit[i] & ~used
+        for j in hadj[i]:
+            cand &= yes[assign[j]]
+        for j in hnon[i]:
+            cand &= ~hard[assign[j]]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            assign[i] = bit.bit_length() - 1
+            if rec(i + 1, used | bit):
+                return True
         return False
 
     rec(0, 0)
     return found
 
 
-def find_induced(g: SmallGraph, h: SmallGraph) -> list[frozenset[int]]:
-    """All vertex sets of g that induce a graph isomorphic to h."""
-    return _induced_search(g, h, first_only=False)
+def find_induced(
+    g: SmallGraph, h: SmallGraph, free: Sequence[int] | None = None
+) -> list[frozenset[int]]:
+    """All vertex sets of g that induce a graph isomorphic to h.
+
+    With ``free`` (one bitmask row per vertex of g, symmetric), the sets
+    where some choice of edge or nonedge on the free pairs inside them
+    induces h.
+    """
+    return _induced_search(g, h, first_only=False, free=free)
 
 
 def contains_induced(g: SmallGraph, h: SmallGraph) -> bool:

@@ -314,7 +314,7 @@ def enforcer_attach(inst: EditInstance, enforcer: GD.Gadget) -> EditInstance:
     h = GD.host_graph(enforcer.h)
     if G.contains_induced(enforcer.graph, h):
         raise GD.GadgetError("unverified enforcer: gadget not host-free")
-    toggled = GD._toggled(enforcer.graph, [enforcer.allowed[0]], enforcer.mode)
+    toggled = G.apply_flips(enforcer.graph, [enforcer.allowed[0]])
     if not G.contains_induced(toggled, h):
         raise GD.GadgetError("unverified enforcer: toggle creates no copy")
     g = inst.g

@@ -155,30 +155,15 @@ def test_criterion_5_ppt_equivalence_suite():
 
 
 def test_criterion_6_gadget_suite():
+    t0 = time.time()
     failures = []
     for row in GD.table_rows():
-        host = GD.host_graph(row)
         for mode in ("delete", "complete"):
-            sc = GD.table_gadget(row, mode, "SComponent")
-            if sc is not None:
-                try:
-                    GD.verify_s_component(sc)
-                except GD.GadgetError as exc:
-                    failures.append((row, mode, "SComponent", str(exc)))
-            bu = GD.table_gadget(row, mode, "BasicUnit")
-            if bu is not None:
-                tc = GD.build_truth_setting(bu)
-                if host.n == 5:
-                    ok = GD.verify_truth_setting(tc, host, mode)
-                else:
-                    ok = GD.verify_truth_setting_weak(tc, host)
-                if not ok:
-                    failures.append((row, mode, "BasicUnit", "verify failed"))
-            enf = GD.table_gadget(row, mode, "Enforcer")
-            if enf is not None:
-                rep = GD.verify_enforcer(enf, n_host=6)
-                if not rep["ok"]:
-                    failures.append((row, mode, "Enforcer", rep["layers"]))
+            for role in GD.ROLES:
+                entry = GD.verify_row(row, mode, role, n_host=6)
+                if entry is not None and not entry["ok"]:
+                    detail = entry.get("error") or entry.get("layers") or "verify failed"
+                    failures.append((row, mode, role, detail))
     # the named exhaustive run: 2^15 subsets for the five-vertex host
     unit = GD.table_gadget("co-A1", "delete", "BasicUnit")
     tc = GD.build_truth_setting(unit)
@@ -214,7 +199,9 @@ def test_criterion_6_gadget_suite():
             break
     if not caught:
         failures.append(("control", "complete", "Enforcer", "not caught"))
-    _check("6 gadget suite", not failures, f"failures={failures[:3]}")
+    wall = time.time() - t0
+    _check("6 gadget suite", not failures and wall <= 120,
+           f"failures={failures[:3]}, {wall:.0f}s")
 
 
 def test_criterion_7_duality_suite():

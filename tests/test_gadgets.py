@@ -1,5 +1,7 @@
 """Gadget table verification and mutation controls."""
 
+import itertools
+
 import pytest
 
 from hfree import gadgets as GD
@@ -143,6 +145,60 @@ def test_truth_setting_exhaustive_short_chains():
     for p in (2, 3):
         tc = GD.build_truth_setting(unit, p=p)
         assert GD.verify_truth_setting(tc, h, "delete")
+
+
+def _modification_sets_all_subsets(tc, h):
+    """Reference: modification_sets as a scan over every |V(h)|-subset."""
+    pairs = list(tc.allowed)
+    pair_index = {p: i for i, p in enumerate(pairs)}
+    base = tc.graph
+    hm = h.edge_count()
+    hcert = G.canonical_cert(h)
+    constraints = {}
+    for T in itertools.combinations(range(base.n), h.n):
+        var = [q for q in itertools.combinations(T, 2) if q in pair_index]
+        fixed = sum(
+            1 for a, b in itertools.combinations(T, 2)
+            if base.has_edge(a, b) and (a, b) not in pair_index
+        )
+        if not fixed <= hm <= fixed + len(var):
+            continue
+        sub = G.induced_subgraph(base, T)
+        pos = {v: i for i, v in enumerate(T)}
+        bad = set()
+        for k in range(len(var) + 1):
+            for sel in itertools.combinations(var, k):
+                cand = G.apply_flips(sub, [(pos[a], pos[b]) for a, b in sel])
+                if cand.edge_count() == hm and G.canonical_cert(cand) == hcert:
+                    bad.add(sum(1 << pair_index[q] for q in sel))
+        if bad:
+            varmask = sum(1 << pair_index[q] for q in var)
+            constraints.setdefault(varmask, set()).update(bad)
+    return [
+        m for m in range(1 << len(pairs))
+        if all(m & vm not in bad for vm, bad in constraints.items())
+    ]
+
+
+def test_modification_sets_match_all_subsets():
+    """The relaxed search finds the same modification sets as a scan over
+    all vertex subsets, on p = 2 complexes of hosts with at most six
+    vertices and on single-pair mutants of their units."""
+    units = [GD.table_gadget(row, mode, "BasicUnit") for row, mode in (
+        ("co-A1", "delete"), ("A3", "delete"), ("co-A2", "complete"))]
+    co_a1 = units[0]
+    for u, v in itertools.combinations(range(co_a1.graph.n), 2):
+        if (u, v) not in co_a1.allowed:
+            units.append(GD.Gadget(G.flip_pair(co_a1.graph, u, v), "BasicUnit",
+                                   "delete", co_a1.allowed, co_a1.h))
+    counts = set()
+    for unit in units:
+        tc = GD.build_truth_setting(unit, p=2)
+        h = GD.host_graph(unit.h)
+        good = GD.modification_sets(tc, h)
+        assert good == _modification_sets_all_subsets(tc, h), unit
+        counts.add(len(good))
+    assert {1, 2, 18, 64} <= counts  # the mutants change the answer
 
 
 def test_truth_setting_weak_property():

@@ -219,6 +219,54 @@ def test_find_induced():
     assert len(G.find_induced(G.path_graph(5), G.path_graph(4))) == 2
 
 
+def _reference_induced(g, h, free_pairs=()):
+    """Every |V(h)|-subset of V(g) that induces h for some flip of the free
+    pairs inside it, by exhaustive listing and brute-force isomorphism."""
+    out = set()
+    for T in itertools.combinations(range(g.n), h.n):
+        pos = {v: i for i, v in enumerate(T)}
+        sub = G.induced_subgraph(g, T)
+        inside = [(pos[a], pos[b]) for a, b in free_pairs if a in pos and b in pos]
+        flips = (
+            sel
+            for k in range(len(inside) + 1)
+            for sel in itertools.combinations(inside, k)
+        )
+        if any(G.brute_force_isomorphic(G.apply_flips(sub, sel), h) for sel in flips):
+            out.add(frozenset(T))
+    return out
+
+
+def test_induced_search_matches_brute_force():
+    """find_induced, first_induced and the relaxed find_induced against an
+    exhaustive reference on n <= 10, |V(h)| <= 5. The data file holds
+    (g, h, first_induced(g, h)) as computed before the search used bitmask
+    candidates, which pins the first copy the solver branches on."""
+    path = os.path.join(os.path.dirname(__file__), "data", "first_induced_n10.txt")
+    rng = random.Random(1976)
+    with open(path) as f:
+        cases = [line.split() for line in f]
+    assert len(cases) == 300
+    for g6, h6, first in cases:
+        g, h = G.from_graph6(g6), G.from_graph6(h6)
+        want = _reference_induced(g, h)
+        got = G.find_induced(g, h)
+        assert len(got) == len(set(got)) and set(got) == want, (g6, h6)
+        hit = G.first_induced(g, h)
+        assert hit == (got[0] if got else None)
+        assert G.contains_induced(g, h) == bool(want)
+        assert (",".join(map(str, sorted(hit))) if hit else "-") == first, (g6, h6)
+        q = rng.choice((0.1, 0.3))
+        free_pairs = [e for e in itertools.combinations(range(g.n), 2) if rng.random() < q]
+        free = [0] * g.n
+        for a, b in free_pairs:
+            free[a] |= 1 << b
+            free[b] |= 1 << a
+        relaxed = G.find_induced(g, h, free=free)
+        assert len(relaxed) == len(set(relaxed)), (g6, h6, free_pairs)
+        assert set(relaxed) == _reference_induced(g, h, free_pairs), (g6, h6, free_pairs)
+
+
 def test_partition_ab_complement_three_connected():
     """Graphs split into near-empty halves with uniform degrees and
     cross non-neighbors have 3-connected complements (12-vertex sample)."""
