@@ -11,6 +11,7 @@ what the churning classifier tests membership against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -79,23 +80,18 @@ _FAMILY_OFFSET = {
     "F10": 4,
 }
 
-_entries: dict[str, NamedGraph] | None = None
-_cert_index: dict[bytes, str] | None = None
 
-
+@functools.cache
 def _load() -> dict[str, NamedGraph]:
-    global _entries
-    if _entries is None:
-        entries = {}
-        text = resources.files("hfree.data").joinpath("catalogue.g6").read_text()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            name, g6 = line.split()
-            series = name[0] if name[0] in SERIES and name[1:].isdigit() else "small"
-            entries[name] = NamedGraph(name, G.from_graph6(g6), series)
-        _entries = entries
-    return _entries
+    entries = {}
+    text = resources.files("hfree.data").joinpath("catalogue.g6").read_text()
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        name, g6 = line.split()
+        series = name[0] if name[0] in SERIES and name[1:].isdigit() else "small"
+        entries[name] = NamedGraph(name, G.from_graph6(g6), series)
+    return entries
 
 
 def all_ids() -> list[str]:
@@ -113,14 +109,12 @@ def lookup(gid: str) -> NamedGraph:
     raise KeyError(f"unknown catalogue id: {gid}")
 
 
+@functools.cache
 def _index() -> dict[bytes, str]:
-    global _cert_index
-    if _cert_index is None:
-        idx = {}
-        for name, entry in _load().items():
-            idx.setdefault(G.canonical_cert(entry.graph), name)
-        _cert_index = idx
-    return _cert_index
+    idx: dict[bytes, str] = {}
+    for name, entry in _load().items():
+        idx.setdefault(G.canonical_cert(entry.graph), name)
+    return idx
 
 
 def identify(g: SmallGraph) -> Optional[str]:
@@ -156,26 +150,12 @@ def _k2_join_independent(t: int) -> SmallGraph:
     return G.join(G.complete_graph(2), G.empty_graph(t))
 
 
-def _j_graph(t: int) -> SmallGraph:
-    """K_2 v tK_1 plus a length-3 path glued between the two top vertices."""
-    g = _k2_join_independent(t)  # top vertices 0,1
+def _with_handle(g: SmallGraph) -> SmallGraph:
+    """g plus a length-3 path glued between vertices 0 and 1."""
     n = g.n
-    rows = list(g.rows) + [0, 0]
-    g = SmallGraph(n + 2, rows)
-    g = G.add_edge(g, 0, n)
-    g = G.add_edge(g, n, n + 1)
-    return G.add_edge(g, n + 1, 1)
-
-
-def _q_graph(t: int) -> SmallGraph:
-    """K_{2,t} plus a length-3 path glued between the two t-degree vertices."""
-    g = G.complete_bipartite(2, t)  # high-degree vertices 0,1
-    n = g.n
-    rows = list(g.rows) + [0, 0]
-    g = SmallGraph(n + 2, rows)
-    g = G.add_edge(g, 0, n)
-    g = G.add_edge(g, n, n + 1)
-    return G.add_edge(g, n + 1, 1)
+    return G.apply_flips(
+        G.disjoint_union(g, G.empty_graph(2)), [(0, n), (n, n + 1), (n + 1, 1)]
+    )
 
 
 def _klique_minus_e(t: int) -> SmallGraph:
@@ -206,8 +186,8 @@ def generate_family(fid: FamilyId) -> SmallGraph:
     if fam == "F8":
         return G.complement(G.disjoint_union(_klique_minus_e(t), G.empty_graph(1)))
     if fam == "F9":
-        return _j_graph(t)
-    return _q_graph(t)
+        return _with_handle(_k2_join_independent(t))  # top vertices 0, 1
+    return _with_handle(G.complete_bipartite(2, t))  # t-degree vertices 0, 1
 
 
 def recognize_family(g: SmallGraph) -> Optional[FamilyId]:

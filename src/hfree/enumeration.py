@@ -22,7 +22,7 @@ import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import __version__
 from . import graphs as G
@@ -228,11 +228,6 @@ def graphs_on(
     if n <= _CACHE_MAX:
         _levels[n] = level
     return level
-
-
-def enumerate_graphs(n: int, guard: int = DEFAULT_GUARD) -> Iterator[SmallGraph]:
-    """Stream one representative per isomorphism class on n vertices."""
-    yield from graphs_on(n, guard=guard)
 
 
 def count_labeled_dedup(n: int) -> int:

@@ -357,16 +357,6 @@ def verify_truth_setting_weak(tc: TruthSetting, h: SmallGraph) -> bool:
 # -- enforcers ----------------------------------------------------------------
 
 
-def _two_separators(g: SmallGraph) -> list[tuple[int, int]]:
-    """All pairs whose removal disconnects g (g connected, n >= 4)."""
-    out = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not G._connected_after_removal(g, (1 << u) | (1 << v)):
-                out.append((u, v))
-    return out
-
-
 def attach_enforcer(
     g: SmallGraph, pair: tuple[int, int], enf: Gadget, copies: int
 ) -> SmallGraph:
@@ -411,7 +401,7 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
     want_edge = enf.mode == "delete"
     seps = [
         (u, v)
-        for u, v in _two_separators(h)
+        for u, v in map(G._bits, G.separators(h, 2))
         if h.has_edge(u, v) == want_edge
     ]
     if not seps:
@@ -441,7 +431,7 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
 
     violations = []
     for n in range(2, n_host + 1):
-        for host in enumeration.enumerate_graphs(n):
+        for host in enumeration.graphs_on(n):
             pairs = (
                 list(host.edges())
                 if enf.mode == "delete"
@@ -485,7 +475,7 @@ def _special_structural(h: SmallGraph, enf: Gadget) -> tuple[str, bool]:
         return "no-induced-C4", ok
     want = [
         (u, v)
-        for u, v in _two_separators(h)
+        for u, v in map(G._bits, G.separators(h, 2))
         if not h.has_edge(u, v)
     ]
     p5 = G.path_graph(5)

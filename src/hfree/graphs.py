@@ -260,24 +260,27 @@ def _reach(rows: Sequence[int], seed: int, alive: int) -> int:
     return seen
 
 
+def _component_masks(rows: Sequence[int], alive: int) -> Iterator[int]:
+    """Bitmasks of the components of the subgraph induced by ``alive``,
+    by ascending lowest vertex."""
+    while alive:
+        comp = _reach(rows, alive & -alive, alive)
+        yield comp
+        alive ^= comp
+
+
 def components(g: SmallGraph) -> list[list[int]]:
-    alive = (1 << g.n) - 1
-    rest = alive
-    out = []
-    while rest:
-        seed = rest & -rest
-        comp = _reach(g.rows, seed, alive)
-        out.append(list(_bits(comp)))
-        rest &= ~comp
-    return out
+    return [list(_bits(c)) for c in _component_masks(g.rows, (1 << g.n) - 1)]
 
 
-def _connected_after_removal(g: SmallGraph, removed: int) -> bool:
-    alive = ((1 << g.n) - 1) & ~removed
-    if alive == 0:
-        return True
-    seed = alive & -alive
-    return _reach(g.rows, seed, alive) == alive
+def separators(g: SmallGraph, size: int) -> Iterator[int]:
+    """Bitmasks of the ``size``-vertex sets whose removal leaves g
+    disconnected, in lexicographic order of their vertices."""
+    full = (1 << g.n) - 1
+    for sub in itertools.combinations([1 << v for v in range(g.n)], size):
+        alive = full ^ sum(sub)
+        if alive and _reach(g.rows, alive & -alive, alive) != alive:
+            yield full ^ alive
 
 
 def vertex_connectivity(g: SmallGraph) -> int:
@@ -287,9 +290,8 @@ def vertex_connectivity(g: SmallGraph) -> int:
     if not is_connected(g):
         return 0
     for size in range(1, n - 1):
-        for sub in itertools.combinations(range(n), size):
-            if not _connected_after_removal(g, _mask(sub)):
-                return size
+        if next(separators(g, size), None) is not None:
+            return size
     return n - 1  # unreachable for non-complete graphs
 
 

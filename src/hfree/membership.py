@@ -11,25 +11,23 @@ Y_D adds the one-edge graphs. Y' is the finite 3/4-vertex core.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import graphs as G
 from .graphs import SmallGraph
 
-# names of the nine Y' graphs, keyed by canonical cert (computed lazily)
-_YPRIME: dict[bytes, str] | None = None
 
-
+@functools.cache
 def _yprime_index() -> dict[bytes, str]:
-    global _YPRIME
-    if _YPRIME is None:
-        from . import catalogue
+    """Names of the nine Y' graphs, keyed by canonical cert."""
+    from . import catalogue
 
-        _YPRIME = {}
+    return {
+        G.canonical_cert(catalogue.lookup(name).graph): name
         for name in ("P3", "co-P3", "P4", "claw", "co-claw", "paw",
-                     "co-paw", "diamond", "co-diamond"):
-            _YPRIME[G.canonical_cert(catalogue.lookup(name).graph)] = name
-    return _YPRIME
+                     "co-paw", "diamond", "co-diamond")
+    }
 
 
 def yprime_name(g: SmallGraph) -> str | None:
@@ -49,17 +47,9 @@ def is_3_connected(g: SmallGraph) -> bool:
     if min(r.bit_count() for r in g.rows) < 3:
         # the neighbors of a low-degree vertex disconnect it
         return False
-    full = (1 << n) - 1
-    if G._reach(g.rows, 1, full) != full:
+    if not G.is_connected(g):
         return False
-    for v in range(n):
-        if not G._connected_after_removal(g, 1 << v):
-            return False
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not G._connected_after_removal(g, (1 << u) | (1 << v)):
-                return False
-    return True
+    return all(next(G.separators(g, size), None) is None for size in (1, 2))
 
 
 @dataclass(frozen=True)

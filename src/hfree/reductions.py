@@ -325,16 +325,6 @@ def enforcer_attach(inst: EditInstance, enforcer: GD.Gadget) -> EditInstance:
 
 # -- tricky per-host reductions ------------------------------------------------
 
-TRICKY_IDS = (
-    "TrickyA6c",
-    "TrickyA7c",
-    "TrickyA8c",
-    "TrickyA9c",
-    "TrickyA1cCom",
-    "TrickyA6cCom",
-)
-
-
 def _ordered_forbidden(inst: EditInstance) -> list[tuple[int, int]]:
     return sorted(inst.forbidden)
 
@@ -596,20 +586,12 @@ _TRICKY_FUNCS = {
     "TrickyA6cCom": tricky_a6c_com,
 }
 
-# tricky id -> (source host id, target host id)
-TRICKY_PROBLEMS = {
-    "TrickyA6c": ("co-A1", "co-A6"),
-    "TrickyA7c": ("co-A7", "co-A7"),
-    "TrickyA8c": ("C4", "co-A8"),
-    "TrickyA9c": ("co-A9", "co-A9"),
-    "TrickyA1cCom": ("C4", "co-A1"),
-    "TrickyA6cCom": ("C4", "co-A6"),
-}
-
 
 def tricky_reduction(tid: str, inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     if tid not in _TRICKY_FUNCS:
-        raise KeyError(f"unknown tricky reduction {tid}; pick from {TRICKY_IDS}")
+        raise KeyError(
+            f"unknown tricky reduction {tid}; pick from {tuple(_TRICKY_FUNCS)}"
+        )
     return _TRICKY_FUNCS[tid](inst, cap=cap)
 
 
@@ -699,15 +681,13 @@ def mod_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
     rest = sorted(set(range(h.n)) - dp.v_low)
     if not G.is_connected(G.induced_subgraph(h, rest)):
         raise PreconditionError("high+middle classes must induce a connected graph")
-    lowmask = 0
-    for v in vl:
-        lowmask |= 1 << v
+    lowmask = G._mask(vl)
     for v in sorted(dp.v_high):
         if not h.rows[v] & lowmask:
             raise PreconditionError("every high vertex needs a low neighbor")
     vm = sorted(dp.v_mid)
     cond_a = all(
-        (h.rows[v] & ~_maskset(vm)).bit_count() >= dp.ell + 1 for v in vm
+        (h.rows[v] & ~G._mask(vm)).bit_count() >= dp.ell + 1 for v in vm
     )
     cond_b = True
     for u, v in itertools.combinations(vm, 2):
@@ -725,13 +705,6 @@ def mod_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
         groups.setdefault(h.rows[v], v)
     target = G.delete_vertices(h, sorted(groups.values()))
     return target, {"ell": dp.ell}
-
-
-def _maskset(vs) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
 
 
 def near_uni_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
@@ -763,45 +736,33 @@ def unique_degree2_path(h: SmallGraph) -> tuple[int, frozenset[int]]:
     two outside attachment vertices are distinct; it is the set of internal
     vertices of a path of length chain-size + 1 (whose endpoints may or may
     not be adjacent). The longest chain must be unique.
+
+    Chains lie inside runs, the components of the degree-2 vertices. A run
+    of s vertices with two attachments is the one longest chain of its run;
+    with one attachment (a cycle through it) its longest chains drop either
+    tip, two of s - 1; with none (a cycle component) they drop two
+    consecutive vertices, s of s - 2.
     """
     if min(h.degrees()) < 2:
         raise PreconditionError("path contraction needs minimum degree two")
-    deg2 = [v for v in range(h.n) if h.degree(v) == 2]
-    by_len: dict[int, set[frozenset[int]]] = {}
-    for size in range(1, len(deg2) + 1):
-        for sub in itertools.combinations(deg2, size):
-            chain = frozenset(sub)
-            if size == 1:
-                (v,) = sub
-                a, b = G._bits(h.rows[v])
-                ends = {a, b}
-            else:
-                induced = G.induced_subgraph(h, sub)
-                if not G.is_path(induced):
-                    continue
-                ends = set()
-                mask = 0
-                for v in sub:
-                    mask |= 1 << v
-                tips = [
-                    v for v in sub if (h.rows[v] & mask).bit_count() == 1
-                ]
-                if len(tips) != 2:
-                    continue
-                for v in tips:
-                    out = h.rows[v] & ~mask
-                    ends |= set(G._bits(out))
-            if len(ends) != 2 or ends & chain:
-                continue
-            by_len.setdefault(size, set()).add(chain)
-    if not by_len:
+    deg2 = G._mask(v for v, r in enumerate(h.rows) if r.bit_count() == 2)
+    if not deg2:
         raise PreconditionError("no internal-degree-two chain")
-    best = max(by_len)
-    if len(by_len[best]) != 1:
+    longest = []  # (size, count, run) of each run's longest chains
+    for run in G._component_masks(h.rows, deg2):
+        s = run.bit_count()
+        ends = 0
+        for v in G._bits(run):
+            ends |= h.rows[v]
+        size, count = ((s - 2, s), (s - 1, 2), (s, 1))[(ends & ~run).bit_count()]
+        longest.append((size, count, run))
+    best = max(size for size, _, _ in longest)
+    top = [(count, run) for size, count, run in longest if size == best]
+    if len(top) != 1 or top[0][0] != 1:
         raise PreconditionError(
             f"longest internal-degree-two chain not unique (p={best + 1})"
         )
-    return best + 1, next(iter(by_len[best]))
+    return best + 1, frozenset(G._bits(top[0][1]))
 
 
 def path_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
@@ -810,33 +771,30 @@ def path_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
     return G.induced_subgraph(h, vprime), {"h": h, "vprime": vprime}
 
 
-def _blocks(h: SmallGraph) -> list[frozenset[int]]:
-    """Maximal vertex sets (size >= 3) inducing 2-connected subgraphs."""
-    twos = []
-    for size in range(3, h.n + 1):
-        for sub in itertools.combinations(range(h.n), size):
-            if G.vertex_connectivity(G.induced_subgraph(h, sub)) >= 2:
-                twos.append(frozenset(sub))
-    return [b for b in twos if not any(b < other for other in twos)]
-
-
 def cut_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
-    """Drop the unique smallest leaf block, keeping its cut vertex."""
-    if G.vertex_connectivity(h) != 1:
+    """Drop the unique smallest leaf block, keeping its cut vertex.
+
+    Blocks of two vertices (bridges) do not count. A leaf block of three or
+    more is K + c for a cut vertex c and a component K of h - c that has at
+    least two vertices and no cut vertex.
+    """
+    cuts = sum(G.separators(h, 1))  # one bit per cut vertex
+    # K2 has connectivity 1 but no cut vertex
+    if not G.is_connected(h) or not cuts and h.n != 2:
         raise PreconditionError("leaf-block drop needs connectivity exactly 1")
-    cuts = {
-        v for v in range(h.n) if not G._connected_after_removal(h, 1 << v)
-    }
-    leaf_blocks = [b for b in _blocks(h) if len(b & cuts) == 1]
-    if not leaf_blocks:
+    leaves = [  # the K of each leaf block
+        comp
+        for c in G._bits(cuts)
+        for comp in G._component_masks(h.rows, ((1 << h.n) - 1) ^ (1 << c))
+        if comp.bit_count() >= 2 and not comp & cuts
+    ]
+    if not leaves:
         raise PreconditionError("no leaf block with exactly one cut vertex")
-    smallest = min(len(b) for b in leaf_blocks)
-    cands = [b for b in leaf_blocks if len(b) == smallest]
+    smallest = min(k.bit_count() for k in leaves)
+    cands = [k for k in leaves if k.bit_count() == smallest]
     if len(cands) != 1:
         raise PreconditionError("smallest leaf block not unique")
-    block = cands[0]
-    (v,) = block & cuts
-    vprime = [u for u in range(h.n) if u not in block or u == v]
+    vprime = [u for u in range(h.n) if not cands[0] >> u & 1]
     return G.induced_subgraph(h, vprime), {"h": h, "vprime": vprime}
 
 
@@ -860,7 +818,7 @@ def jukt_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
     """Drop one vertex of the low-degree clique component."""
     dp = G.DegreePartition(h)
     vl = sorted(dp.v_low)
-    lowmask = _maskset(vl)
+    lowmask = G._mask(vl)
     for v in vl:
         if h.rows[v] & ~lowmask:
             raise PreconditionError("low class must be a separate component")
@@ -1006,14 +964,12 @@ def make_step(rule: str, h: SmallGraph, complemented: bool) -> ReductionStep:
     raw = G.complement(h) if complemented else h
     target_raw, params = fn(raw)
     target = G.complement(target_raw) if complemented else target_raw
-    k_map = "k'=k"
     return ReductionStep(
         construction=construction,
         rule=rule,
         source_h=h,
         target_h=target,
         params=params,
-        k_map=k_map,
         complemented=complemented,
     )
 
@@ -1021,12 +977,11 @@ def make_step(rule: str, h: SmallGraph, complemented: bool) -> ReductionStep:
 def steps_for(entry_id: str, h: SmallGraph, entry_complemented: bool) -> list[ReductionStep]:
     """The chain-table steps for a W member (conjugated if the graph is
     the complement of the stored entry)."""
-    key = entry_id
-    if key not in CHAIN_TABLE:
+    if entry_id not in CHAIN_TABLE:
         raise KeyError(f"no chain rule for {entry_id}")
     steps = []
     current = h
-    for rule, flip in CHAIN_TABLE[key]:
+    for rule, flip in CHAIN_TABLE[entry_id]:
         step = make_step(rule, current, flip ^ entry_complemented)
         steps.append(step)
         current = step.target_h

@@ -1,8 +1,10 @@
 """Golden classification fingerprints and derive_chain describe lists.
 
 The data in ``tests/data/golden_classify.json`` pins every verdict and
-chain for the graphs on at most seven vertices, and every catalogue
-chain, so that refactors of the decision layer cannot change an answer.
+chain for the graphs on at most seven vertices, every catalogue chain,
+and the chain (or the exception and its message) of every family member
+F1..F10 with t = tmin..tmin+8 and of its complement, so that refactors
+of the decision layer cannot change an answer.
 Regenerate it only when a verdict is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py > tests/data/golden_classify.json
@@ -25,6 +27,7 @@ from hfree import reductions as R  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_classify.json")
 GOLDEN_N = 7
+FAMILY_SPAN = 8
 
 
 def fingerprint(g, problem: str) -> str:
@@ -68,6 +71,22 @@ def derive_chain_lists() -> dict[str, object]:
     return out
 
 
+def family_chain_lists() -> dict[str, object]:
+    out: dict[str, object] = {}
+    for fam, tmin in C.FAMILY_CONSTRAINTS.items():
+        for t in range(tmin, tmin + FAMILY_SPAN + 1):
+            g = C.generate_family(C.FamilyId(fam, t))
+            name = f"{fam}(t={t})"
+            for gid, h in ((name, g), (f"co-{name}", G.complement(g))):
+                for problem in ("deletion", "editing"):
+                    try:
+                        got: object = [s.describe() for s in R.derive_chain(h, problem)]
+                    except Exception as exc:
+                        got = f"{type(exc).__name__}: {exc}"
+                    out[f"{gid}|{problem}"] = got
+    return out
+
+
 def _golden() -> dict:
     with open(DATA) as fh:
         return json.load(fh)
@@ -85,7 +104,15 @@ def test_derive_chain_matches_golden():
         assert got[key] == want[key], key
 
 
+def test_family_chain_matches_golden():
+    assert family_chain_lists() == _golden()["family_chain"]
+
+
 if __name__ == "__main__":
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN_N
-    payload = {"digests": classify_digests(n_max), "derive_chain": derive_chain_lists()}
+    payload = {
+        "digests": classify_digests(n_max),
+        "derive_chain": derive_chain_lists(),
+        "family_chain": family_chain_lists(),
+    }
     print(json.dumps(payload, indent=1, sort_keys=True))

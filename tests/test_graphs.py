@@ -192,6 +192,18 @@ def test_vertex_connectivity():
     assert G.vertex_connectivity(G.complement(near)) >= 3
 
 
+def test_separators_match_component_count():
+    for n in range(3, 7):
+        for g in E.graphs_on(n):
+            for size in (1, 2):
+                want = [
+                    G._mask(sub)
+                    for sub in itertools.combinations(range(n), size)
+                    if len(G.components(G.delete_vertices(g, sub))) > 1
+                ]
+                assert list(G.separators(g, size)) == want, G.to_graph6(g)
+
+
 def test_connectivity_properties_exhaustive():
     from hfree import membership as M
 
@@ -201,10 +213,7 @@ def test_connectivity_properties_exhaustive():
             assert (c >= 3) == M.is_3_connected(g)
             if not G.is_complete(g) and c >= 2:
                 for sub in itertools.combinations(range(n), c - 1):
-                    removed = 0
-                    for v in sub:
-                        removed |= 1 << v
-                    assert G._connected_after_removal(g, removed)
+                    assert G.is_connected(G.delete_vertices(g, sub))
 
 
 def test_near_empty():

@@ -262,6 +262,97 @@ def test_unique_degree2_path_checker():
         R.unique_degree2_path(G.star_graph(3))
 
 
+def _subset_scan_degree2_path(h):
+    """Reference: ``unique_degree2_path`` as a scan over the subsets of the
+    degree-2 vertices, each tested for inducing a path with two ends."""
+    if min(h.degrees()) < 2:
+        raise R.PreconditionError("path contraction needs minimum degree two")
+    deg2 = [v for v in range(h.n) if h.degree(v) == 2]
+    by_len = {}
+    for size in range(1, len(deg2) + 1):
+        for sub in itertools.combinations(deg2, size):
+            mask = G._mask(sub)
+            if size == 1:
+                ends = set(G._bits(h.rows[sub[0]]))
+            else:
+                if not G.is_path(G.induced_subgraph(h, sub)):
+                    continue
+                tips = [v for v in sub if (h.rows[v] & mask).bit_count() == 1]
+                if len(tips) != 2:
+                    continue
+                ends = {u for v in tips for u in G._bits(h.rows[v] & ~mask)}
+            if len(ends) == 2:
+                by_len.setdefault(size, set()).add(frozenset(sub))
+    if not by_len:
+        raise R.PreconditionError("no internal-degree-two chain")
+    best = max(by_len)
+    if len(by_len[best]) != 1:
+        raise R.PreconditionError(
+            f"longest internal-degree-two chain not unique (p={best + 1})"
+        )
+    return best + 1, next(iter(by_len[best]))
+
+
+def _subset_scan_cut_reduce(h):
+    """Reference: ``cut_reduce`` with the blocks found as the maximal vertex
+    sets (three or more) whose induced subgraph is 2-connected."""
+    if G.vertex_connectivity(h) != 1:
+        raise R.PreconditionError("leaf-block drop needs connectivity exactly 1")
+
+    def connected(mask):  # the subgraph of h induced by mask
+        return G._reach(h.rows, mask & -mask, mask) == mask
+
+    full = (1 << h.n) - 1
+    cuts = {v for v in range(h.n) if not connected(full ^ 1 << v)}
+
+    def two_connected(sub):
+        mask = G._mask(sub)
+        return connected(mask) and all(connected(mask ^ 1 << v) for v in sub)
+
+    blocks = []  # largest first, so every proper superset is seen earlier
+    for size in range(h.n, 2, -1):
+        for sub in itertools.combinations(range(h.n), size):
+            b = frozenset(sub)
+            if not any(b < other for other in blocks) and two_connected(sub):
+                blocks.append(b)
+    leaf_blocks = [b for b in blocks if len(b & cuts) == 1]
+    if not leaf_blocks:
+        raise R.PreconditionError("no leaf block with exactly one cut vertex")
+    smallest = min(len(b) for b in leaf_blocks)
+    cands = [b for b in leaf_blocks if len(b) == smallest]
+    if len(cands) != 1:
+        raise R.PreconditionError("smallest leaf block not unique")
+    (v,) = cands[0] & cuts
+    vprime = [u for u in range(h.n) if u not in cands[0] or u == v]
+    return G.induced_subgraph(h, vprime), {"h": h, "vprime": vprime}
+
+
+def _outcome(fn, h):
+    try:
+        return fn(h)
+    except R.PreconditionError as exc:
+        return str(exc)
+
+
+def _rule_target_cases():
+    graphs = list(small_graphs(7))
+    graphs += [C.lookup(gid).graph for gid in C.all_ids()]
+    graphs += [
+        C.generate_family(C.FamilyId(fam, t))
+        for fam, tmin in C.FAMILY_CONSTRAINTS.items()
+        for t in range(tmin, tmin + 9)
+    ]
+    return graphs + [G.complement(g) for g in graphs]
+
+
+def test_rule_targets_match_subset_scans():
+    for h in _rule_target_cases():
+        got = _outcome(R.unique_degree2_path, h)
+        assert got == _outcome(_subset_scan_degree2_path, h), G.to_graph6(h)
+        got = _outcome(R.cut_reduce, h)
+        assert got == _outcome(_subset_scan_cut_reduce, h), G.to_graph6(h)
+
+
 def test_derive_chain_families_and_catalogue():
     g = G.complete_bipartite(2, 8)
     chain = R.derive_chain(g)
