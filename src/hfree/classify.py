@@ -252,7 +252,7 @@ def verify_case_lemma(
     }
     for n in range(5, n_max + 1):
         for g in E.graphs_on(n, workers=workers):
-            hit = E._check_case_lemmas(G.to_graph6(g))
+            hit = E._check_case_lemmas(g)
             if hit is None or (type_low, type_high) not in hit["cells"]:
                 continue
             report["graphs"] += 1

@@ -8,11 +8,12 @@ child's canonical orbit: x maximises the key (degree, sum of neighbour
 degrees), and among the vertices with that key none has a smaller rooted
 certificate than x. Most children fail the key test and are rejected
 without any labeling. Two isomorphic kept children always come from the
-same parent, so duplicates are removed per parent by x's rooted
-certificate; there is no level-wide dedup set and parent ranges are
-independent shards. Campaigns stream every level up to a bound through a
-per-graph check, optionally across worker processes; shard outputs are
-checkpointed as newline-delimited graph6 next to a manifest.
+same parent, through masks in one orbit of the parent's automorphism
+group, so only the least mask of each orbit is tried; there is no dedup
+set and parent ranges are independent shards. Campaigns stream every
+level up to a bound through a per-graph check, optionally across worker
+processes; shard outputs are checkpointed as newline-delimited graph6
+next to a manifest.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ _CHECKPOINT_FORMAT = 2
 
 _levels: dict[int, list[SmallGraph]] = {}
 
-# reference counts for cross-checks: isomorphism classes on 1..8 vertices
-KNOWN_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
+# reference counts for cross-checks: isomorphism classes on 1..9 vertices
+# (OEIS A000088)
+KNOWN_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
 
 class ResourceGuard(RuntimeError):
@@ -68,7 +70,7 @@ def _augment(parent: SmallGraph) -> list[SmallGraph]:
     deg = [r.bit_count() for r in prow]
     nsum = [sum(deg[u] for u in range(n) if r >> u & 1) for r in prow]
     top = max(deg)
-    seen: set[bytes] = set()
+    gens = G.automorphism_generators(prow)
     out: list[SmallGraph] = []
     for mask in range(1 << n):
         s = mask.bit_count()
@@ -89,16 +91,34 @@ def _augment(parent: SmallGraph) -> list[SmallGraph]:
             if t == xsum:
                 ties.append(v)
         else:
+            if gens and not _least_in_orbit(mask, gens):
+                continue  # the least mask of the orbit gave this child
             rows = [r | (mask >> v & 1) << n for v, r in enumerate(prow)]
             rows.append(mask)
             cert = G.rooted_cert(rows, n)
-            if cert in seen:
-                continue
             if any(G.rooted_cert(rows, v) < cert for v in ties):
                 continue
-            seen.add(cert)
             out.append(SmallGraph(n + 1, rows))
     return out
+
+
+def _least_in_orbit(mask: int, gens: list[list[int]]) -> bool:
+    """Whether no permutation in the group ``gens`` generates maps the
+    vertex set ``mask`` to a smaller bitmask."""
+    seen = {mask}
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        for g in gens:
+            img = 0
+            for v in G._bits(m):
+                img |= 1 << g[v]
+            if img < mask:
+                return False
+            if img not in seen:
+                seen.add(img)
+                todo.append(img)
+    return True
 
 
 def _extend_shard(task: tuple[int, list[str]]) -> tuple[int, list[str]]:
@@ -255,12 +275,11 @@ CAMPAIGNS = ("case_lemmas", "regular_tail", "churn_totality", "W_closure")
 REGULAR_TAIL_EXCEPTIONS = ("C`", "Cl", "Dhc")
 
 
-def _check_case_lemmas(g6: str) -> Optional[dict]:
+def _check_case_lemmas(g: SmallGraph) -> Optional[dict]:
     from . import catalogue as C
     from . import classify as CL
     from . import membership as M
 
-    g = G.from_graph6(g6)
     if M.in_y_d(g) or M.x_witness_for(g, "deletion") is not None:
         return None
     if G.is_regular(g):
@@ -273,31 +292,29 @@ def _check_case_lemmas(g6: str) -> Optional[dict]:
         return None  # churn recurses; not a case-table graph
     member = C.membership_W(g)
     return {
-        "g6": g6,
+        "g6": G.to_graph6(g),
         "cells": [(a, b) for a in tl for b in th],
         "in_W": member is not None,
         "member": str(member) if member else None,
     }
 
 
-def _check_regular_tail(g6: str) -> Optional[dict]:
+def _check_regular_tail(g: SmallGraph) -> Optional[dict]:
     from . import membership as M
 
-    g = G.from_graph6(g6)
     if not G.is_regular(g) or G.is_complete(g) or G.is_empty(g):
         return None
     r = g.degree(0)
     if r <= g.n - 5:
         return None
     ok = M.is_3_connected(g) or M.is_3_connected(G.complement(g))
-    return {"g6": g6, "r": r, "three_connected_side": ok}
+    return {"g6": G.to_graph6(g), "r": r, "three_connected_side": ok}
 
 
-def _check_churn_totality(g6: str) -> Optional[dict]:
+def _check_churn_totality(g: SmallGraph) -> Optional[dict]:
     from . import classify as CL
     from . import membership as M
 
-    g = G.from_graph6(g6)
     out = {}
     if not M.in_y_d(g):
         v = CL.classify(g, "deletion")
@@ -307,10 +324,10 @@ def _check_churn_totality(g6: str) -> Optional[dict]:
         v = CL.classify(g, "editing")
         if v.status not in ("Incompressible", "OpenCatalogue"):
             out["editing"] = v.status
-    return {"g6": g6, **out} if out else None
+    return {"g6": G.to_graph6(g), **out} if out else None
 
 
-_CHECKS: dict[str, Callable[[str], Optional[dict]]] = {
+_CHECKS: dict[str, Callable[[SmallGraph], Optional[dict]]] = {
     "case_lemmas": _check_case_lemmas,
     "regular_tail": _check_regular_tail,
     "churn_totality": _check_churn_totality,
@@ -318,14 +335,10 @@ _CHECKS: dict[str, Callable[[str], Optional[dict]]] = {
 
 
 def _check_shard(task: tuple[str, list[str]]) -> list[dict]:
+    """Pool task: the hits of one campaign check on graph6-encoded graphs."""
     name, g6s = task
     check = _CHECKS[name]
-    out = []
-    for g6 in g6s:
-        r = check(g6)
-        if r is not None:
-            out.append(r)
-    return out
+    return [h for h in map(check, map(G.from_graph6, g6s)) if h is not None]
 
 
 def _campaign_w_closure(cfg: EnumConfig) -> dict:
@@ -376,22 +389,24 @@ def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
     cells: dict[str, dict] = {}
     checked = 0
     for n in range(lo, cfg.n_max + 1):
-        level = graphs_on(n, cfg.workers, cfg.checkpoint_path)
-        g6s = [G.to_graph6(g) for g in _filtered(level, cfg.filters)]
-        checked += len(g6s)
+        level = _filtered(
+            graphs_on(n, cfg.workers, cfg.checkpoint_path), cfg.filters
+        )
+        checked += len(level)
         chunk = 2000
-        tasks = [
-            (campaign, g6s[i : i + chunk]) for i in range(0, len(g6s), chunk)
-        ]
         hits: list[dict] = []
-        if cfg.workers > 1 and len(tasks) > 1:
+        if cfg.workers > 1 and len(level) > chunk:
+            tasks = [
+                (campaign, [G.to_graph6(g) for g in level[i : i + chunk]])
+                for i in range(0, len(level), chunk)
+            ]
             with mp.Pool(cfg.workers) as pool:
                 for out in pool.imap_unordered(_check_shard, tasks):
                     hits.extend(out)
         else:
-            for task in tasks:
-                hits.extend(_check_shard(task))
-        report["per_n"][n] = {"graphs": len(g6s), "hits": len(hits)}
+            check = _CHECKS[campaign]
+            hits = [h for h in map(check, level) if h is not None]
+        report["per_n"][n] = {"graphs": len(level), "hits": len(hits)}
         for h in hits:
             if campaign == "case_lemmas":
                 for cell in h.pop("cells"):

@@ -316,45 +316,58 @@ def is_cycle(g: SmallGraph) -> bool:
 # -- isomorphism and canonical forms ---------------------------------------
 
 
-def _refine(
-    n: int, adj: Sequence[Sequence[int]], colors: list[int]
-) -> list[int]:
-    """1-dimensional color refinement to a stable partition."""
-    ncls = len(set(colors))
-    while True:
-        sigs = []
-        for v in range(n):
-            nb = sorted(colors[u] for u in adj[v])
-            sigs.append((colors[v], tuple(nb)))
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [order[s] for s in sigs]
-        k = len(order)
-        if k == ncls or k == n:
-            return colors
-        ncls = k
+def _refine(rows: Sequence[int], cells: list[int], active: list[int]) -> list[int]:
+    """Split the ordered cells (vertex bitmasks) until the partition is
+    equitable or discrete.
+
+    A round splits each non-singleton cell in place: its vertices are keyed
+    by their neighbour counts in the cells of ``active``, in cell order,
+    and the parts follow in descending key order. All vertices of a cell
+    have the same degree, so this is the order of their sorted neighbour
+    colours in plain colour refinement.
+
+    ``active`` holds the cells whose counts may still differ inside a cell:
+    every cell of a new partition, or the two parts an individualization
+    makes in an equitable one, and after that the parts made in the last
+    round. Counts in a cell that stayed whole are already equal across
+    each cell.
+    """
+    n = len(rows)
+    while active and len(cells) < n:
+        out: list[int] = []
+        made: list[int] = []
+        for cell in cells:
+            if cell & (cell - 1):
+                groups: dict[tuple[int, ...], int] = {}
+                m = cell
+                while m:
+                    b = m & -m
+                    m ^= b
+                    r = rows[b.bit_length() - 1]
+                    key = tuple([(r & a).bit_count() for a in active])
+                    groups[key] = groups.get(key, 0) | b
+                if len(groups) > 1:
+                    parts = [groups[k] for k in sorted(groups, reverse=True)]
+                    out += parts
+                    made += parts
+                    continue
+            out.append(cell)
+        cells = out
+        active = made
+    return cells
 
 
-def _cells(n: int, colors: list[int]) -> list[list[int]]:
-    by = {}
-    for v in range(n):
-        by.setdefault(colors[v], []).append(v)
-    return [by[c] for c in sorted(by)]
-
-
-def _is_twin_cell(rows: Sequence[int], cell: list[int]) -> bool:
+def _is_twin_cell(rows: Sequence[int], cell: int) -> bool:
     """True if all cell vertices are pairwise interchangeable twins."""
-    m = _mask(cell)
-    inner0 = rows[cell[0]] & m
-    out0 = rows[cell[0]] & ~m
-    empty_in = inner0 == 0
-    for v in cell:
-        if rows[v] & ~m != out0:
-            return False
-        inner = rows[v] & m
-        if empty_in:
-            if inner:
-                return False
-        elif inner != m ^ (1 << v):
+    r0 = rows[(cell & -cell).bit_length() - 1]
+    out0 = r0 & ~cell
+    clique = r0 & cell != 0
+    m = cell
+    while m:
+        b = m & -m
+        m ^= b
+        r = rows[b.bit_length() - 1]
+        if r & ~cell != out0 or r & cell != (cell ^ b if clique else 0):
             return False
     return True
 
@@ -372,53 +385,129 @@ def _pack(n: int, rows: Sequence[int], perm: Sequence[int]) -> bytes:
     return bytes([n]) + (acc << (nbytes * 8 - k)).to_bytes(nbytes, "big")
 
 
-def _leaf_search(rows: Sequence[int], root: int | None = None) -> bytes:
-    """Smallest packed leaf of the individualization-refinement tree.
+def _closure(mask: int, gens: list[list[int]]) -> int:
+    """The union of the orbits of the vertices in ``mask`` under ``gens``."""
+    frontier = mask
+    while frontier:
+        new = 0
+        for v in _bits(frontier):
+            for g in gens:
+                new |= 1 << g[v]
+        frontier = new & ~mask
+        mask |= frontier
+    return mask
 
-    The search starts from the degree colouring, with ``root`` (if given)
-    alone in a first cell below every degree; a rooted leaf also records
-    the root's position. Every leaf is explored except the interchangeable
-    siblings inside a twin cell, so the result depends only on the
-    isomorphism class of the (rooted) graph.
+
+def _leaf_search(
+    rows: Sequence[int], root: int | None = None
+) -> tuple[bytes, list[list[int]]]:
+    """Smallest packed leaf of the individualization-refinement tree, and
+    generators of the automorphism group (of the graph with ``root`` fixed).
+
+    The search starts from the degree cells, with ``root`` (if given) alone
+    in a first cell; a rooted leaf also records the root's position.
+    Individualizing v puts {v} first and takes v out of its cell, and the
+    first non-singleton cell is the one branched on. Cells, their order and
+    so the leaves are those of the sorted-colour refinement this search
+    used before (see ``_refine``).
+
+    The certificate is the least leaf of the full tree; the search skips
+    only subtrees whose leaves pack exactly like explored ones, so the
+    bytes do not depend on what is skipped (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014):
+    - in a twin cell (pairwise interchangeable vertices) only the lowest
+      vertex is tried;
+    - at a node, a vertex in the orbit of an explored sibling under the
+      found automorphisms that fix the node's individualized vertices is
+      skipped, since an automorphism maps one subtree onto the other;
+    - a leaf that packs like the first leaf at the same depth gives an
+      automorphism that maps the explored subtree on the first path onto
+      the current one, so the search returns to where the two paths part.
+    The found automorphisms, with the twin-cell swaps on the first path,
+    generate the whole group: each first-path node gets one for every
+    explored sibling in the orbit of the first-path child.
     """
     n = len(rows)
-    adj = [tuple(_bits(r)) for r in rows]
-    degs = [len(a) for a in adj]
-    order = {d: i + 1 for i, d in enumerate(sorted(set(degs)))}
-    start = [order[d] for d in degs]
+    by_deg: dict[int, int] = {}
+    for v, r in enumerate(rows):
+        if v != root:
+            d = r.bit_count()
+            by_deg[d] = by_deg.get(d, 0) | 1 << v
+    cells = [by_deg[d] for d in sorted(by_deg)]
     if root is not None:
-        start[root] = 0
-    best: bytes | None = None
-    stack = [_refine(n, adj, start)]
-    while stack:
-        cols = stack.pop()
-        cells = _cells(n, cols)
-        target = None
-        for cell in cells:
-            if len(cell) > 1:
-                target = cell
+        cells.insert(0, 1 << root)
+    gens: list[list[int]] = []
+    path: list[int] = []  # the individualized vertices of the current node
+    first: tuple[bytes, list[int], list[int]] | None = None  # cert, order, path
+    best = b""
+
+    def visit(cells: list[int], active: list[int]) -> int:
+        """Explore one node. Returns the depth to resume at: the node's own
+        depth, or a smaller one after a leaf that packs like the first."""
+        nonlocal best, first
+        cells = _refine(rows, cells, active)
+        depth = len(path)
+        for i, target in enumerate(cells):
+            if target & (target - 1):
                 break
-        if target is None:
-            perm = [c[0] for c in cells]
+        else:
+            perm = [c.bit_length() - 1 for c in cells]
             cert = _pack(n, rows, perm)
             if root is not None:
                 # individualized vertices can precede the root: record it
                 cert += perm.index(root).to_bytes(2, "big")
-            if best is None or cert < best:
+            if first is None:
+                first = (cert, perm, path[:])
                 best = cert
-            continue
-        branch = [target[0]] if _is_twin_cell(rows, target) else target
-        for v in branch:
-            nxt = [2 * c + 1 for c in cols]
-            nxt[v] = 0
-            stack.append(_refine(n, adj, nxt))
-    assert best is not None
-    return best
+                return depth
+            if cert < best:
+                best = cert
+            fcert, fperm, fpath = first
+            if cert != fcert or depth != len(fpath):
+                return depth
+            g = [0] * n
+            for u, w in zip(fperm, perm):
+                g[u] = w
+            gens.append(g)
+            k = 0
+            while path[k] == fpath[k]:
+                k += 1
+            return k
+        todo = target
+        if _is_twin_cell(rows, target):
+            todo = target & -target
+            if first is None:  # a swap and a cycle generate the cell's swaps
+                vs = list(_bits(target))
+                for cyc in (vs[:2], vs) if len(vs) > 2 else (vs,):
+                    g = list(range(n))
+                    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                        g[a] = b
+                    gens.append(g)
+        explored = 0
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            if explored:
+                fix = [g for g in gens if all(g[u] == u for u in path)]
+                if fix and _closure(explored, fix) & b:
+                    continue
+            path.append(b.bit_length() - 1)
+            nxt = [b] + cells
+            nxt[i + 1] = target ^ b
+            back = visit(nxt, [b, target ^ b])
+            path.pop()
+            if back < depth:
+                return back
+            explored |= b
+        return depth
+
+    visit(cells, list(cells))
+    return best, gens
 
 
 def canonical_cert(g: SmallGraph) -> bytes:
     """Permutation-invariant certificate: equal certs iff isomorphic."""
-    return _leaf_search(g.rows)
+    return _leaf_search(g.rows)[0]
 
 
 def rooted_cert(rows: Sequence[int], v: int) -> bytes:
@@ -428,7 +517,13 @@ def rooted_cert(rows: Sequence[int], v: int) -> bytes:
     Internal to the package (canonical augmentation in ``enumeration``); it
     takes bare rows so that candidates need no ``SmallGraph``.
     """
-    return _leaf_search(rows, v)
+    return _leaf_search(rows, v)[0]
+
+
+def automorphism_generators(rows: Sequence[int]) -> list[list[int]]:
+    """Permutations (g[v] is the image of v) that generate the automorphism
+    group of the graph with adjacency ``rows``; empty when it is trivial."""
+    return _leaf_search(rows)[1]
 
 
 def are_isomorphic(g1: SmallGraph, g2: SmallGraph) -> bool:

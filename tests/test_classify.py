@@ -171,7 +171,7 @@ def test_chain_steps_name_low_or_high_peels():
 
 def test_symmetric_regular_graph_needs_no_certificate():
     """K6xK6 (36 vertices, 10-regular) is decided by its X witness before
-    any canonical certificate, whose search visits every automorphism."""
+    any canonical certificate."""
     code = (
         "from hfree import classify as CL, graphs as G\n"
         "rook = G.from_edges(36, [(a, b) for a in range(36)"

@@ -3,11 +3,14 @@
 import itertools
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cert_oracle
 from hfree import enumeration as E
 from hfree import graphs as G
 
@@ -155,6 +158,98 @@ def test_rooted_cert_separates_orbits_n_le_6():
         for v, w in itertools.combinations(range(n), 2):
             same_orbit = any(p[v] == w for p in autos)
             assert (certs[v] == certs[w]) == same_orbit, (G.to_graph6(g), v, w)
+
+
+def _rook(k: int) -> G.SmallGraph:
+    """K_k box K_k: vertices a, b adjacent when they share a row or column."""
+    return G.from_edges(k * k, [
+        (a, b) for a, b in itertools.combinations(range(k * k), 2)
+        if a // k == b // k or a % k == b % k
+    ])
+
+
+def test_certs_match_old_engine():
+    """canonical_cert and rooted_cert return the bytes of the engine they
+    replaced (tests/cert_oracle.py): every graph with n <= 7 at every root,
+    3 000 seeded graphs with n <= 14, the catalogue and K4 box K4."""
+    from hfree import catalogue as C
+
+    def same(g, roots):
+        assert G.canonical_cert(g) == cert_oracle.canonical_cert(g.rows), G.to_graph6(g)
+        for v in roots:
+            assert G.rooted_cert(g.rows, v) == cert_oracle.rooted_cert(g.rows, v), (
+                G.to_graph6(g), v)
+
+    for n in range(1, 8):
+        for g in E.graphs_on(n):
+            same(g, range(n))
+    rng = random.Random(1998)
+    for _ in range(3000):
+        g = _random_graph(rng, rng.randint(1, 14))
+        same(g, [rng.randrange(g.n)])
+    for name in C.all_ids():
+        g = C.lookup(name).graph
+        same(g, range(g.n))
+    same(_rook(4), [0])
+
+
+def test_automorphism_generators_generate_the_group():
+    """For every graph with n <= 6 the generators give exactly the
+    automorphisms a search over all permutations finds, and so the same
+    orbits on vertices and on vertex sets: enumeration keeps the least
+    vertex set of each orbit."""
+    for n in range(1, 7):
+        for g in E.graphs_on(n):
+            autos = {
+                p for p in itertools.permutations(range(n))
+                if all(g.rows[p[v]] == G._mask(p[u] for u in G._bits(g.rows[v]))
+                       for v in range(n))
+            }
+            gens = G.automorphism_generators(g.rows)
+            group = {tuple(range(n))}
+            todo = list(group)
+            while todo:
+                p = todo.pop()
+                for s in gens:
+                    q = tuple(s[p[v]] for v in range(n))
+                    if q not in group:
+                        group.add(q)
+                        todo.append(q)
+            assert group == autos, G.to_graph6(g)
+            for mask in range(1 << n):
+                orbit = {G._mask(p[v] for v in G._bits(mask)) for p in autos}
+                assert E._least_in_orbit(mask, gens) == (mask == min(orbit))
+
+
+def test_symmetric_certificates_are_fast():
+    """Orbit pruning: K6 box K6 (|Aut| = 1 036 800) gets its certificate
+    well within a second, and a shuffled K5 box K5 the same bytes as K5 box
+    K5. In a subprocess, so that a search visiting every leaf fails by the
+    timeout instead of hanging the suite."""
+    code = (
+        "import random, time\n"
+        "from hfree import graphs as G\n"
+        "def rook(k):\n"
+        "    return G.from_edges(k * k, [(a, b) for a in range(k * k)"
+        " for b in range(a + 1, k * k) if a // k == b // k or a % k == b % k])\n"
+        "t = time.perf_counter()\n"
+        "G.canonical_cert(rook(6))\n"
+        "print(time.perf_counter() - t)\n"
+        "perm = list(range(25))\n"
+        "random.Random(5).shuffle(perm)\n"
+        "g = rook(5)\n"
+        "print(G.canonical_cert(G.relabel(g, perm)) == G.canonical_cert(g))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    seconds, same = out.stdout.split()
+    assert float(seconds) < 1.0 and same == "True", out.stderr
 
 
 def test_degree_partition():
