@@ -226,39 +226,3 @@ def _terminal(g: SmallGraph, wr: C.WReason, problem: str) -> Verdict:
         if v is not None:
             return v
     return Verdict(problem, "Unclassified", f"unresolved:{wr.id}")
-
-
-def verify_case_lemma(
-    cell: tuple[str, str], n_max: int, workers: int = 1
-) -> dict:
-    """Check one peel-type cell of the case analysis exhaustively.
-
-    Enumerates the non-regular graphs outside X union Y on 5..n_max
-    vertices whose low/high peels match the requested shapes and verifies
-    they land in W.
-    """
-    from . import enumeration as E
-
-    type_low, type_high = cell
-    valid = {"complete", "empty", "near-empty", "Y'"}
-    if type_low not in valid or type_high not in valid:
-        raise ValueError(f"cell types must be in {sorted(valid)}")
-    report = {
-        "cell": [type_low, type_high],
-        "n_max": n_max,
-        "graphs": 0,
-        "members": 0,
-        "counterexamples": [],
-    }
-    for n in range(5, n_max + 1):
-        for g in E.graphs_on(n, workers=workers):
-            hit = E._check_case_lemmas(g)
-            if hit is None or (type_low, type_high) not in hit["cells"]:
-                continue
-            report["graphs"] += 1
-            if hit["in_W"]:
-                report["members"] += 1
-            else:
-                report["counterexamples"].append(hit["g6"])
-    report["ok"] = not report["counterexamples"]
-    return report

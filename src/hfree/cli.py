@@ -159,10 +159,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     workers = int(os.environ.get("HFA_WORKERS", args.workers))
     cfg = E.EnumConfig(
-        n_max=args.n_max,
-        workers=workers,
-        checkpoint_path=args.resume,
-        force=args.force,
+        n_max=args.n_max, workers=workers, checkpoint_path=args.resume
     )
     report = E.run_search_campaign(cfg, args.campaign)
     _emit(report, f"campaign {args.campaign}: ok={report['ok']}")
@@ -260,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=9)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--resume", help="checkpoint directory")
-    p.add_argument("--force", action="store_true",
-                   help="lift the n_max guardrail")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("verify-gadgets", help="check the gadget table")

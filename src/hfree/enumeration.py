@@ -10,10 +10,14 @@ certificate than x. Most children fail the key test and are rejected
 without any labeling. Two isomorphic kept children always come from the
 same parent, through masks in one orbit of the parent's automorphism
 group, so only the least mask of each orbit is tried; there is no dedup
-set and parent ranges are independent shards. Campaigns stream every
-level up to a bound through a per-graph check, optionally across worker
-processes; shard outputs are checkpointed as newline-delimited graph6
-next to a manifest.
+set and parent ranges are independent shards.
+
+One loop, ``_shard_map``, runs every shard: the augmentation of a range
+of parents, and a campaign check over a slice of a level. It runs them in
+this process or across worker processes, which receive and return
+``SmallGraph`` values. With a checkpoint directory each finished
+augmentation shard is written at once as newline-delimited graph6 next to
+a manifest, and a resumed run computes only the missing shards.
 """
 
 from __future__ import annotations
@@ -23,19 +27,22 @@ import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import __version__
 from . import graphs as G
 from .graphs import SmallGraph
 
-DEFAULT_GUARD = 10
+# the largest n enumerated: level 11 has 1 018 997 864 classes (OEIS
+# A000088), about a thousand times level 10 and beyond a desk machine
+N_LIMIT = 10
 _SHARD_PARENTS = 384
+_CHECK_CHUNK = 2000
 _CACHE_MAX = 8
 # checkpoint layout: each shard file holds the graph6 of the kept children
-# of its parents, parent by parent; bump when the layout or the generation
-# order changes
-_CHECKPOINT_FORMAT = 2
+# of its parents, parent by parent, and nothing else is written per level;
+# bump when the layout or the generation order changes
+_CHECKPOINT_FORMAT = 3
 
 _levels: dict[int, list[SmallGraph]] = {}
 
@@ -52,16 +59,11 @@ class ResourceGuard(RuntimeError):
 class EnumConfig:
     n_max: int = 9
     workers: int = 1
-    filters: Optional[dict] = None
     checkpoint_path: Optional[str] = None
-    force: bool = False  # lift the n_max guardrail
 
     def __post_init__(self):
-        if self.n_max > DEFAULT_GUARD and not self.force:
-            raise ResourceGuard(
-                f"n_max={self.n_max} above guardrail {DEFAULT_GUARD}; "
-                "set force=True for ambitious runs"
-            )
+        if self.n_max > N_LIMIT:
+            raise ResourceGuard(f"n_max={self.n_max} above the limit {N_LIMIT}")
 
 
 def _augment(parent: SmallGraph) -> list[SmallGraph]:
@@ -121,57 +123,57 @@ def _least_in_orbit(mask: int, gens: list[list[int]]) -> bool:
     return True
 
 
-def _extend_shard(task: tuple[int, list[str]]) -> tuple[int, list[str]]:
-    idx, parents = task
-    return idx, [
-        G.to_graph6(c) for g6 in parents for c in _augment(G.from_graph6(g6))
-    ]
+def _augment_shard(parents: list[SmallGraph]) -> list[SmallGraph]:
+    return [c for p in parents for c in _augment(p)]
 
 
-def _extend_parallel(
-    parents: list[SmallGraph],
-    workers: int,
-    checkpoint_dir: Optional[str],
-    level: int,
+def _shard_map(
+    fn: Callable, tasks: list[tuple[int, object]], workers: int
+) -> Iterator[tuple[int, object]]:
+    """Yield ``(i, fn(task))`` for each ``(i, task)`` in ``tasks`` as it
+    finishes: in this process when ``workers`` is 1 or there is one task,
+    otherwise on a pool of ``workers`` processes."""
+    if workers <= 1 or len(tasks) <= 1:
+        for i, task in tasks:
+            yield i, fn(task)
+        return
+    with mp.Pool(workers) as pool:
+        yield from pool.imap_unordered(_run_task, [(fn, i, t) for i, t in tasks])
+
+
+def _run_task(job: tuple[Callable, int, object]) -> tuple[int, object]:
+    fn, i, task = job
+    return i, fn(task)
+
+
+def _extend(
+    parents: list[SmallGraph], level: int, workers: int, cp: Optional[str]
 ) -> list[SmallGraph]:
-    shards = [
-        parents[i : i + _SHARD_PARENTS]
-        for i in range(0, len(parents), _SHARD_PARENTS)
-    ]
-    results: dict[int, list[str]] = {}
-    pending = []
-    for i, shard in enumerate(shards):
-        path = _shard_path(checkpoint_dir, level, i)
-        if path and os.path.exists(path):
+    """Level ``level`` from the level below, shard by shard: a shard whose
+    checkpoint file exists is read back, the rest are augmented and each
+    one's file is written as soon as it finishes."""
+    shards = range(0, len(parents), _SHARD_PARENTS)
+    done: dict[int, list[SmallGraph]] = {}
+    tasks = []
+    for i, start in enumerate(shards):
+        path = _shard_path(cp, level, i)
+        if path is not None and os.path.exists(path):
             with open(path) as f:
-                results[i] = [line.strip() for line in f if line.strip()]
+                done[i] = [G.from_graph6(line) for line in f.read().split()]
         else:
-            pending.append((i, [G.to_graph6(p) for p in shard]))
-    if pending:
-        if workers > 1 and len(pending) > 1:
-            with mp.Pool(workers) as pool:
-                for idx, out in pool.imap_unordered(_extend_shard, pending):
-                    results[idx] = out
-                    _write_shard(checkpoint_dir, level, idx, out)
-        else:
-            for task in pending:
-                idx, out = _extend_shard(task)
-                results[idx] = out
-                _write_shard(checkpoint_dir, level, idx, out)
-    return [G.from_graph6(g6) for i in range(len(shards)) for g6 in results[i]]
+            tasks.append((i, parents[start : start + _SHARD_PARENTS]))
+    for i, children in _shard_map(_augment_shard, tasks, workers):
+        done[i] = children
+        path = _shard_path(cp, level, i)
+        if path is not None:
+            _write_lines(path, [G.to_graph6(g) for g in children])
+    return [g for i in range(len(shards)) for g in done[i]]
 
 
 def _shard_path(cp: Optional[str], level: int, idx: int) -> Optional[str]:
     if cp is None:
         return None
     return os.path.join(cp, f"level-{level:02d}.shard-{idx:04d}.txt")
-
-
-def _write_shard(cp: Optional[str], level: int, idx: int, out: list[str]) -> None:
-    path = _shard_path(cp, level, idx)
-    if path is None:
-        return
-    _write_lines(path, out)
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -185,6 +187,8 @@ def _write_lines(path: str, lines: list[str]) -> None:
 def _open_checkpoint(cp: str) -> None:
     """Refuse a checkpoint directory whose files this version cannot trust;
     start a fresh one with its manifest."""
+    if os.path.exists(cp) and not os.path.isdir(cp):
+        raise ValueError(f"checkpoint {cp} exists and is not a directory")
     want = {
         "format": _CHECKPOINT_FORMAT,
         "shard_parents": _SHARD_PARENTS,
@@ -212,58 +216,24 @@ def _open_checkpoint(cp: str) -> None:
     _write_lines(path, [json.dumps(want, sort_keys=True)])
 
 
-def _level_file(cp: Optional[str], level: int) -> Optional[str]:
-    if cp is None:
-        return None
-    return os.path.join(cp, f"level-{level:02d}.g6")
-
-
 def graphs_on(
-    n: int,
-    workers: int = 1,
-    checkpoint_path: Optional[str] = None,
-    guard: int = DEFAULT_GUARD,
+    n: int, workers: int = 1, checkpoint_path: Optional[str] = None
 ) -> list[SmallGraph]:
     """All non-isomorphic graphs on exactly n vertices."""
-    if not 1 <= n <= guard:
-        raise ResourceGuard(f"n={n} outside 1..{guard}")
+    if not 1 <= n <= N_LIMIT:
+        raise ResourceGuard(f"n={n} outside 1..{N_LIMIT}")
     if checkpoint_path is not None:
         _open_checkpoint(checkpoint_path)
     if n in _levels:
         return _levels[n]
-    lf = _level_file(checkpoint_path, n)
-    if lf and os.path.exists(lf):
-        with open(lf) as f:
-            level = [G.from_graph6(line) for line in f if line.strip()]
-    elif n == 1:
+    if n == 1:
         level = [G.empty_graph(1)]
     else:
-        parents = graphs_on(n - 1, workers, checkpoint_path, guard)
-        if workers > 1 or checkpoint_path is not None:
-            level = _extend_parallel(parents, workers, checkpoint_path, n)
-        else:
-            level = [c for p in parents for c in _augment(p)]
-        if lf:
-            _write_lines(lf, [G.to_graph6(g) for g in level])
+        parents = graphs_on(n - 1, workers, checkpoint_path)
+        level = _extend(parents, n, workers, checkpoint_path)
     if n <= _CACHE_MAX:
         _levels[n] = level
     return level
-
-
-def count_labeled_dedup(n: int) -> int:
-    """Independent oracle: canonicalize every labeled graph on n vertices."""
-    import itertools
-
-    pairs = list(itertools.combinations(range(n), 2))
-    seen: set[bytes] = set()
-    for sel in range(1 << len(pairs)):
-        rows = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if sel >> i & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        seen.add(G.canonical_cert(SmallGraph(n, rows)))
-    return len(seen)
 
 
 # -- campaigns ----------------------------------------------------------------
@@ -334,11 +304,11 @@ _CHECKS: dict[str, Callable[[SmallGraph], Optional[dict]]] = {
 }
 
 
-def _check_shard(task: tuple[str, list[str]]) -> list[dict]:
-    """Pool task: the hits of one campaign check on graph6-encoded graphs."""
-    name, g6s = task
+def _check_shard(task: tuple[str, list[SmallGraph]]) -> list[dict]:
+    """The hits of one campaign check on a slice of a level."""
+    name, graphs = task
     check = _CHECKS[name]
-    return [h for h in map(check, map(G.from_graph6, g6s)) if h is not None]
+    return [h for h in map(check, graphs) if h is not None]
 
 
 def _campaign_w_closure(cfg: EnumConfig) -> dict:
@@ -389,23 +359,14 @@ def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
     cells: dict[str, dict] = {}
     checked = 0
     for n in range(lo, cfg.n_max + 1):
-        level = _filtered(
-            graphs_on(n, cfg.workers, cfg.checkpoint_path), cfg.filters
-        )
+        level = graphs_on(n, cfg.workers, cfg.checkpoint_path)
         checked += len(level)
-        chunk = 2000
-        hits: list[dict] = []
-        if cfg.workers > 1 and len(level) > chunk:
-            tasks = [
-                (campaign, [G.to_graph6(g) for g in level[i : i + chunk]])
-                for i in range(0, len(level), chunk)
-            ]
-            with mp.Pool(cfg.workers) as pool:
-                for out in pool.imap_unordered(_check_shard, tasks):
-                    hits.extend(out)
-        else:
-            check = _CHECKS[campaign]
-            hits = [h for h in map(check, level) if h is not None]
+        tasks = [
+            (i, (campaign, level[start : start + _CHECK_CHUNK]))
+            for i, start in enumerate(range(0, len(level), _CHECK_CHUNK))
+        ]
+        out = dict(_shard_map(_check_shard, tasks, cfg.workers))
+        hits = [h for i in range(len(tasks)) for h in out[i]]
         report["per_n"][n] = {"graphs": len(level), "hits": len(hits)}
         for h in hits:
             if campaign == "case_lemmas":
@@ -430,7 +391,7 @@ def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
         report["exceptions"] = sorted({e["g6"] for e in exceptions})
         expected = [G.from_graph6(s) for s in REGULAR_TAIL_EXCEPTIONS]
         expected = [g for g in expected if lo <= g.n <= cfg.n_max]
-        want = {G.canonical_cert(g) for g in _filtered(expected, cfg.filters)}
+        want = {G.canonical_cert(g) for g in expected}
         got = [G.canonical_cert(G.from_graph6(s)) for s in report["exceptions"]]
         report["ok"] = len(got) == len(want) and set(got) == want
     else:
@@ -440,16 +401,3 @@ def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
     report["runtime_sec"] = round(time.time() - t0, 3)
     return report
 
-
-def _filtered(level: list[SmallGraph], filters: Optional[dict]):
-    if not filters:
-        return level
-    out = level
-    if filters.get("connected"):
-        out = [g for g in out if G.is_connected(g)]
-    if "min_edges" in filters:
-        out = [g for g in out if g.edge_count() >= filters["min_edges"]]
-    if "degree_sequence" in filters:
-        want = sorted(filters["degree_sequence"])
-        out = [g for g in out if sorted(g.degrees()) == want]
-    return out

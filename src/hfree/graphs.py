@@ -44,6 +44,11 @@ class SmallGraph:
     def __setattr__(self, *a):
         raise AttributeError("SmallGraph is immutable")
 
+    def __reduce__(self):
+        # unpickling runs the validating constructor, so a stream cannot
+        # smuggle in an asymmetric or out-of-range adjacency
+        return (SmallGraph, (self.n, self.rows))
+
     def __hash__(self):
         return self._hash
 
@@ -532,34 +537,6 @@ def are_isomorphic(g1: SmallGraph, g2: SmallGraph) -> bool:
     return canonical_cert(g1) == canonical_cert(g2)
 
 
-def brute_force_isomorphic(g1: SmallGraph, g2: SmallGraph) -> bool:
-    """Independent oracle: backtracking search over vertex bijections."""
-    if g1.n != g2.n:
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    n = g1.n
-    d1, d2 = g1.degrees(), g2.degrees()
-
-    def extend(mapping: list[int], used: int) -> bool:
-        v = len(mapping)
-        if v == n:
-            return True
-        for w in range(n):
-            if used >> w & 1 or d1[v] != d2[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if (g1.rows[v] >> u & 1) != (g2.rows[w] >> mapping[u] & 1):
-                    ok = False
-                    break
-            if ok and extend(mapping + [w], used | 1 << w):
-                return True
-        return False
-
-    return extend([], 0)
-
-
 # -- induced subgraph search ------------------------------------------------
 
 
@@ -670,14 +647,6 @@ class DegreePartition:
         self.v_low = frozenset(v for v, d in enumerate(degs) if d == lo)
         self.v_high = frozenset(v for v, d in enumerate(degs) if d == hi)
         self.v_mid = frozenset(range(g.n)) - self.v_low - self.v_high
-
-
-def degree_partition(g: SmallGraph) -> DegreePartition | int:
-    """DegreePartition for non-regular g, otherwise the common degree r."""
-    degs = g.degrees()
-    if min(degs) == max(degs):
-        return degs[0]
-    return DegreePartition(g)
 
 
 def peel_low(g: SmallGraph) -> SmallGraph:

@@ -577,24 +577,6 @@ def tricky_a6c_com(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     return _completion_gadget(inst, cap, tail=True)
 
 
-_TRICKY_FUNCS = {
-    "TrickyA6c": tricky_a6c,
-    "TrickyA7c": tricky_a7c,
-    "TrickyA8c": tricky_a8c,
-    "TrickyA9c": tricky_a9c,
-    "TrickyA1cCom": tricky_a1c_com,
-    "TrickyA6cCom": tricky_a6c_com,
-}
-
-
-def tricky_reduction(tid: str, inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
-    if tid not in _TRICKY_FUNCS:
-        raise KeyError(
-            f"unknown tricky reduction {tid}; pick from {tuple(_TRICKY_FUNCS)}"
-        )
-    return _TRICKY_FUNCS[tid](inst, cap=cap)
-
-
 # -- simulation chain machinery -------------------------------------------------
 
 

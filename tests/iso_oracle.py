@@ -1,0 +1,57 @@
+"""Independent oracles for isomorphism and enumeration, kept in the tests
+so that they stay apart from the code they check.
+
+``brute_force_isomorphic`` tries vertex bijections directly;
+``count_labeled_dedup`` counts isomorphism classes by canonicalizing every
+labeled graph on n vertices, without canonical augmentation. Both are
+copied unchanged from the package.
+"""
+
+from __future__ import annotations
+
+from hfree import graphs as G
+from hfree.graphs import SmallGraph
+
+
+def brute_force_isomorphic(g1: SmallGraph, g2: SmallGraph) -> bool:
+    """Independent oracle: backtracking search over vertex bijections."""
+    if g1.n != g2.n:
+        return False
+    if sorted(g1.degrees()) != sorted(g2.degrees()):
+        return False
+    n = g1.n
+    d1, d2 = g1.degrees(), g2.degrees()
+
+    def extend(mapping: list[int], used: int) -> bool:
+        v = len(mapping)
+        if v == n:
+            return True
+        for w in range(n):
+            if used >> w & 1 or d1[v] != d2[w]:
+                continue
+            ok = True
+            for u in range(v):
+                if (g1.rows[v] >> u & 1) != (g2.rows[w] >> mapping[u] & 1):
+                    ok = False
+                    break
+            if ok and extend(mapping + [w], used | 1 << w):
+                return True
+        return False
+
+    return extend([], 0)
+
+
+def count_labeled_dedup(n: int) -> int:
+    """Independent oracle: canonicalize every labeled graph on n vertices."""
+    import itertools
+
+    pairs = list(itertools.combinations(range(n), 2))
+    seen: set[bytes] = set()
+    for sel in range(1 << len(pairs)):
+        rows = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if sel >> i & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        seen.add(G.canonical_cert(SmallGraph(n, rows)))
+    return len(seen)

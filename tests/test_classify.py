@@ -4,8 +4,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from hfree import catalogue as C
 from hfree import classify as CL
 from hfree import enumeration as E
@@ -52,7 +50,7 @@ def test_churn_trace_soundness():
             out = CL.churn(g)
             current = g
             for side, stage in out.trace:
-                dp = G.degree_partition(current)
+                dp = G.DegreePartition(current)
                 removed = dp.v_low if side == "low" else dp.v_high
                 expect = G.delete_vertices(current, removed)
                 assert stage == expect
@@ -149,17 +147,6 @@ def test_deletion_completion_duality_small():
             a = CL.classify(g, "deletion").status
             b = CL.classify(G.complement(g), "completion").status
             assert a == b, G.to_graph6(g)
-
-
-def test_verify_case_lemma_cells():
-    rep = CL.verify_case_lemma(("empty", "complete"), 7)
-    assert rep["graphs"] == 0 and rep["ok"]
-    rep = CL.verify_case_lemma(("Y'", "Y'"), 7)
-    assert rep["ok"]
-    rep = CL.verify_case_lemma(("complete", "complete"), 7)
-    assert rep["ok"] and rep["graphs"] > 0
-    with pytest.raises(ValueError):
-        CL.verify_case_lemma(("weird", "complete"), 6)
 
 
 def test_chain_steps_name_low_or_high_peels():

@@ -2,14 +2,16 @@
 
 import json
 import os
+import pickle
 from collections import Counter
 from math import factorial, gcd
 
 import pytest
 
-from hfree import cli
+from hfree import __version__, cli
 from hfree import enumeration as E
 from hfree import graphs as G
+from iso_oracle import count_labeled_dedup
 
 
 def _cycle_types(n: int, largest: int | None = None):
@@ -51,7 +53,7 @@ def _polya_counts(n: int) -> list[int]:
 
 def test_counts_match_labeled_oracle():
     for n in range(1, 6):
-        assert len(E.graphs_on(n)) == E.count_labeled_dedup(n)
+        assert len(E.graphs_on(n)) == count_labeled_dedup(n)
 
 
 def test_counts_match_reference_sequence():
@@ -66,14 +68,32 @@ def test_counts_match_polya_per_edge_count():
         assert [hist[m] for m in range(n * (n - 1) // 2 + 1)] == _polya_counts(n)
 
 
+def test_graphs_pickle_through_the_constructor():
+    """Worker tasks and results are pickled graphs; this runs before the
+    pool tests because a graph that fails to unpickle in the parent stalls
+    the pool instead of raising."""
+    for n in range(1, 6):
+        for g in E.graphs_on(n):
+            assert pickle.loads(pickle.dumps(g)) == g
+
+    class Forged:  # pickles as a SmallGraph with an edge in one row only
+        def __reduce__(self):
+            return (G.SmallGraph, (2, (0b10, 0)))
+
+    with pytest.raises(ValueError, match="symmetric"):
+        pickle.loads(pickle.dumps(Forged()))
+
+
 def test_serial_parallel_checkpoint_paths_agree(tmp_path, monkeypatch):
     monkeypatch.setattr(E, "_SHARD_PARENTS", 4)  # several shards per level
+    cp = str(tmp_path / "ckpt")
     runs = []
-    for workers, cp in ((1, None), (2, None), (1, str(tmp_path / "ckpt"))):
+    # the last run resumes from the shard files the one before it wrote
+    for workers, path in ((1, None), (2, None), (2, cp), (1, cp)):
         monkeypatch.setattr(E, "_levels", {})
-        runs.append([[G.to_graph6(g) for g in E.graphs_on(n, workers, cp)]
+        runs.append([[G.to_graph6(g) for g in E.graphs_on(n, workers, path)]
                      for n in range(1, 7)])
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
     assert [len(level) for level in runs[0]] == list(E.KNOWN_COUNTS[:6])
 
 
@@ -87,9 +107,27 @@ def test_stream_is_complement_closed():
 def test_guardrail():
     with pytest.raises(E.ResourceGuard):
         E.EnumConfig(n_max=11)
-    E.EnumConfig(n_max=11, force=True)
+    with pytest.raises(E.ResourceGuard):
+        E.graphs_on(11)
     with pytest.raises(E.ResourceGuard):
         E.graphs_on(12)
+
+
+def test_cli_refuses_n_max_above_limit_before_enumerating(monkeypatch, capsys):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("graphs_on called")
+
+    monkeypatch.setattr(E, "graphs_on", enumerate_nothing)
+    code = cli.main(["verify", "--campaign", "case_lemmas", "--n-max", "11"])
+    assert code == 2
+    assert "limit" in capsys.readouterr().err
+
+
+def test_cli_has_no_force_flag(capsys):
+    code = cli.main(["verify", "--campaign", "case_lemmas", "--n-max", "5",
+                     "--force"])
+    assert code == 2
+    assert "--force" in capsys.readouterr().err
 
 
 def test_campaign_regular_tail():
@@ -112,6 +150,14 @@ def test_campaign_regular_tail_flags_deviation(monkeypatch, capsys):
     code = cli.main(["verify", "--campaign", "regular_tail", "--n-max", "6"])
     assert code == 1
     capsys.readouterr()
+
+
+def test_campaign_case_lemma_cells():
+    cells = E.run_search_campaign(E.EnumConfig(n_max=7), "case_lemmas")["cells"]
+    assert "empty|complete" not in cells
+    assert cells["Y'|Y'"]["counterexamples"] == 0
+    assert cells["complete|complete"]["graphs"] > 0
+    assert cells["complete|complete"]["counterexamples"] == 0
 
 
 def test_campaign_case_lemmas_small():
@@ -146,15 +192,100 @@ def test_campaign_worker_determinism():
 def test_checkpoint_roundtrip(tmp_path):
     cp = str(tmp_path / "ckpt")
     os.makedirs(cp, exist_ok=True)
-    first = E._extend_parallel(E.graphs_on(4), 1, cp, 5)
+    first = E._extend(E.graphs_on(4), 5, 1, cp)
     assert len(first) == 34
     shard = os.path.join(cp, "level-05.shard-0000.txt")
     with open(shard) as f:
         assert [line.strip() for line in f] == [G.to_graph6(g) for g in first]
     # a second run reuses the shard files
-    second = E._extend_parallel(E.graphs_on(4), 1, cp, 5)
+    second = E._extend(E.graphs_on(4), 5, 1, cp)
     assert [G.to_graph6(g) for g in first] == [G.to_graph6(g) for g in second]
 
+
+def test_resume_rewrites_exactly_the_missing_shard(tmp_path, monkeypatch):
+    monkeypatch.setattr(E, "_SHARD_PARENTS", 4)  # level 6 has 9 shards
+    monkeypatch.setattr(E, "_levels", {})
+    serial = [G.to_graph6(g) for g in E.graphs_on(6)]
+    cp = str(tmp_path / "ckpt")
+    monkeypatch.setattr(E, "_levels", {})
+    E.graphs_on(6, workers=2, checkpoint_path=cp)
+    files = sorted(os.listdir(cp))
+    assert not [f for f in files if f.endswith(".g6")]  # no whole-level files
+    shards = [f for f in files if f.startswith("level-06.shard-")]
+    assert len(shards) == 9
+    victim = os.path.join(cp, shards[4])
+    with open(victim, "rb") as f:
+        want = f.read()
+    os.remove(victim)
+    written = []
+    write_lines = E._write_lines
+
+    def record(path, lines):
+        written.append(os.path.basename(path))
+        write_lines(path, lines)
+
+    monkeypatch.setattr(E, "_write_lines", record)
+    monkeypatch.setattr(E, "_levels", {})
+    resumed = E.graphs_on(6, workers=2, checkpoint_path=cp)
+    assert [G.to_graph6(g) for g in resumed] == serial
+    assert written == [shards[4]]
+    assert sorted(os.listdir(cp)) == files
+    with open(victim, "rb") as f:
+        assert f.read() == want
+
+
+def test_killed_run_keeps_finished_shards(tmp_path, monkeypatch):
+    class Killed(Exception):
+        pass
+
+    monkeypatch.setattr(E, "_SHARD_PARENTS", 4)  # level 6 has 9 shards
+    monkeypatch.setattr(E, "_levels", {})
+    serial = [G.to_graph6(g) for g in E.graphs_on(6)]
+    cp = str(tmp_path / "ckpt")
+    monkeypatch.setattr(E, "_levels", {})
+    E.graphs_on(5, checkpoint_path=cp)
+    augment, calls = E._augment_shard, []
+
+    def killed_after_three(parents):
+        if len(calls) == 3:
+            raise Killed
+        calls.append(parents)
+        return augment(parents)
+
+    monkeypatch.setattr(E, "_augment_shard", killed_after_three)
+    with pytest.raises(Killed):
+        E.graphs_on(6, checkpoint_path=cp)
+    assert sorted(f for f in os.listdir(cp) if f.startswith("level-06")) == [
+        f"level-06.shard-{i:04d}.txt" for i in range(3)
+    ]
+    monkeypatch.setattr(E, "_augment_shard", augment)
+    assert [G.to_graph6(g) for g in E.graphs_on(6, checkpoint_path=cp)] == serial
+
+
+def test_format_2_checkpoint_refused(tmp_path, capsys):
+    cp = tmp_path / "old"
+    cp.mkdir()
+    old = {"format": 2, "shard_parents": E._SHARD_PARENTS,
+           "version": __version__}
+    (cp / "manifest.json").write_text(json.dumps(old, sort_keys=True) + "\n")
+    (cp / "level-05.g6").write_text(
+        "".join(G.to_graph6(g) + "\n" for g in E.graphs_on(5)))
+    with pytest.raises(ValueError, match="manifest"):
+        E.graphs_on(5, checkpoint_path=str(cp))
+    code = cli.main(["verify", "--campaign", "case_lemmas", "--n-max", "5",
+                     "--resume", str(cp)])
+    assert code == 2
+    assert "manifest" in capsys.readouterr().err
+
+
+def test_resume_path_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "not-a-dir"
+    path.write_text("x\n")
+    code = cli.main(["verify", "--campaign", "case_lemmas", "--n-max", "5",
+                     "--resume", str(path)])
+    assert code == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert path.read_text() == "x\n"
 
 def test_checkpoint_manifest_written_and_checked(tmp_path, monkeypatch):
     cp = str(tmp_path / "ckpt")
@@ -187,10 +318,3 @@ def test_checkpoint_without_manifest_refused(tmp_path, capsys):
     assert code == 2
     assert "manifest" in capsys.readouterr().err
 
-
-def test_filters():
-    level = E.graphs_on(4)
-    conn = E._filtered(level, {"connected": True})
-    assert len(conn) == 6
-    degs = E._filtered(level, {"degree_sequence": [1, 1, 2, 2]})
-    assert len(degs) == 1  # the four-vertex path

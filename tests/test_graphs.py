@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import cert_oracle
 from hfree import enumeration as E
 from hfree import graphs as G
+from iso_oracle import brute_force_isomorphic
 
 
 def random_graph_strategy(max_n: int = 10):
@@ -86,7 +87,7 @@ def test_canonical_relabeling_invariance():
 def test_c5_self_complementary():
     c5 = G.cycle_graph(5)
     assert G.canonical_cert(c5) == G.canonical_cert(G.complement(c5))
-    assert G.brute_force_isomorphic(c5, G.complement(c5))
+    assert brute_force_isomorphic(c5, G.complement(c5))
 
 
 def test_canonical_agrees_with_brute_force_n_le_6():
@@ -100,7 +101,7 @@ def test_canonical_agrees_with_brute_force_n_le_6():
         # distinct representatives must be pairwise non-isomorphic
         for bucket in by_m.values():
             for g1, g2 in itertools.combinations(bucket, 2):
-                assert not G.brute_force_isomorphic(g1, g2)
+                assert not brute_force_isomorphic(g1, g2)
                 assert G.canonical_cert(g1) != G.canonical_cert(g2)
         # any relabeling keeps the certificate
         for g in graphs[:40]:
@@ -253,26 +254,27 @@ def test_symmetric_certificates_are_fast():
 
 
 def test_degree_partition():
-    assert G.degree_partition(G.cycle_graph(5)) == 2
+    with pytest.raises(ValueError):
+        G.DegreePartition(G.cycle_graph(5))
     star = G.star_graph(4)
-    dp = G.degree_partition(star)
+    dp = G.DegreePartition(star)
     assert dp.ell == 1 and dp.h == 4
     assert dp.v_low == frozenset({1, 2, 3, 4})
     assert dp.v_high == frozenset({0})
     assert dp.v_mid == frozenset()
     assert dp.h_star == star.n - dp.h - 1
     paw = G.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-    dpp = G.degree_partition(paw)
+    dpp = G.DegreePartition(paw)
     assert len(dpp.v_low) == 1 and len(dpp.v_mid) == 2 and len(dpp.v_high) == 1
 
 
 def test_degree_partition_complement_swap():
     for n in range(2, 8):
         for g in E.graphs_on(n):
-            dp = G.degree_partition(g)
-            if isinstance(dp, int):
+            if G.is_regular(g):
                 continue
-            dpc = G.degree_partition(G.complement(g))
+            dp = G.DegreePartition(g)
+            dpc = G.DegreePartition(G.complement(g))
             assert dpc.v_low == dp.v_high
             assert dpc.v_high == dp.v_low
 
@@ -336,7 +338,7 @@ def _reference_induced(g, h, free_pairs=()):
             for k in range(len(inside) + 1)
             for sel in itertools.combinations(inside, k)
         )
-        if any(G.brute_force_isomorphic(G.apply_flips(sub, sel), h) for sel in flips):
+        if any(brute_force_isomorphic(G.apply_flips(sub, sel), h) for sel in flips):
             out.add(frozenset(T))
     return out
 

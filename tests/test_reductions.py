@@ -482,11 +482,6 @@ def test_tricky_completion_equivalences():
     assert count > 10
 
 
-def test_tricky_reduction_dispatch():
-    with pytest.raises(KeyError):
-        R.tricky_reduction("TrickyNope", S.EditInstance(G.path_graph(2), 0, "delete"))
-
-
 # -- enforcer attachment ----------------------------------------------------------
 
 
