@@ -52,7 +52,7 @@ class WReason:
         return f"co-{base}" if self.complemented else base
 
 
-# family name -> (minimum t, vertex count as function of t)
+# family name -> minimum t; the vertex count t + offset is in _FAMILY_OFFSET
 FAMILY_CONSTRAINTS = {
     "F1": 4,
     "F2": 5,

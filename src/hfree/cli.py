@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import catalogue as C
@@ -157,9 +156,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    workers = int(os.environ.get("HFA_WORKERS", args.workers))
     cfg = E.EnumConfig(
-        n_max=args.n_max, workers=workers, checkpoint_path=args.resume
+        n_max=args.n_max, workers=args.workers, checkpoint_path=args.resume
     )
     report = E.run_search_campaign(cfg, args.campaign)
     _emit(report, f"campaign {args.campaign}: ok={report['ok']}")

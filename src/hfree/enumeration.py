@@ -64,6 +64,8 @@ class EnumConfig:
     def __post_init__(self):
         if self.n_max > N_LIMIT:
             raise ResourceGuard(f"n_max={self.n_max} above the limit {N_LIMIT}")
+        if self.workers < 1:
+            raise ValueError(f"workers={self.workers}: need at least one")
 
 
 def _augment(parent: SmallGraph) -> list[SmallGraph]:
@@ -132,12 +134,12 @@ def _shard_map(
 ) -> Iterator[tuple[int, object]]:
     """Yield ``(i, fn(task))`` for each ``(i, task)`` in ``tasks`` as it
     finishes: in this process when ``workers`` is 1 or there is one task,
-    otherwise on a pool of ``workers`` processes."""
+    otherwise on a pool of ``workers`` processes, one per task at most."""
     if workers <= 1 or len(tasks) <= 1:
         for i, task in tasks:
             yield i, fn(task)
         return
-    with mp.Pool(workers) as pool:
+    with mp.Pool(min(workers, len(tasks))) as pool:
         yield from pool.imap_unordered(_run_task, [(fn, i, t) for i, t in tasks])
 
 
@@ -224,13 +226,19 @@ def graphs_on(
         raise ResourceGuard(f"n={n} outside 1..{N_LIMIT}")
     if checkpoint_path is not None:
         _open_checkpoint(checkpoint_path)
-    if n in _levels:
-        return _levels[n]
+    return _graphs_on(n, workers, checkpoint_path)
+
+
+def _graphs_on(n: int, workers: int, cp: Optional[str]) -> list[SmallGraph]:
+    """Level n, from the cache when there is no checkpoint; with one, every
+    shard file of levels 2..n is in ``cp`` afterwards."""
+    level = _levels.get(n)
+    if level is not None and cp is None:
+        return level
     if n == 1:
-        level = [G.empty_graph(1)]
+        level = [G.empty_graph(1)]  # level 1 has no shard files
     else:
-        parents = graphs_on(n - 1, workers, checkpoint_path)
-        level = _extend(parents, n, workers, checkpoint_path)
+        level = _extend(_graphs_on(n - 1, workers, cp), n, workers, cp)
     if n <= _CACHE_MAX:
         _levels[n] = level
     return level

@@ -135,31 +135,6 @@ def verify_s_component(gadget: Gadget) -> PropTable:
     return table
 
 
-def generic_s_component(h: SmallGraph, h_id: str = "?") -> Optional[Gadget]:
-    """The always-available deletion S-component H+x, if some x works.
-
-    x ranges over nonedges, y and z over edge pairs; returns the first
-    choice whose toggle table is propagational.
-    """
-    nonedges = [
-        (u, v)
-        for u in range(h.n)
-        for v in range(u + 1, h.n)
-        if not h.has_edge(u, v)
-    ]
-    edges = list(h.edges())
-    for x in nonedges:
-        gx = G.add_edge(h, *x)
-        for y, z in itertools.combinations(edges, 2):
-            gadget = Gadget(gx, "SComponent", "delete", (x, y, z), h_id)
-            try:
-                verify_s_component(gadget)
-            except GadgetError:
-                continue
-            return gadget
-    return None
-
-
 # -- truth-setting components -------------------------------------------------
 
 
@@ -189,57 +164,29 @@ def build_truth_setting(unit: Gadget, p: Optional[int] = None) -> TruthSetting:
         raise GadgetError("chains need at least two units")
     u = unit.graph
     glue_in, glue_out = unit.allowed  # e' (recovers host), e
-
-    n = 0
-    edges: list[tuple[int, int]] = []
-    allowed: list[tuple[int, int]] = []
-    variable_pairs: list[tuple[int, int]] = []
-    first_in: tuple[int, int] | None = None
-    prev_out: tuple[int, int] | None = None
-    for i in range(3 * p):
-        if prev_out is None:
-            mapping = {}
-        else:
-            mapping = {glue_in[0]: prev_out[0], glue_in[1]: prev_out[1]}
-        for v in range(u.n):
-            if v not in mapping:
-                mapping[v] = n
-                n += 1
-        for a, b in u.edges():
-            edges.append((mapping[a], mapping[b]))
-        pair_in = (mapping[glue_in[0]], mapping[glue_in[1]])
-        pair_out = (mapping[glue_out[0]], mapping[glue_out[1]])
-        if prev_out is None:
-            first_in = pair_in
-        allowed.append(pair_in)
-        if i % p == p - 1:
-            variable_pairs.append(pair_out)
-        prev_out = pair_out
-    # identify the final out pair with the first in pair
-    merge = {prev_out[0]: first_in[0], prev_out[1]: first_in[1]}
-    variable_pairs[-1] = first_in
-
-    def m(v):
-        return merge.get(v, v)
-
-    edges = [(m(a), m(b)) for a, b in edges]
-    allowed = [tuple(sorted((m(a), m(b)))) for a, b in allowed]
-    variable_pairs = [tuple(sorted((m(a), m(b)))) for a, b in variable_pairs]
-    # compact vertex labels
-    used = sorted({v for e in edges for v in e})
-    relab = {v: i for i, v in enumerate(used)}
-    edges = [(relab[a], relab[b]) for a, b in edges]
-    allowed = sorted({(relab[a], relab[b]) for a, b in allowed})
-    variable_pairs = [(relab[a], relab[b]) for a, b in variable_pairs]
-    graph = G.from_edges(len(used), set(edges))
-    if unit.mode == "complete":
-        # allowed pairs are nonedges: drop any accidental edge duplicates
-        for a, b in allowed:
-            if graph.has_edge(a, b):
-                raise GadgetError("allowed nonedge became an edge while gluing")
-    if len(allowed) != 3 * p:
-        raise GadgetError(f"expected {3 * p} allowed pairs, got {len(allowed)}")
-    return TruthSetting(graph, unit.mode, tuple(allowed), tuple(variable_pairs), unit.h)
+    if set(glue_in) & set(glue_out):
+        raise GadgetError("the unit's two glue pairs share a vertex")
+    grow = G.Builder(u, cap=None)
+    ins = [tuple(sorted(glue_in))]  # each unit's glue-in pair, in chain order
+    prev_out = glue_out
+    for i in range(1, 3 * p):
+        image = dict(zip(glue_in, prev_out))
+        closing = i == 3 * p - 1
+        if closing:  # its glue-out pair is the first unit's glue-in pair
+            image.update(zip(glue_out, glue_in))
+        at = grow.glue(u, image)
+        if closing:  # glue leaves pairs between given vertices alone
+            for a, b in itertools.product(glue_in, glue_out):
+                if u.has_edge(a, b):
+                    grow.connect(at[a], at[b])
+        ins.append(tuple(sorted((at[glue_in[0]], at[glue_in[1]]))))
+        prev_out = (at[glue_out[0]], at[glue_out[1]])
+    # the glue pairs are disjoint and glue never touches a pair between
+    # given vertices, so the 3p glue-in pairs are distinct and each keeps
+    # the unit's (non)edge; the chain joints are those of units p, 2p, 0
+    variable_pairs = (ins[p], ins[2 * p], ins[0])
+    return TruthSetting(grow.graph(), unit.mode, tuple(sorted(ins)),
+                        variable_pairs, unit.h)
 
 
 def modification_sets(
@@ -361,15 +308,24 @@ def attach_enforcer(
     g: SmallGraph, pair: tuple[int, int], enf: Gadget, copies: int
 ) -> SmallGraph:
     """Identify the enforcer's distinguished pair with ``pair``, k+1 times."""
-    from .reductions import _Builder
-
     (ex, ey) = enf.allowed[0]
-    grow = _Builder(g, cap=None)
+    grow = G.Builder(g, cap=None)
     for _ in range(copies):
         grow.glue(enf.graph, {ex: pair[0], ey: pair[1]})
     if enf.graph.has_edge(ex, ey):
         grow.connect(*pair)
     return grow.graph()
+
+
+def enforcer_exact(enf: Gadget) -> dict:
+    """Layer (a) of ``verify_enforcer``: whether the gadget is host-free
+    and whether toggling its distinguished pair creates an induced host
+    copy."""
+    h = host_graph(enf.h)
+    free = not G.contains_induced(enf.graph, h)
+    toggled = G.apply_flips(enf.graph, [enf.allowed[0]])
+    creates = G.contains_induced(toggled, h)
+    return {"host_free": free, "toggle_creates": creates, "ok": free and creates}
 
 
 def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
@@ -390,12 +346,7 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
     h = host_graph(enf.h)
     report: dict = {"h": enf.h, "mode": enf.mode, "layers": {}}
 
-    # layer (a)
-    free = not G.contains_induced(enf.graph, h)
-    toggled = G.apply_flips(enf.graph, [enf.allowed[0]])
-    creates = G.contains_induced(toggled, h)
-    report["layers"]["exact"] = {"host_free": free, "toggle_creates": creates,
-                                 "ok": free and creates}
+    report["layers"]["exact"] = enforcer_exact(enf)
 
     # layer (b): separators of the host of the relevant induced type
     want_edge = enf.mode == "delete"

@@ -226,6 +226,60 @@ def relabel(g: SmallGraph, perm: Sequence[int]) -> SmallGraph:
     return SmallGraph(g.n, rows)
 
 
+# -- assembly ----------------------------------------------------------------
+
+
+class CapExceeded(RuntimeError):
+    """Construction output would exceed the working vertex cap."""
+
+
+class Builder:
+    """Adjacency rows of a graph grown from ``g`` (or from no vertices) by
+    fresh vertices and glued copies of other graphs.
+
+    Refuses with CapExceeded a planned ``total`` or a finished graph above
+    ``cap``; ``cap=None`` grows without bound.
+    """
+
+    def __init__(
+        self, g: SmallGraph | None = None, cap: int | None = VERTEX_CAP,
+        total: int = 0,
+    ):
+        self.rows = list(g.rows) if g is not None else []
+        self.cap = cap
+        self._check(total)
+
+    def _check(self, n: int) -> None:
+        if self.cap is not None and n > self.cap:
+            raise CapExceeded(f"{n} vertices exceed cap {self.cap}")
+
+    def fresh(self, count: int) -> list[int]:
+        n = len(self.rows)
+        self.rows.extend([0] * count)
+        return list(range(n, n + count))
+
+    def connect(self, a: int, b: int) -> None:
+        self.rows[a] |= 1 << b
+        self.rows[b] |= 1 << a
+
+    def glue(self, h: SmallGraph, image: dict[int, int]) -> dict[int, int]:
+        """Add a copy of h and return where its vertices went: those in
+        ``image`` are the given ones, the others fresh in order. Pairs
+        between two given vertices are left as they are."""
+        local = dict(image)
+        for v in range(h.n):
+            if v not in local:
+                (local[v],) = self.fresh(1)
+        for u, v in h.edges():
+            if u not in image or v not in image:
+                self.connect(local[u], local[v])
+        return local
+
+    def graph(self) -> SmallGraph:
+        self._check(len(self.rows))
+        return SmallGraph(len(self.rows), self.rows)
+
+
 # -- predicates ------------------------------------------------------------
 
 
@@ -286,18 +340,6 @@ def separators(g: SmallGraph, size: int) -> Iterator[int]:
         alive = full ^ sum(sub)
         if alive and _reach(g.rows, alive & -alive, alive) != alive:
             yield full ^ alive
-
-
-def vertex_connectivity(g: SmallGraph) -> int:
-    n = g.n
-    if is_complete(g):
-        return n - 1
-    if not is_connected(g):
-        return 0
-    for size in range(1, n - 1):
-        if next(separators(g, size), None) is not None:
-            return size
-    return n - 1  # unreachable for non-complete graphs
 
 
 def is_path(g: SmallGraph) -> bool:

@@ -17,58 +17,12 @@ from typing import Sequence
 
 from . import gadgets as GD
 from . import graphs as G
-from .graphs import VERTEX_CAP, SmallGraph
+from .graphs import VERTEX_CAP, Builder, CapExceeded, SmallGraph
 from .solver import EditInstance
-
-
-class CapExceeded(RuntimeError):
-    """Construction output would exceed the working vertex cap."""
 
 
 class PreconditionError(ValueError):
     """Input does not satisfy the reduction's side conditions."""
-
-
-class _Builder:
-    """Adjacency rows of a graph grown from ``g`` by fresh vertices.
-
-    Refuses with CapExceeded a planned ``total`` or a finished graph above
-    ``cap``; ``cap=None`` grows without bound.
-    """
-
-    def __init__(self, g: SmallGraph, cap: int | None = VERTEX_CAP, total: int = 0):
-        self.rows = list(g.rows)
-        self.cap = cap
-        self._check(total)
-
-    def _check(self, n: int) -> None:
-        if self.cap is not None and n > self.cap:
-            raise CapExceeded(f"{n} vertices exceed cap {self.cap}")
-
-    def fresh(self, count: int) -> list[int]:
-        n = len(self.rows)
-        self.rows.extend([0] * count)
-        return list(range(n, n + count))
-
-    def connect(self, a: int, b: int) -> None:
-        self.rows[a] |= 1 << b
-        self.rows[b] |= 1 << a
-
-    def glue(self, h: SmallGraph, image: dict[int, int]) -> None:
-        """Add a copy of h: its vertices in ``image`` are the given ones,
-        the others fresh in order. Edges between two given vertices are
-        left as they are."""
-        local = dict(image)
-        for v in range(h.n):
-            if v not in local:
-                (local[v],) = self.fresh(1)
-        for u, v in h.edges():
-            if u not in image or v not in image:
-                self.connect(local[u], local[v])
-
-    def graph(self) -> SmallGraph:
-        self._check(len(self.rows))
-        return SmallGraph(len(self.rows), self.rows)
 
 
 # -- generic constructions ----------------------------------------------------
@@ -91,7 +45,7 @@ def con_main(
     if any(v < 0 or v >= h.n for v in vp):
         raise ValueError("vprime must be a subset of V(h)")
     total = gprime.n + perm(gprime.n, len(vp)) * (k + 1) * (h.n - len(vp))
-    grow = _Builder(gprime, cap, total)
+    grow = Builder(gprime, cap, total)
     for placement in itertools.permutations(range(gprime.n), len(vp)):
         image = dict(zip(vp, placement))
         for _ in range(k + 1):
@@ -109,7 +63,7 @@ def con_mod(
     """
     if ell < 1:
         raise ValueError("ell must be positive")
-    grow = _Builder(gprime, cap, gprime.n + comb(gprime.n, ell) * (k + 1))
+    grow = Builder(gprime, cap, gprime.n + comb(gprime.n, ell) * (k + 1))
     unit = G.complete_graph(ell + k + 1)
     for sub in itertools.combinations(range(gprime.n), ell):
         grow.glue(unit, dict(enumerate(sub)))
@@ -123,7 +77,7 @@ def con_near_uni(
     t-subset. Sources with fewer than t vertices come back unchanged."""
     if t < 1:
         raise ValueError("t must be positive")
-    grow = _Builder(gprime, cap, gprime.n + comb(gprime.n, t) * (k + 2))
+    grow = Builder(gprime, cap, gprime.n + comb(gprime.n, t) * (k + 2))
     unit = G.complete_bipartite(max(gprime.n - t, 0), k + 2)
     for sub in itertools.combinations(range(gprime.n), t):
         others = [v for v in range(gprime.n) if v not in sub]
@@ -225,83 +179,35 @@ def con_cai(
         for pos, v in enumerate(cl):
             occ[v].append((ci, pos))
 
-    edges: list[tuple[int, int]] = []
-    allowed: list[tuple[int, int]] = []
-    n = 0
+    grow = Builder(cap=None)
     clause_pairs: dict[tuple[int, int], tuple[int, int]] = {}
-
     for ci in range(len(phi.clauses)):
-        mapping = {}
-        for v in range(s_comp.graph.n):
-            mapping[v] = n
-            n += 1
-        for a, b in s_comp.graph.edges():
-            edges.append((mapping[a], mapping[b]))
+        at = grow.glue(s_comp.graph, {})
         for pos, (a, b) in enumerate(s_comp.allowed):
-            clause_pairs[(ci, pos)] = (mapping[a], mapping[b])
+            clause_pairs[ci, pos] = (at[a], at[b])
 
-    union: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while union.get(x, x) != x:
-            union[x] = union.get(union[x], union[x])
-            x = union[x]
-        return x
-
-    def merge(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            union[rb] = ra
-
-    per_var_raw: list[list[tuple[int, int]]] = []
+    tc = GD.build_truth_setting(basic_unit)
+    per_var: list[list[tuple[int, int]]] = []
     for v in range(phi.vars):
-        tc = GD.build_truth_setting(basic_unit)
-        offset = n
-        n += tc.graph.n
-        for a, b in tc.graph.edges():
-            edges.append((a + offset, b + offset))
-        var_pairs = [(a + offset, b + offset) for a, b in tc.variable_pairs]
-        for (ci, pos), (pa, pb) in zip(occ[v], var_pairs):
-            ca, cb = clause_pairs[(ci, pos)]
-            merge(ca, pa)
-            merge(cb, pb)
-        mine = [(a + offset, b + offset) for a, b in tc.allowed]
-        per_var_raw.append(mine)
-        allowed.extend(mine)
+        image = {}
+        for (ci, pos), (pa, pb) in zip(occ[v], tc.variable_pairs):
+            image[pa], image[pb] = clause_pairs[ci, pos]
+        at = grow.glue(tc.graph, image)
+        per_var.append(sorted(tuple(sorted((at[a], at[b]))) for a, b in tc.allowed))
+    allowed = frozenset(pair for mine in per_var for pair in mine)
+    # the empty formula gives a single-vertex instance, trivially free
+    graph = grow.graph() if phi.clauses else G.empty_graph(1)
 
-    # apply identifications and compact labels
-    edges2 = [(find(a), find(b)) for a, b in edges]
-    allowed2 = [tuple(sorted((find(a), find(b)))) for a, b in allowed]
-    used = sorted({v for e in edges2 for v in e} | {v for e in allowed2 for v in e})
-    relab = {v: i for i, v in enumerate(used)}
-    edges3 = {(relab[a], relab[b]) for a, b in edges2 if a != b}
-    allowed3 = sorted({tuple(sorted((relab[a], relab[b]))) for a, b in allowed2})
-    per_var = [
-        sorted({tuple(sorted((relab[find(a)], relab[find(b)]))) for a, b in mine})
-        for mine in per_var_raw
-    ]
-    if not used:
-        # degenerate empty formula: a single-vertex instance, trivially free
-        graph = G.empty_graph(1)
-    else:
-        graph = G.from_edges(len(used), edges3)
-
-    kprime = 3 * h.n * k
     if mode == "delete":
-        forbidden = frozenset(
-            tuple(sorted(e)) for e in graph.edges()
-        ) - frozenset(allowed3)
-        inst_mode = "delete"
+        forbidden = frozenset(graph.edges()) - allowed
     else:
-        all_non = frozenset(
+        forbidden = frozenset(
             (u, v)
             for u in range(graph.n)
             for v in range(u + 1, graph.n)
             if not graph.has_edge(u, v)
-        )
-        forbidden = all_non - frozenset(allowed3)
-        inst_mode = "complete"
-    return EditInstance(graph, kprime, inst_mode, forbidden), per_var
+        ) - allowed
+    return EditInstance(graph, 3 * h.n * k, mode, forbidden), per_var
 
 
 def enforcer_attach(inst: EditInstance, enforcer: GD.Gadget) -> EditInstance:
@@ -311,11 +217,10 @@ def enforcer_attach(inst: EditInstance, enforcer: GD.Gadget) -> EditInstance:
         raise GD.GadgetError("gadget role mismatch")
     if enforcer.mode != inst.mode:
         raise GD.GadgetError("enforcer mode does not match instance mode")
-    h = GD.host_graph(enforcer.h)
-    if G.contains_induced(enforcer.graph, h):
+    exact = GD.enforcer_exact(enforcer)
+    if not exact["host_free"]:
         raise GD.GadgetError("unverified enforcer: gadget not host-free")
-    toggled = G.apply_flips(enforcer.graph, [enforcer.allowed[0]])
-    if not G.contains_induced(toggled, h):
+    if not exact["toggle_creates"]:
         raise GD.GadgetError("unverified enforcer: toggle creates no copy")
     g = inst.g
     for pair in sorted(inst.forbidden):
@@ -324,10 +229,6 @@ def enforcer_attach(inst: EditInstance, enforcer: GD.Gadget) -> EditInstance:
 
 
 # -- tricky per-host reductions ------------------------------------------------
-
-def _ordered_forbidden(inst: EditInstance) -> list[tuple[int, int]]:
-    return sorted(inst.forbidden)
-
 
 def _has_all_allowed_c4_subgraph(inst: EditInstance) -> bool:
     """A 4-cycle subgraph (not necessarily induced) avoiding forbidden
@@ -351,56 +252,24 @@ def _has_all_allowed_c4_subgraph(inst: EditInstance) -> bool:
     return False
 
 
-def tricky_a7c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
-    """Restricted deletion for the co-A7 host to unrestricted deletion."""
+def _tricky_clique(inst: EditInstance, cap: int, q: bool) -> EditInstance:
+    """A fresh k-set W joined to V(G'); each forbidden uv gets k-sets X on
+    u and Y on v, both joined to W, and a fresh Z[i] on X[i] and Y[i]
+    (with ``q``, also a fresh Q[i] on them, joined to W); all the X and Y
+    vertices form one clique."""
     if inst.mode != "delete":
         raise PreconditionError("source must be a restricted deletion instance")
     k = inst.k
     gp = inst.g
-    R = _ordered_forbidden(inst)
-    grow = _Builder(gp, cap, gp.n + k + 3 * k * len(R))
+    R = sorted(inst.forbidden)
+    grow = Builder(gp, cap, gp.n + k + (4 if q else 3) * k * len(R))
     W = grow.fresh(k)
     for w in W:
         for v in range(gp.n):
             grow.connect(w, v)
     C: list[int] = []
     for (u, v) in R:
-        X = grow.fresh(k)
-        Y = grow.fresh(k)
-        Z = grow.fresh(k)
-        for x in X:
-            grow.connect(u, x)
-            for w in W:
-                grow.connect(w, x)
-        for y in Y:
-            grow.connect(v, y)
-            for w in W:
-                grow.connect(w, y)
-        for i in range(k):
-            grow.connect(X[i], Z[i])
-            grow.connect(Y[i], Z[i])
-        C.extend(X)
-        C.extend(Y)
-    for a, b in itertools.combinations(C, 2):
-        grow.connect(a, b)
-    return EditInstance(grow.graph(), k, "delete")
-
-
-def tricky_a9c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
-    """Restricted deletion for the co-A9 host to unrestricted deletion."""
-    if inst.mode != "delete":
-        raise PreconditionError("source must be a restricted deletion instance")
-    k = inst.k
-    gp = inst.g
-    R = _ordered_forbidden(inst)
-    grow = _Builder(gp, cap, gp.n + k + 4 * k * len(R))
-    W = grow.fresh(k)
-    for w in W:
-        for v in range(gp.n):
-            grow.connect(w, v)
-    C: list[int] = []
-    for (u, v) in R:
-        Q = grow.fresh(k)
+        Q = grow.fresh(k) if q else []
         X = grow.fresh(k)
         Y = grow.fresh(k)
         Z = grow.fresh(k)
@@ -412,10 +281,10 @@ def tricky_a9c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
             for t in Q + X + Y:
                 grow.connect(w, t)
         for i in range(k):
-            grow.connect(X[i], Z[i])
-            grow.connect(Y[i], Z[i])
-            grow.connect(X[i], Q[i])
-            grow.connect(Y[i], Q[i])
+            for t in (X[i], Y[i]):
+                grow.connect(t, Z[i])
+                if q:
+                    grow.connect(t, Q[i])
         C.extend(X)
         C.extend(Y)
     for a, b in itertools.combinations(C, 2):
@@ -423,54 +292,48 @@ def tricky_a9c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     return EditInstance(grow.graph(), k, "delete")
 
 
-def tricky_a6c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
-    """Restricted co-A1 deletion (no all-allowed 4-cycle subgraph) to
-    unrestricted co-A6 deletion."""
+def tricky_a7c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+    """Restricted deletion for the co-A7 host to unrestricted deletion."""
+    return _tricky_clique(inst, cap, q=False)
+
+
+def tricky_a9c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+    """Restricted deletion for the co-A9 host to unrestricted deletion."""
+    return _tricky_clique(inst, cap, q=True)
+
+
+# units glued at each forbidden edge uv: u is 0, v is 1, then x, y, z
+_A6C_UNIT = G.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)])
+_A8C_UNIT = G.from_edges(5, [(0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+
+
+def _tricky_units(
+    inst: EditInstance, cap: int, unit: SmallGraph, copies: int
+) -> EditInstance:
+    """``copies`` copies of ``unit`` glued at each forbidden edge, for a
+    source without an all-allowed 4-cycle subgraph."""
     if inst.mode != "delete":
         raise PreconditionError("source must be a restricted deletion instance")
     if _has_all_allowed_c4_subgraph(inst):
         raise PreconditionError("input contains an all-allowed 4-cycle subgraph")
-    k = inst.k
     gp = inst.g
-    R = _ordered_forbidden(inst)
-    grow = _Builder(gp, cap, gp.n + 3 * (k + 1) * len(R))
-    for (u, v) in R:
-        X = grow.fresh(k + 1)
-        Y = grow.fresh(k + 1)
-        Z = grow.fresh(k + 1)
-        for t in X + Y + Z:
-            grow.connect(u, t)
-        for t in Y + Z:
-            grow.connect(v, t)
-        for i in range(k + 1):
-            grow.connect(X[i], Y[i])
-            grow.connect(Y[i], Z[i])
-    return EditInstance(grow.graph(), k, "delete")
+    grow = Builder(gp, cap, gp.n + (unit.n - 2) * copies * len(inst.forbidden))
+    for u, v in sorted(inst.forbidden):
+        for _ in range(copies):
+            grow.glue(unit, {0: u, 1: v})
+    return EditInstance(grow.graph(), inst.k, "delete")
+
+
+def tricky_a6c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+    """Restricted co-A1 deletion (no all-allowed 4-cycle subgraph) to
+    unrestricted co-A6 deletion."""
+    return _tricky_units(inst, cap, _A6C_UNIT, inst.k + 1)
 
 
 def tricky_a8c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     """Restricted C4 deletion (no all-allowed 4-cycle subgraph) to
     unrestricted co-A8 deletion."""
-    if inst.mode != "delete":
-        raise PreconditionError("source must be a restricted deletion instance")
-    if _has_all_allowed_c4_subgraph(inst):
-        raise PreconditionError("input contains an all-allowed 4-cycle subgraph")
-    k = inst.k
-    gp = inst.g
-    R = _ordered_forbidden(inst)
-    grow = _Builder(gp, cap, gp.n + 3 * (k + 2) * len(R))
-    for (u, v) in R:
-        X = grow.fresh(k + 2)
-        Y = grow.fresh(k + 2)
-        Z = grow.fresh(k + 2)
-        for x in X:
-            grow.connect(u, x)
-        for t in Y + Z:
-            grow.connect(v, t)
-        for i in range(k + 2):
-            grow.connect(X[i], Y[i])
-            grow.connect(X[i], Z[i])
-    return EditInstance(grow.graph(), k, "delete")
+    return _tricky_units(inst, cap, _A8C_UNIT, inst.k + 2)
 
 
 def _completion_pre(inst: EditInstance, max_allowed: int = 18) -> None:
@@ -542,7 +405,7 @@ def _completion_gadget(inst: EditInstance, cap: int, tail: bool) -> EditInstance
     forbidden."""
     _completion_pre(inst)
     g = inst.g
-    grow = _Builder(g, cap)
+    grow = Builder(g, cap)
     new: list[int] = []
     for (x, y) in sorted(inst.forbidden):
         common = g.rows[x] & g.rows[y]

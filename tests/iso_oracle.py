@@ -1,10 +1,12 @@
-"""Independent oracles for isomorphism and enumeration, kept in the tests
-so that they stay apart from the code they check.
+"""Independent oracles for isomorphism, enumeration and connectivity, kept
+in the tests so that they stay apart from the code they check.
 
 ``brute_force_isomorphic`` tries vertex bijections directly;
 ``count_labeled_dedup`` counts isomorphism classes by canonicalizing every
-labeled graph on n vertices, without canonical augmentation. Both are
-copied unchanged from the package.
+labeled graph on n vertices, without canonical augmentation;
+``vertex_connectivity`` finds the smallest separator by size, the oracle
+for ``membership.is_3_connected``. All three are copied unchanged from the
+package.
 """
 
 from __future__ import annotations
@@ -55,3 +57,15 @@ def count_labeled_dedup(n: int) -> int:
                 rows[v] |= 1 << u
         seen.add(G.canonical_cert(SmallGraph(n, rows)))
     return len(seen)
+
+
+def vertex_connectivity(g: SmallGraph) -> int:
+    n = g.n
+    if G.is_complete(g):
+        return n - 1
+    if not G.is_connected(g):
+        return 0
+    for size in range(1, n - 1):
+        if next(G.separators(g, size), None) is not None:
+            return size
+    return n - 1  # unreachable for non-complete graphs

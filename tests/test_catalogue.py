@@ -5,6 +5,7 @@ import pytest
 from hfree import catalogue as C
 from hfree import graphs as G
 from hfree import membership as M
+from iso_oracle import vertex_connectivity
 
 
 def test_lookup_known_identities():
@@ -58,7 +59,7 @@ def test_a_and_b_series_two_connected_side():
     for name in [f"A{i}" for i in range(1, 10)] + ["B1", "B2", "B3"]:
         g = C.lookup(name).graph
         co = G.complement(g)
-        conns = (G.vertex_connectivity(g), G.vertex_connectivity(co))
+        conns = (vertex_connectivity(g), vertex_connectivity(co))
         assert any(c == 2 for c in conns), name
         assert all(c < 3 for c in conns), name
 

@@ -318,3 +318,75 @@ def test_checkpoint_without_manifest_refused(tmp_path, capsys):
     assert code == 2
     assert "manifest" in capsys.readouterr().err
 
+
+
+def test_checkpoint_after_cached_levels_is_complete(tmp_path, monkeypatch):
+    """Levels already in memory still get their shard files when a
+    checkpoint directory first appears, byte for byte as a cold run
+    writes them, and the manifest is opened once per call."""
+    monkeypatch.setattr(E, "_SHARD_PARENTS", 4)  # several shards per level
+    cold = str(tmp_path / "cold")
+    monkeypatch.setattr(E, "_levels", {})
+    E.graphs_on(6, checkpoint_path=cold)
+    monkeypatch.setattr(E, "_levels", {})
+    E.graphs_on(5)
+    opened = []
+    open_checkpoint = E._open_checkpoint
+    monkeypatch.setattr(E, "_open_checkpoint",
+                        lambda cp: opened.append(cp) or open_checkpoint(cp))
+    late = str(tmp_path / "late")
+    E.graphs_on(6, checkpoint_path=late)
+    assert opened == [late]
+    files = sorted(os.listdir(cold))
+    assert sorted(os.listdir(late)) == files
+    assert {f[:8] for f in files if f.startswith("level-")} == {
+        f"level-{n:02d}" for n in range(2, 7)}
+    for name in files:
+        with open(os.path.join(cold, name), "rb") as a, \
+                open(os.path.join(late, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+    def no_augmenting(parents):
+        raise AssertionError("augmented a shard the checkpoint holds")
+
+    monkeypatch.setattr(E, "_augment_shard", no_augmenting)
+    monkeypatch.setattr(E, "_levels", {})
+    assert len(E.graphs_on(6, checkpoint_path=late)) == 156
+
+
+def test_worker_count_is_checked_and_capped(monkeypatch, capsys):
+    with pytest.raises(ValueError, match="workers"):
+        E.EnumConfig(n_max=5, workers=0)
+    code = cli.main(["verify", "--campaign", "regular_tail", "--n-max", "5",
+                     "--workers", "0"])
+    assert code == 2 and "workers" in capsys.readouterr().err
+    # the acceptance suite's variable does not reach the command line
+    seen = []
+    monkeypatch.setenv("HFA_WORKERS", "abc")
+    monkeypatch.setattr(E, "run_search_campaign",
+                        lambda cfg, name: seen.append(cfg.workers) or {"ok": True})
+    code = cli.main(["verify", "--campaign", "regular_tail", "--n-max", "5",
+                     "--workers", "1"])
+    assert code == 0 and seen == [1]
+    capsys.readouterr()
+
+    class Pool:  # records its size and runs the tasks in this process
+        sizes: list[int] = []
+
+        def __init__(self, size):
+            Pool.sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(E.mp, "Pool", Pool)
+    tasks = [(i, i) for i in range(3)]
+    assert sorted(E._shard_map(abs, tasks, 64)) == tasks
+    assert sorted(E._shard_map(abs, tasks, 2)) == tasks
+    assert Pool.sizes == [3, 2]

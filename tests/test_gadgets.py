@@ -79,14 +79,6 @@ def test_s_component_sabotage_fails():
         GD.verify_s_component(mutated)
 
 
-def test_generic_s_component_construction():
-    paw = G.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-    gadget = GD.generic_s_component(paw, "paw")
-    assert gadget is not None
-    table = GD.verify_s_component(gadget)
-    assert not table.value(1, 0, 0)
-
-
 def test_generic_construction_first_entry_always_zero():
     """Deleting only the added pair restores the host, so f(1,0,0)=0 for
     every choice (connected non-complete hosts on 4..6 vertices, sampled)."""
@@ -135,6 +127,27 @@ def test_build_truth_setting_counts():
     assert tc3.graph.n == 18 * 6 - 18 * 2
     with pytest.raises(GD.GadgetError):
         GD.build_truth_setting(unit, p=1)
+
+
+def test_build_truth_setting_rejects_shared_glue_vertex():
+    """Every table unit has disjoint glue pairs, so its complex has 3p
+    distinct allowed pairs, each still the unit's (non)edge."""
+    for row in GD.table_rows():
+        for mode in ("delete", "complete"):
+            unit = GD.table_gadget(row, mode, "BasicUnit")
+            if unit is None:
+                continue
+            (a, b), (c, d) = unit.allowed
+            assert not {a, b} & {c, d}, (row, mode)
+            tc = GD.build_truth_setting(unit, p=2)
+            assert len(set(tc.allowed)) == 6, (row, mode)
+            for a, b in tc.allowed:
+                assert tc.graph.has_edge(a, b) == (mode == "delete"), (row, mode)
+    unit = GD.table_gadget("co-A1", "delete", "BasicUnit")
+    assert unit.allowed == ((0, 4), (1, 2))
+    bad = GD.Gadget(unit.graph, "BasicUnit", "delete", ((0, 4), (0, 2)), unit.h)
+    with pytest.raises(GD.GadgetError, match="share a vertex"):
+        GD.build_truth_setting(bad, p=2)
 
 
 def test_truth_setting_exhaustive_short_chains():
@@ -240,6 +253,7 @@ def test_enforcer_self_copy_fails_exact_layer():
     rep = GD.verify_enforcer(bad, n_host=2)
     assert not rep["layers"]["exact"]["host_free"]
     assert not rep["ok"]
+    assert rep["layers"]["exact"] == GD.enforcer_exact(bad)
 
 
 def test_broken_enforcer_caught_by_falsification():

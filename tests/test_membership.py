@@ -5,6 +5,7 @@ import itertools
 from hfree import enumeration as E
 from hfree import graphs as G
 from hfree import membership as M
+from iso_oracle import vertex_connectivity
 
 
 def test_set_membership_examples():
@@ -77,4 +78,4 @@ def test_x_witness_problem_asymmetry():
 def test_is_3_connected_matches_connectivity():
     for n in range(1, 7):
         for g in E.graphs_on(n):
-            assert M.is_3_connected(g) == (G.vertex_connectivity(g) >= 3)
+            assert M.is_3_connected(g) == (vertex_connectivity(g) >= 3)

@@ -1,5 +1,6 @@
 """Construction size laws, chain-table integrity, instance equivalences."""
 
+import hashlib
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from hfree import graphs as G
 from hfree import membership as M
 from hfree import reductions as R
 from hfree import solver as S
+from iso_oracle import vertex_connectivity
 
 
 def small_graphs(n_max):
@@ -296,7 +298,7 @@ def _subset_scan_degree2_path(h):
 def _subset_scan_cut_reduce(h):
     """Reference: ``cut_reduce`` with the blocks found as the maximal vertex
     sets (three or more) whose induced subgraph is 2-connected."""
-    if G.vertex_connectivity(h) != 1:
+    if vertex_connectivity(h) != 1:
         raise R.PreconditionError("leaf-block drop needs connectivity exactly 1")
 
     def connected(mask):  # the subgraph of h induced by mask
@@ -450,6 +452,24 @@ def test_tricky_a8c_rejects_allowed_c4():
         R.tricky_a8c(inst)
 
 
+def test_tricky_gadget_digest():
+    """Each per-host gadget keeps the source on its labels, and its output
+    up to isomorphism is pinned for every one-forbidden-edge instance on at
+    most five vertices (a dash where the precondition refuses)."""
+    digest = hashlib.sha256()
+    for inst in _restricted_deletion_instances(5, 1):
+        for fn in (R.tricky_a7c, R.tricky_a9c, R.tricky_a6c, R.tricky_a8c):
+            try:
+                out = fn(inst).g
+            except R.PreconditionError:
+                digest.update(b"-\n")
+                continue
+            assert G.induced_subgraph(out, range(inst.g.n)) == inst.g
+            digest.update(G.canonical_cert(out).hex().encode() + b"\n")
+    assert digest.hexdigest() == (
+        "5512395b3a141940d0612ca377dd85f37fb4ce14d27f7a48084c370aa32ee419")
+
+
 def _restricted_completion_instances(n_max, k):
     for gp in small_graphs(n_max):
         nonedges = [
@@ -506,6 +526,21 @@ def test_enforcer_attach_counts_and_equivalence():
             assert a == b, (G.to_graph6(gp), r)
             count += 1
     assert count > 10
+
+
+def test_enforcer_attach_refuses_what_the_exact_layer_refuses():
+    """``enforcer_attach`` and layer (a) of ``verify_enforcer`` ask the one
+    ``enforcer_exact`` check."""
+    host = GD.host_graph("co-A1")
+    edge = sorted(host.edges())[0]
+    inst = S.EditInstance(G.cycle_graph(4), 1, "delete", frozenset([(0, 1)]))
+    not_free = GD.Gadget(host, "Enforcer", "delete", (edge,), "co-A1")
+    no_copy = GD.Gadget(G.complete_graph(3), "Enforcer", "delete", ((0, 1),),
+                        "co-A1")
+    for enf, why in ((not_free, "not host-free"), (no_copy, "creates no copy")):
+        assert not GD.verify_enforcer(enf, n_host=2)["layers"]["exact"]["ok"]
+        with pytest.raises(GD.GadgetError, match=why):
+            R.enforcer_attach(inst, enf)
 
 
 def test_enforcer_attach_rejects_mode_mismatch():
@@ -574,6 +609,42 @@ def test_con_cai_degenerate_formula():
     inst, _ = R.con_cai(phi, 2, h, sc, bu, "delete")
     assert inst.g.n == 1
     assert S.solve(inst, h, max_n=40, max_k=inst.k).feasible
+
+
+# one 3-regular formula per shape: three copies of one clause, a cycle of
+# clauses over four variables, and the empty formula
+_CAI_FORMULAS = (
+    R.PropFormula(3, ((0, 1, 2),) * 3),
+    R.PropFormula(4, ((0, 1, 2), (1, 2, 3), (2, 3, 0), (3, 0, 1))),
+    R.PropFormula(0, ()),
+)
+
+
+def test_gadget_assembly_digests():
+    """The exact bytes of every truth-setting complex (p = 2, 3 and the
+    default) and every con_cai instance built from a gadget-table row,
+    so that a change to how gadgets are glued cannot move a label."""
+    ts, cai = hashlib.sha256(), hashlib.sha256()
+    for row in GD.table_rows():
+        for mode in ("delete", "complete"):
+            unit = GD.table_gadget(row, mode, "BasicUnit")
+            if unit is None:
+                continue
+            for p in (2, 3, None):
+                tc = GD.build_truth_setting(unit, p)
+                ts.update(f"{row}|{mode}|{p}|{G.to_graph6(tc.graph)}|{tc.mode}|"
+                          f"{tc.allowed}|{tc.variable_pairs}|{tc.h}\n".encode())
+            s_comp = GD.table_gadget(row, mode, "SComponent")
+            h = GD.host_graph(row)
+            for i, phi in enumerate(_CAI_FORMULAS):
+                inst, per_var = R.con_cai(phi, 1, h, s_comp, unit, mode)
+                cai.update(f"{row}|{mode}|{i}|{G.to_graph6(inst.g)}|{inst.k}|"
+                           f"{inst.mode}|{sorted(inst.forbidden)}|{per_var}\n"
+                           .encode())
+    assert ts.hexdigest() == (
+        "fda69228d21c7a2ce04e9eebd24f7ca8b5402e4e0bfd1f811374941ee798276a")
+    assert cai.hexdigest() == (
+        "367cb53be54851a95f210408de7cf0c65bd9ef9f0a0f25fb6c00c7caafd2aa56")
 
 
 @pytest.mark.parametrize(
