@@ -4,7 +4,9 @@ The data in ``tests/data/golden_classify.json`` pins every verdict and
 chain for the graphs on at most seven vertices, every catalogue chain,
 and the chain (or the exception and its message) of every family member
 F1..F10 with t = tmin..tmin+8 and of its complement, so that refactors
-of the decision layer cannot change an answer.
+of the decision layer cannot change an answer. A level's fingerprints
+are sorted and keyed by certificate, so they do not pin which labeled
+representative enumeration picks for each class.
 Regenerate it only when a verdict is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py > tests/data/golden_classify.json
@@ -31,10 +33,12 @@ FAMILY_SPAN = 8
 
 
 def fingerprint(g, problem: str) -> str:
-    """Verdict of g without labeling: a memo hit returns a chain labeled
-    after the first isomorphic graph seen, so steps are kept by cert."""
+    """Verdict of g without labeling: g and the chain's steps are keyed by
+    certificate, since a memo hit returns a chain labeled after the first
+    isomorphic graph seen and a level's representatives are one labeling
+    among many."""
     v = CL.classify(g, problem)
-    parts = [G.to_graph6(g), v.status, v.reason, str(v.member)]
+    parts = [G.canonical_cert(g).hex(), v.status, v.reason, str(v.member)]
     for s in v.chain:
         parts += [
             s.construction,
@@ -52,7 +56,7 @@ def classify_digests(n_max: int) -> dict[str, str]:
     for n in range(1, n_max + 1):
         level = E.graphs_on(n)
         for problem in CL.PROBLEMS:
-            text = "\n".join(fingerprint(g, problem) for g in level)
+            text = "\n".join(sorted(fingerprint(g, problem) for g in level))
             out[f"{n}:{problem}"] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
