@@ -5,12 +5,14 @@ canonical augmentation (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 1998). A child is a parent plus a new vertex x joined to a
 subset of the parent's vertices, and it is kept only if x lies in the
 child's canonical orbit: x maximises the key (degree, sum of neighbour
-degrees), and among the vertices with that key none has a smaller rooted
-certificate than x. Most children fail the key test and are rejected
-without any labeling. Two isomorphic kept children always come from the
-same parent, through masks in one orbit of the parent's automorphism
-group, so only the least mask of each orbit is tried; there is no dedup
-set and parent ranges are independent shards.
+degrees), and x is in the orbit of the first vertex of that key in the
+child's canonical labeling. Most children fail the key test and need no
+labeling, nor does a child where no other vertex has x's key. The key
+is invariant, and so is the orbit (see ``graphs._leaf_search``), so two
+isomorphic kept children always come from the same parent, through
+masks in one orbit of the parent's automorphism group, and only the
+least mask of each orbit is tried; there is no dedup set and parent
+ranges are independent shards.
 
 One loop, ``_shard_map``, runs every shard: the augmentation of a range
 of parents, and a campaign check over a slice of a level. It runs them in
@@ -42,7 +44,7 @@ _CACHE_MAX = 8
 # checkpoint layout: each shard file holds the graph6 of the kept children
 # of its parents, parent by parent, and nothing else is written per level;
 # bump when the layout or the generation order changes
-_CHECKPOINT_FORMAT = 3
+_CHECKPOINT_FORMAT = 4
 
 _levels: dict[int, list[SmallGraph]] = {}
 
@@ -72,16 +74,20 @@ def _augment(parent: SmallGraph) -> list[SmallGraph]:
     """The children of ``parent`` that canonical augmentation keeps."""
     n, prow = parent.n, parent.rows
     deg = [r.bit_count() for r in prow]
-    nsum = [sum(deg[u] for u in range(n) if r >> u & 1) for r in prow]
+    dsum = [0]  # dsum[m]: the degree sum of the vertex set m
+    for d in deg:
+        dsum += [t + d for t in dsum]
+    nsum = [dsum[r] for r in prow]
     top = max(deg)
-    gens = G.automorphism_generators(prow)
+    gens = G.canonical_labeling(prow)[1]
+    x = 1 << n
     out: list[SmallGraph] = []
-    for mask in range(1 << n):
+    for mask in range(x):
         s = mask.bit_count()
         if s < top:
             continue  # a vertex of top degree would outrank x
-        xsum = s + sum(deg[u] for u in range(n) if mask >> u & 1)
-        ties = []  # parent vertices whose key equals x's
+        xsum = s + dsum[mask]
+        ties = x  # x and the parent vertices whose key equals x's
         for v in range(n):  # a break means some vertex outranks x
             inx = mask >> v & 1
             d = deg[v] + inx
@@ -93,15 +99,17 @@ def _augment(parent: SmallGraph) -> list[SmallGraph]:
             if t > xsum:
                 break
             if t == xsum:
-                ties.append(v)
+                ties |= 1 << v
         else:
             if gens and not _least_in_orbit(mask, gens):
                 continue  # the least mask of the orbit gave this child
             rows = [r | (mask >> v & 1) << n for v, r in enumerate(prow)]
             rows.append(mask)
-            cert = G.rooted_cert(rows, n)
-            if any(G.rooted_cert(rows, v) < cert for v in ties):
-                continue
+            if ties != x:
+                order, cgens = G.canonical_labeling(rows)
+                first = next(v for v in order if ties >> v & 1)
+                if not G._closure(1 << first, cgens) & x:
+                    continue  # x is not in the canonical orbit
             out.append(SmallGraph(n + 1, rows))
     return out
 

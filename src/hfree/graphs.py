@@ -445,18 +445,14 @@ def _closure(mask: int, gens: list[list[int]]) -> int:
     return mask
 
 
-def _leaf_search(
-    rows: Sequence[int], root: int | None = None
-) -> tuple[bytes, list[list[int]]]:
-    """Smallest packed leaf of the individualization-refinement tree, and
-    generators of the automorphism group (of the graph with ``root`` fixed).
+def _leaf_search(rows: Sequence[int]) -> tuple[bytes, list[int], list[list[int]]]:
+    """Smallest packed leaf of the individualization-refinement tree, that
+    leaf's vertex order, and generators of the automorphism group.
 
-    The search starts from the degree cells, with ``root`` (if given) alone
-    in a first cell; a rooted leaf also records the root's position.
-    Individualizing v puts {v} first and takes v out of its cell, and the
-    first non-singleton cell is the one branched on. Cells, their order and
-    so the leaves are those of the sorted-colour refinement this search
-    used before (see ``_refine``).
+    The search starts from the degree cells. Individualizing v puts {v}
+    first and takes v out of its cell, and the first non-singleton cell is
+    the one branched on. Cells, their order and so the leaves are those of
+    the sorted-colour refinement this search used before (see ``_refine``).
 
     The certificate is the least leaf of the full tree; the search skips
     only subtrees whose leaves pack exactly like explored ones, so the
@@ -473,20 +469,23 @@ def _leaf_search(
     The found automorphisms, with the twin-cell swaps on the first path,
     generate the whole group: each first-path node gets one for every
     explored sibling in the orbit of the first-path child.
+
+    Every order that packs to the least bytes maps the graph onto one
+    canonical graph, so the orders returned for isomorphic graphs differ
+    by an isomorphism and an automorphism. The orbit of the first vertex,
+    in this order, of an isomorphism-invariant vertex set is therefore the
+    same for isomorphic graphs: canonical augmentation keeps x in it.
     """
     n = len(rows)
     by_deg: dict[int, int] = {}
     for v, r in enumerate(rows):
-        if v != root:
-            d = r.bit_count()
-            by_deg[d] = by_deg.get(d, 0) | 1 << v
+        d = r.bit_count()
+        by_deg[d] = by_deg.get(d, 0) | 1 << v
     cells = [by_deg[d] for d in sorted(by_deg)]
-    if root is not None:
-        cells.insert(0, 1 << root)
     gens: list[list[int]] = []
     path: list[int] = []  # the individualized vertices of the current node
     first: tuple[bytes, list[int], list[int]] | None = None  # cert, order, path
-    best = b""
+    best: tuple[bytes, list[int]] = (b"", [])  # the least leaf, its order
 
     def visit(cells: list[int], active: list[int]) -> int:
         """Explore one node. Returns the depth to resume at: the node's own
@@ -500,15 +499,12 @@ def _leaf_search(
         else:
             perm = [c.bit_length() - 1 for c in cells]
             cert = _pack(n, rows, perm)
-            if root is not None:
-                # individualized vertices can precede the root: record it
-                cert += perm.index(root).to_bytes(2, "big")
             if first is None:
                 first = (cert, perm, path[:])
-                best = cert
+                best = (cert, perm)
                 return depth
-            if cert < best:
-                best = cert
+            if cert < best[0]:
+                best = (cert, perm)
             fcert, fperm, fpath = first
             if cert != fcert or depth != len(fpath):
                 return depth
@@ -549,7 +545,7 @@ def _leaf_search(
         return depth
 
     visit(cells, list(cells))
-    return best, gens
+    return *best, gens
 
 
 def canonical_cert(g: SmallGraph) -> bytes:
@@ -557,20 +553,13 @@ def canonical_cert(g: SmallGraph) -> bytes:
     return _leaf_search(g.rows)[0]
 
 
-def rooted_cert(rows: Sequence[int], v: int) -> bytes:
-    """Certificate of the graph with adjacency ``rows`` and vertex v marked:
-    equal for (g, v) and (g', v') iff some isomorphism g -> g' maps v to v'.
-
-    Internal to the package (canonical augmentation in ``enumeration``); it
-    takes bare rows so that candidates need no ``SmallGraph``.
-    """
-    return _leaf_search(rows, v)[0]
-
-
-def automorphism_generators(rows: Sequence[int]) -> list[list[int]]:
-    """Permutations (g[v] is the image of v) that generate the automorphism
-    group of the graph with adjacency ``rows``; empty when it is trivial."""
-    return _leaf_search(rows)[1]
+def canonical_labeling(rows: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The canonical vertex order of the graph with adjacency ``rows``
+    (packing the rows in this order gives ``canonical_cert``), and
+    permutations (g[v] is the image of v) that generate its automorphism
+    group; empty when the group is trivial. It takes bare rows so that
+    the candidates of canonical augmentation need no ``SmallGraph``."""
+    return _leaf_search(rows)[1:]
 
 
 def are_isomorphic(g1: SmallGraph, g2: SmallGraph) -> bool:

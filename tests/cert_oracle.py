@@ -2,9 +2,9 @@
 test oracle: colour refinement by sorted neighbour colours, every leaf of
 the search tree visited except the siblings inside a twin cell.
 
-The functions below are copied unchanged; ``graphs.canonical_cert`` and
-``graphs.rooted_cert`` must return exactly the bytes ``_leaf_search``
-returns here.
+The functions below are copied unchanged, except that ``_leaf_search``
+lost its root option, which nothing uses any more; ``graphs.canonical_cert``
+must return exactly the bytes ``_leaf_search`` returns here.
 """
 
 from __future__ import annotations
@@ -82,22 +82,18 @@ def _pack(n: int, rows: Sequence[int], perm: Sequence[int]) -> bytes:
     return bytes([n]) + (acc << (nbytes * 8 - k)).to_bytes(nbytes, "big")
 
 
-def _leaf_search(rows: Sequence[int], root: int | None = None) -> bytes:
+def _leaf_search(rows: Sequence[int]) -> bytes:
     """Smallest packed leaf of the individualization-refinement tree.
 
-    The search starts from the degree colouring, with ``root`` (if given)
-    alone in a first cell below every degree; a rooted leaf also records
-    the root's position. Every leaf is explored except the interchangeable
-    siblings inside a twin cell, so the result depends only on the
-    isomorphism class of the (rooted) graph.
+    The search starts from the degree colouring. Every leaf is explored
+    except the interchangeable siblings inside a twin cell, so the result
+    depends only on the isomorphism class of the graph.
     """
     n = len(rows)
     adj = [tuple(_bits(r)) for r in rows]
     degs = [len(a) for a in adj]
     order = {d: i + 1 for i, d in enumerate(sorted(set(degs)))}
     start = [order[d] for d in degs]
-    if root is not None:
-        start[root] = 0
     best: bytes | None = None
     stack = [_refine(n, adj, start)]
     while stack:
@@ -111,9 +107,6 @@ def _leaf_search(rows: Sequence[int], root: int | None = None) -> bytes:
         if target is None:
             perm = [c[0] for c in cells]
             cert = _pack(n, rows, perm)
-            if root is not None:
-                # individualized vertices can precede the root: record it
-                cert += perm.index(root).to_bytes(2, "big")
             if best is None or cert < best:
                 best = cert
             continue
@@ -128,7 +121,3 @@ def _leaf_search(rows: Sequence[int], root: int | None = None) -> bytes:
 
 def canonical_cert(rows: Sequence[int]) -> bytes:
     return _leaf_search(rows)
-
-
-def rooted_cert(rows: Sequence[int], v: int) -> bytes:
-    return _leaf_search(rows, v)

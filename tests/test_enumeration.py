@@ -68,6 +68,33 @@ def test_counts_match_polya_per_edge_count():
         assert [hist[m] for m in range(n * (n - 1) // 2 + 1)] == _polya_counts(n)
 
 
+def test_augment_labels_only_children_with_ties(monkeypatch):
+    """_augment labels each parent once, and a child once exactly when x
+    has the maximal key (degree, neighbour-degree sum) and some other
+    vertex shares it; the other children need no search."""
+    labeling, calls = G.canonical_labeling, []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return labeling(rows)
+
+    monkeypatch.setattr(G, "canonical_labeling", counted)
+    for parent in E.graphs_on(6):
+        calls.clear()
+        E._augment(parent)
+        gens = labeling(parent.rows)[1]
+        tied = 0
+        for mask in range(1 << 6):
+            if gens and not E._least_in_orbit(mask, gens):
+                continue
+            rows = [r | (mask >> v & 1) << 6 for v, r in enumerate(parent.rows)]
+            child = G.SmallGraph(7, rows + [mask])
+            deg = child.degrees()
+            key = [(deg[v], sum(deg[u] for u in child.neighbors(v))) for v in range(7)]
+            tied += key[6] == max(key) and key.count(key[6]) > 1
+        assert calls == [6] + [7] * tied, G.to_graph6(parent)
+
+
 def test_graphs_pickle_through_the_constructor():
     """Worker tasks and results are pickled graphs; this runs before the
     pool tests because a graph that fails to unpickle in the parent stalls
@@ -263,19 +290,22 @@ def test_killed_run_keeps_finished_shards(tmp_path, monkeypatch):
 
 
 def test_format_2_checkpoint_refused(tmp_path, capsys):
-    cp = tmp_path / "old"
-    cp.mkdir()
-    old = {"format": 2, "shard_parents": E._SHARD_PARENTS,
-           "version": __version__}
-    (cp / "manifest.json").write_text(json.dumps(old, sort_keys=True) + "\n")
-    (cp / "level-05.g6").write_text(
-        "".join(G.to_graph6(g) + "\n" for g in E.graphs_on(5)))
-    with pytest.raises(ValueError, match="manifest"):
-        E.graphs_on(5, checkpoint_path=str(cp))
-    code = cli.main(["verify", "--campaign", "case_lemmas", "--n-max", "5",
-                     "--resume", str(cp)])
-    assert code == 2
-    assert "manifest" in capsys.readouterr().err
+    """Format 2 (whole-level files) and format 3 (shard files in the
+    generation order before one labeling per child) are both refused."""
+    lines = "".join(G.to_graph6(g) + "\n" for g in E.graphs_on(5))
+    for fmt, name in ((2, "level-05.g6"), (3, "level-05.shard-0000.txt")):
+        cp = tmp_path / f"format-{fmt}"
+        cp.mkdir()
+        old = {"format": fmt, "shard_parents": E._SHARD_PARENTS,
+               "version": __version__}
+        (cp / "manifest.json").write_text(json.dumps(old, sort_keys=True) + "\n")
+        (cp / name).write_text(lines)
+        with pytest.raises(ValueError, match="manifest"):
+            E.graphs_on(5, checkpoint_path=str(cp))
+        code = cli.main(["verify", "--campaign", "case_lemmas", "--n-max", "5",
+                         "--resume", str(cp)])
+        assert code == 2
+        assert "manifest" in capsys.readouterr().err
 
 
 def test_resume_path_that_is_a_file_is_a_usage_error(tmp_path, capsys):

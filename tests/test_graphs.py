@@ -110,9 +110,10 @@ def test_canonical_agrees_with_brute_force_n_le_6():
 
 
 def test_canonical_cert_bytes_match_golden_list():
-    """The graph6 and certificate of every class on n <= 6, as computed
-    before the leaf search was shared with rooted_cert; the current
-    enumeration must produce exactly these certificates."""
+    """The graph6 and certificate of every class on n <= 6, as computed by
+    the engine before the cell-mask rewrite: canonical_cert keeps these
+    bytes, and the current enumeration gives exactly these certificates,
+    whichever labeled representative it picks for each class."""
     path = os.path.join(os.path.dirname(__file__), "data", "canonical_certs_n6.txt")
     golden: dict[int, set[str]] = {}
     with open(path) as f:
@@ -133,32 +134,32 @@ def _random_graph(rng: random.Random, n: int) -> G.SmallGraph:
     )
 
 
-def test_rooted_cert_relabel_invariant():
+def _chosen_orbit(g: G.SmallGraph) -> int:
+    """The orbit canonical augmentation keeps a new vertex in: that of the
+    first vertex of maximal key (degree, sum of neighbour degrees) in the
+    canonical order."""
+    deg = g.degrees()
+    key = [(deg[v], sum(deg[u] for u in g.neighbors(v))) for v in range(g.n)]
+    top = max(key)
+    order, gens = G.canonical_labeling(g.rows)
+    first = next(v for v in order if key[v] == top)
+    return G._closure(1 << first, gens)
+
+
+def test_chosen_orbit_relabel_invariant():
+    """For every graph with n <= 6 and seeded relabelings sigma, the chosen
+    orbit of sigma(g) is sigma of the chosen orbit of g, so the rule keeps
+    the same children whatever the labels."""
     rng = random.Random(20)
-    for _ in range(150):
-        n = rng.randint(1, 10)
-        g = _random_graph(rng, n)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        h = G.relabel(g, perm)  # vertex perm[i] of g is vertex i of h
-        for i in range(n):
-            assert G.rooted_cert(h.rows, i) == G.rooted_cert(g.rows, perm[i])
-
-
-def test_rooted_cert_separates_orbits_n_le_6():
-    """Two roots share a certificate exactly when an automorphism maps one
-    to the other, checked by a search over all vertex permutations."""
-    rng = random.Random(21)
-    for _ in range(40):
-        n = rng.randint(2, 6)
-        g = _random_graph(rng, n)
-        autos = [
-            p for p in itertools.permutations(range(n)) if G.relabel(g, p) == g
-        ]
-        certs = [G.rooted_cert(g.rows, v) for v in range(n)]
-        for v, w in itertools.combinations(range(n), 2):
-            same_orbit = any(p[v] == w for p in autos)
-            assert (certs[v] == certs[w]) == same_orbit, (G.to_graph6(g), v, w)
+    for n in range(1, 7):
+        for g in E.graphs_on(n):
+            orbit = _chosen_orbit(g)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = G.relabel(g, perm)  # vertex perm[i] of g is vertex i of h
+                want = G._mask(i for i in range(n) if orbit >> perm[i] & 1)
+                assert _chosen_orbit(h) == want, (G.to_graph6(g), perm)
 
 
 def _rook(k: int) -> G.SmallGraph:
@@ -170,28 +171,30 @@ def _rook(k: int) -> G.SmallGraph:
 
 
 def test_certs_match_old_engine():
-    """canonical_cert and rooted_cert return the bytes of the engine they
-    replaced (tests/cert_oracle.py): every graph with n <= 7 at every root,
-    3 000 seeded graphs with n <= 14, the catalogue and K4 box K4."""
+    """canonical_cert returns the bytes of the engine it replaced
+    (tests/cert_oracle.py), and packing the rows in canonical_labeling's
+    order gives those bytes: every graph with n <= 7, 3 000 seeded graphs
+    with n <= 14, the catalogue and K4 box K4."""
     from hfree import catalogue as C
 
-    def same(g, roots):
-        assert G.canonical_cert(g) == cert_oracle.canonical_cert(g.rows), G.to_graph6(g)
-        for v in roots:
-            assert G.rooted_cert(g.rows, v) == cert_oracle.rooted_cert(g.rows, v), (
-                G.to_graph6(g), v)
+    def same(g):
+        cert = G.canonical_cert(g)
+        assert cert == cert_oracle.canonical_cert(g.rows), G.to_graph6(g)
+        order = G.canonical_labeling(g.rows)[0]
+        assert sorted(order) == list(range(g.n))
+        assert G._pack(g.n, g.rows, order) == cert, G.to_graph6(g)
 
     for n in range(1, 8):
         for g in E.graphs_on(n):
-            same(g, range(n))
+            same(g)
     rng = random.Random(1998)
     for _ in range(3000):
         g = _random_graph(rng, rng.randint(1, 14))
-        same(g, [rng.randrange(g.n)])
+        rng.randrange(g.n)  # the draw that picked a root keeps the seeded sample
+        same(g)
     for name in C.all_ids():
-        g = C.lookup(name).graph
-        same(g, range(g.n))
-    same(_rook(4), [0])
+        same(C.lookup(name).graph)
+    same(_rook(4))
 
 
 def test_automorphism_generators_generate_the_group():
@@ -206,7 +209,7 @@ def test_automorphism_generators_generate_the_group():
                 if all(g.rows[p[v]] == G._mask(p[u] for u in G._bits(g.rows[v]))
                        for v in range(n))
             }
-            gens = G.automorphism_generators(g.rows)
+            gens = G.canonical_labeling(g.rows)[1]
             group = {tuple(range(n))}
             todo = list(group)
             while todo:
