@@ -1,6 +1,8 @@
 """Gadget table verification and mutation controls."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -273,3 +275,33 @@ def test_broken_enforcer_caught_by_falsification():
             if rep["layers"]["exact"]["ok"] and not rep["layers"]["falsification"]["ok"]:
                 caught += 1
     assert caught > 0
+
+
+def _broken_co_a1_candidates():
+    """The "edge deleted, complete mode" candidates of
+    ``test_broken_enforcer_caught_by_falsification``."""
+    host = GD.host_graph("co-A1")
+    return [
+        GD.Gadget(G.delete_edge(host, u, v), "Enforcer", "complete",
+                  ((u, v),), "co-A1")
+        for u, v in host.edges()
+    ]
+
+
+def test_enforcer_report_digest():
+    """Pins every enforcer report byte for byte, violations (host, pair,
+    copy) included: each table enforcer at n_host = 6 and each broken
+    co-A1 candidate at n_host = 3..6."""
+    reports = []
+    for row in GD.table_rows():
+        for mode in ("delete", "complete"):
+            enf = GD.table_gadget(row, mode, "Enforcer")
+            if enf is not None:
+                reports.append(GD.verify_enforcer(enf, n_host=6))
+    for n_host in (3, 4, 5, 6):
+        for cand in _broken_co_a1_candidates():
+            reports.append(GD.verify_enforcer(cand, n_host=n_host))
+    assert len(reports) == 46
+    assert sum(not r["layers"]["falsification"]["ok"] for r in reports) == 15
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "463d61c35c5bab15c090a7f25cffcd0482c0b8e4ff3c499c7d2074b6d9dcdb69"
