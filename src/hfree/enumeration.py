@@ -25,7 +25,6 @@ a manifest, and a resumed run computes only the missing shards.
 from __future__ import annotations
 
 import json
-import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass
@@ -142,18 +141,23 @@ def _shard_map(
 ) -> Iterator[tuple[int, object]]:
     """Yield ``(i, fn(task))`` for each ``(i, task)`` in ``tasks`` as it
     finishes: in this process when ``workers`` is 1 or there is one task,
-    otherwise on a pool of ``workers`` processes, one per task at most."""
+    otherwise on a pool of ``workers`` processes, one per task at most. A
+    worker that dies, or a result that cannot be unpickled here, raises
+    ``BrokenProcessPool``; tasks not yet started are cancelled."""
     if workers <= 1 or len(tasks) <= 1:
         for i, task in tasks:
             yield i, fn(task)
         return
-    with mp.Pool(min(workers, len(tasks))) as pool:
-        yield from pool.imap_unordered(_run_task, [(fn, i, t) for i, t in tasks])
+    # imported here: a serial run need not load the process machinery
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-
-def _run_task(job: tuple[Callable, int, object]) -> tuple[int, object]:
-    fn, i, task = job
-    return i, fn(task)
+    pool = ProcessPoolExecutor(min(workers, len(tasks)))
+    try:
+        index = {pool.submit(fn, task): i for i, task in tasks}
+        for done in as_completed(index):
+            yield index[done], done.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _extend(

@@ -336,7 +336,10 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
     (b) structural: the sufficient separator condition behind the gadget's
         correctness argument, checked exactly on the host graph;
     (c) falsification: attach to every host graph with at most n_host
-        vertices at every (non)edge and look for a crossing induced copy.
+        vertices at every (non)edge and look for a crossing induced copy,
+        attaching once per Aut(host)-orbit of ordered pairs; the first
+        violation found, if any, is the one an attachment at every pair
+        finds first (see ``_first_crossing_copy``).
 
     The result is evidence, not proof: (b) and (c) bound, but do not
     decide, the universally quantified attachment condition.
@@ -378,37 +381,8 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
     report["layers"]["structural"] = {"condition": cond, "ok": ok_b}
 
     # layer (c): bounded falsification over all small hosts
-    from . import enumeration
-
-    violations = []
-    for n in range(2, n_host + 1):
-        for host in enumeration.graphs_on(n):
-            pairs = (
-                list(host.edges())
-                if enf.mode == "delete"
-                else [
-                    (u, v)
-                    for u in range(host.n)
-                    for v in range(u + 1, host.n)
-                    if not host.has_edge(u, v)
-                ]
-            )
-            for pair in pairs:
-                joined = attach_enforcer(host, pair, enf, 1)
-                for hit in G.find_induced(joined, h):
-                    if any(v >= host.n for v in hit):
-                        violations.append(
-                            {"host": G.to_graph6(host), "pair": pair,
-                             "copy": sorted(hit)}
-                        )
-                        break
-                else:
-                    continue
-                break
-            if violations:
-                break
-        if violations:
-            break
+    violation = _first_crossing_copy(enf, h, n_host)
+    violations = [] if violation is None else [violation]
     report["layers"]["falsification"] = {
         "n_host": n_host,
         "violations": violations,
@@ -416,6 +390,37 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
     }
     report["ok"] = all(layer["ok"] for layer in report["layers"].values())
     return report
+
+
+def _first_crossing_copy(enf: Gadget, h: SmallGraph, n_host: int) -> Optional[dict]:
+    """The first violation of layer (c): hosts by size, in enumeration
+    order, then their (non)edges (u, v), u < v, in row order. The enforcer
+    is attached once per Aut(host)-orbit of these ordered pairs, at the
+    orbit's first pair: an automorphism mapping (u, v) onto (u', v') maps
+    one joined graph onto the other and fixes the enforcer's own vertices,
+    so both have a crossing copy or neither has. The first violating pair
+    is therefore the first of its orbit, and the search that reports it is
+    the one an attachment at every pair would make."""
+    from . import enumeration
+
+    want_edge = enf.mode == "delete"
+    for n in range(2, n_host + 1):
+        for host in enumeration.graphs_on(n):
+            # Aut(host) acting on ordered pairs, point u * n + v
+            gens = [[g[u] * n + g[v] for u in range(n) for v in range(n)]
+                    for g in G.canonical_labeling(host.rows)[1]]
+            done = 0
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if host.has_edge(u, v) != want_edge or done >> (u * n + v) & 1:
+                        continue
+                    done |= G._closure(1 << (u * n + v), gens)
+                    joined = attach_enforcer(host, (u, v), enf, 1)
+                    for hit in G.find_induced(joined, h):
+                        if any(w >= n for w in hit):
+                            return {"host": G.to_graph6(host), "pair": (u, v),
+                                    "copy": sorted(hit)}
+    return None
 
 
 def _special_structural(h: SmallGraph, enf: Gadget) -> tuple[str, bool]:

@@ -8,6 +8,7 @@ immutable and safe to share between worker processes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -433,7 +434,8 @@ def _pack(n: int, rows: Sequence[int], perm: Sequence[int]) -> bytes:
 
 
 def _closure(mask: int, gens: list[list[int]]) -> int:
-    """The union of the orbits of the vertices in ``mask`` under ``gens``."""
+    """The union of the orbits of the points in ``mask`` under ``gens``,
+    permutations of the points: vertices, or ordered vertex pairs."""
     frontier = mask
     while frontier:
         new = 0
@@ -571,6 +573,21 @@ def are_isomorphic(g1: SmallGraph, g2: SmallGraph) -> bool:
 # -- induced subgraph search ------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _search_plan(h: SmallGraph) -> tuple[tuple[int, ...], tuple, tuple]:
+    """The part of ``_induced_search`` that depends on h alone. h's vertices
+    are mapped by descending degree; for the i-th one, its degree and the
+    earlier positions it is adjacent and non-adjacent to."""
+    hn = h.n
+    horder = sorted(range(hn), key=lambda v: -h.degree(v))
+    hdeg = tuple(h.degree(v) for v in horder)
+    hadj = tuple(tuple(j for j in range(i) if h.has_edge(horder[i], horder[j]))
+                 for i in range(hn))
+    hnon = tuple(tuple(j for j in range(i) if not h.has_edge(horder[i], horder[j]))
+                 for i in range(hn))
+    return hdeg, hadj, hnon
+
+
 def _induced_search(
     g: SmallGraph, h: SmallGraph, first_only: bool, free: Sequence[int] | None = None
 ):
@@ -602,10 +619,9 @@ def _induced_search(
         atleast[d] |= 1 << w
     for d in range(len(atleast) - 2, -1, -1):
         atleast[d] |= atleast[d + 1]
-    horder = sorted(range(hn), key=lambda v: -h.degree(v))
-    fit = [atleast[min(h.degree(v), len(atleast) - 1)] for v in horder]
-    hadj = [[j for j in range(i) if h.has_edge(horder[i], horder[j])] for i in range(hn)]
-    hnon = [[j for j in range(i) if not h.has_edge(horder[i], horder[j])] for i in range(hn)]
+    hdeg, hadj, hnon = _search_plan(h)
+    top = len(atleast) - 1
+    fit = [atleast[min(d, top)] for d in hdeg]
     found = []
     seen_sets = set()
     assign = [0] * hn

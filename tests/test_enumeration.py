@@ -3,7 +3,10 @@
 import json
 import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
+from concurrent.futures import Future
 from math import factorial, gcd
 
 import pytest
@@ -406,17 +409,44 @@ def test_worker_count_is_checked_and_capped(monkeypatch, capsys):
         def __init__(self, size):
             Pool.sizes.append(size)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, task):
+            done = Future()
+            done.set_result(fn(task))
+            return done
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, cancel_futures=False):
+            pass
 
-        def imap_unordered(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(E.mp, "Pool", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     tasks = [(i, i) for i in range(3)]
     assert sorted(E._shard_map(abs, tasks, 64)) == tasks
     assert sorted(E._shard_map(abs, tasks, 2)) == tasks
     assert Pool.sizes == [3, 2]
+
+
+def test_shard_map_raises_on_unloadable_result(tmp_path):
+    """A worker result that cannot be unpickled in the parent raises
+    BrokenProcessPool instead of stalling the pool (run in a child
+    process under a timeout, so a hang fails the test)."""
+    (tmp_path / "unloadable.py").write_text(
+        "def _refuse():\n"
+        "    raise RuntimeError('refused to load')\n"
+        "\n"
+        "class Unloadable:\n"
+        "    def __reduce__(self):\n"
+        "        return (_refuse, ())\n"
+        "\n"
+        "def make(task):\n"
+        "    return Unloadable()\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "from hfree import enumeration as E\n"
+        "import unloadable\n"
+        "list(E._shard_map(unloadable.make, [(0, 0), (1, 1)], 2))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr, proc.stderr

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from hfree import enumeration as E
 from hfree import gadgets as GD
 from hfree import graphs as G
+from iso_oracle import automorphisms, unpruned_falsification
 
 
 def test_table_shape():
@@ -258,34 +260,25 @@ def test_enforcer_self_copy_fails_exact_layer():
     assert rep["layers"]["exact"] == GD.enforcer_exact(bad)
 
 
-def test_broken_enforcer_caught_by_falsification():
-    """Some wrong distinguished pair passes the exact layer but leaks
-    crossing copies on small hosts."""
-    host = GD.host_graph("co-A1")
-    caught = 0
-    for u in range(host.n):
-        for v in range(u + 1, host.n):
-            if not host.has_edge(u, v):
-                continue
-            cand = GD.Gadget(
-                G.delete_edge(host, u, v), "Enforcer", "complete",
-                ((u, v),), "co-A1",
-            )
-            rep = GD.verify_enforcer(cand, n_host=5)
-            if rep["layers"]["exact"]["ok"] and not rep["layers"]["falsification"]["ok"]:
-                caught += 1
-    assert caught > 0
-
-
 def _broken_co_a1_candidates():
-    """The "edge deleted, complete mode" candidates of
-    ``test_broken_enforcer_caught_by_falsification``."""
+    """co-A1 with one edge deleted, that pair distinguished, complete mode."""
     host = GD.host_graph("co-A1")
     return [
         GD.Gadget(G.delete_edge(host, u, v), "Enforcer", "complete",
                   ((u, v),), "co-A1")
         for u, v in host.edges()
     ]
+
+
+def test_broken_enforcer_caught_by_falsification():
+    """Some wrong distinguished pair passes the exact layer but leaks
+    crossing copies on small hosts."""
+    caught = 0
+    for cand in _broken_co_a1_candidates():
+        rep = GD.verify_enforcer(cand, n_host=5)
+        if rep["layers"]["exact"]["ok"] and not rep["layers"]["falsification"]["ok"]:
+            caught += 1
+    assert caught > 0
 
 
 def test_enforcer_report_digest():
@@ -305,3 +298,60 @@ def test_enforcer_report_digest():
     assert sum(not r["layers"]["falsification"]["ok"] for r in reports) == 15
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == "463d61c35c5bab15c090a7f25cffcd0482c0b8e4ff3c499c7d2074b6d9dcdb69"
+
+
+def test_crossing_copy_constant_on_ordered_pair_orbits():
+    """The premise of attaching once per orbit, checked by attaching at
+    every pair: on hosts with n <= 5, whether a crossing copy exists is
+    the same for (u, v) and (s(u), s(v)) for every automorphism s with
+    s(u) < s(v). Layer (c) then reports what the unpruned scan reports
+    first."""
+    table = [GD.table_gadget(row, mode, "Enforcer")
+             for row in GD.table_rows() for mode in ("delete", "complete")]
+    autos = {}
+    for enf in [e for e in table if e is not None] + _broken_co_a1_candidates():
+        scan = unpruned_falsification(enf, 5)
+        crossing = {(host, pair): copy is not None for host, pair, copy in scan}
+        for host, (u, v), copy in scan:
+            for s in autos.setdefault(host, automorphisms(host)):
+                if s[u] < s[v]:
+                    assert crossing[host, (s[u], s[v])] == (copy is not None), (
+                        enf.h, enf.allowed, G.to_graph6(host), (u, v), s)
+        first = next(
+            ([{"host": G.to_graph6(host), "pair": pair, "copy": copy}]
+             for host, pair, copy in scan if copy is not None), [])
+        rep = GD.verify_enforcer(enf, n_host=5)
+        assert rep["layers"]["falsification"]["violations"] == first, enf
+
+
+def test_falsification_attaches_at_first_pair_of_each_orbit(monkeypatch):
+    """On every host with n <= 6, layer (c) attaches exactly at the
+    (non)edges (u, v), u < v, that come first in row order among their
+    orbit under Aut(host) acting on ordered pairs: 1 511 of the 2 760
+    pairs. A pair and its reverse are not merged, though merging them
+    changes no report of the table or of the broken candidates, so this
+    is the test that sees it."""
+    attached = []
+    attach = GD.attach_enforcer
+
+    def spy(host, pair, enf, copies):
+        attached.append((host, pair))
+        return attach(host, pair, enf, copies)
+
+    monkeypatch.setattr(GD, "attach_enforcer", spy)
+    for mode in ("delete", "complete"):
+        assert GD.verify_enforcer(GD.table_gadget("co-A1", mode, "Enforcer"))["ok"]
+    want = []
+    pairs = 0
+    for mode in ("delete", "complete"):
+        for n in range(2, 7):
+            for host in E.graphs_on(n):
+                autos = automorphisms(host)
+                for u, v in itertools.combinations(range(n), 2):
+                    if host.has_edge(u, v) != (mode == "delete"):
+                        continue
+                    pairs += 1
+                    if min((s[u], s[v]) for s in autos if s[u] < s[v]) == (u, v):
+                        want.append((host, (u, v)))
+    assert attached == want
+    assert (len(want), pairs) == (1511, 2760)

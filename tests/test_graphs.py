@@ -376,6 +376,54 @@ def test_induced_search_matches_brute_force():
         assert set(relaxed) == _reference_induced(g, h, free_pairs), (g6, h6, free_pairs)
 
 
+def test_induced_search_plan_is_keyed_by_h():
+    """The search plan of h is cached: searching h, then an equal but
+    distinct SmallGraph of h, then a relabeled h, with relaxed and plain
+    searches interleaved on one g, gives each the copies, in the order,
+    that it gets with an empty cache, and brute force's copy sets. Where
+    some relabeling of h changes the order of the copies, the first such
+    one is used, so a plan shared between isomorphic graphs fails too."""
+    path = os.path.join(os.path.dirname(__file__), "data", "first_induced_n10.txt")
+    rng = random.Random(2014)
+    with open(path) as f:
+        cases = [line.split()[:2] for line in f]
+    cases = cases[:60] + cases[270:]  # lines 282, 284 and 290 are order-sensitive
+
+    def cold(g, x, free=None):
+        G._search_plan.cache_clear()
+        return G.find_induced(g, x, free=free)
+
+    order_sensitive = 0
+    for g6, h6 in cases:
+        g, h = G.from_graph6(g6), G.from_graph6(h6)
+        twin = G.SmallGraph(h.n, list(h.rows))
+        base = cold(g, h)
+        moved = next((m for m in (G.relabel(h, p) for p in itertools.permutations(range(h.n)))
+                      if cold(g, m) != base), None)
+        if moved is None:
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            moved = G.relabel(h, perm)
+        else:
+            order_sensitive += 1
+        free_pairs = [e for e in itertools.combinations(range(g.n), 2)
+                      if rng.random() < 0.2]
+        free = [0] * g.n
+        for a, b in free_pairs:
+            free[a] |= 1 << b
+            free[b] |= 1 << a
+        want = {x: (cold(g, x), cold(g, x, free)) for x in (h, moved)}
+        assert twin is not h and twin == h
+        plain, relaxed = _reference_induced(g, h), _reference_induced(g, h, free_pairs)
+        for x in (h, twin, moved, twin, moved, h):
+            want_plain, want_relaxed = want[x]
+            assert G.find_induced(g, x, free=free) == want_relaxed, (g6, h6, x)
+            assert G.find_induced(g, x) == want_plain, (g6, h6, x)
+            assert G.first_induced(g, x) == (want_plain[0] if want_plain else None)
+            assert set(want_plain) == plain and set(want_relaxed) == relaxed
+    assert order_sensitive >= 3
+
+
 def test_partition_ab_complement_three_connected():
     """Graphs split into near-empty halves with uniform degrees and
     cross non-neighbors have 3-connected complements (12-vertex sample)."""
