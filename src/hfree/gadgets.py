@@ -336,10 +336,9 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
     (b) structural: the sufficient separator condition behind the gadget's
         correctness argument, checked exactly on the host graph;
     (c) falsification: attach to every host graph with at most n_host
-        vertices at every (non)edge and look for a crossing induced copy,
-        attaching once per Aut(host)-orbit of ordered pairs; the first
-        violation found, if any, is the one an attachment at every pair
-        finds first (see ``_first_crossing_copy``).
+        vertices at every (non)edge and look for a crossing induced copy;
+        one attachment per Aut(host)-orbit of ordered pairs finds the same
+        first violation (see ``_first_crossing_copy``).
 
     The result is evidence, not proof: (b) and (c) bound, but do not
     decide, the universally quantified attachment condition.
