@@ -134,3 +134,41 @@ def test_missing_arguments_are_usage_errors(capsys, argv):
     code, payload, err = run(capsys, *argv)
     assert code == 2 and payload is None
     assert "error:" in err and "Traceback" not in err
+
+
+# one small valid instance per table construction, with its params
+_REDUCE_CASES = {
+    "ConMain": (G.path_graph(3), 1, {"h": G.path_graph(3), "vprime": [0, 2]}),
+    "ConMod": (G.path_graph(3), 1, {"ell": 1}),
+    "ConNearUni": (G.cycle_graph(4), 1, {"t": 2}),
+    "UnionClique": (G.star_graph(3), 2, {}),
+    "LargestComponent": (
+        G.cycle_graph(4), 1,
+        {"h": G.disjoint_union(G.path_graph(3), G.path_graph(3))}),
+}
+
+
+def _param_flag(value):
+    if isinstance(value, G.SmallGraph):
+        return G.to_graph6(value)
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+@pytest.mark.parametrize("construction", sorted(cli.R.CONSTRUCTIONS))
+def test_reduce_runs_every_table_construction(capsys, construction):
+    """Every table row runs from ``hfree reduce`` and prints what the
+    direct call builds."""
+    g, k, params = _REDUCE_CASES[construction]
+    build, names = cli.R.CONSTRUCTIONS[construction]
+    argv = ["reduce", "--construction", construction,
+            "--graph", G.to_graph6(g), "--k", str(k)]
+    for name in names:
+        argv += [f"--{name}", _param_flag(params[name])]
+    code, payload, _ = run(capsys, *argv)
+    out = build(g, k, *(params[name] for name in names))
+    assert code == 0
+    assert payload == {"input": G.to_graph6(g), "output": G.to_graph6(out),
+                       "n": out.n, "k_out": k, "construction": construction,
+                       "k": k}

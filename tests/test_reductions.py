@@ -7,6 +7,7 @@ import random
 import pytest
 
 from hfree import catalogue as C
+from hfree import classify as CL
 from hfree import enumeration as E
 from hfree import gadgets as GD
 from hfree import graphs as G
@@ -353,6 +354,42 @@ def test_rule_targets_match_subset_scans():
         assert got == _outcome(_subset_scan_degree2_path, h), G.to_graph6(h)
         got = _outcome(R.cut_reduce, h)
         assert got == _outcome(_subset_scan_cut_reduce, h), G.to_graph6(h)
+
+
+def _catalogue_chain_steps():
+    """The distinct steps of every catalogue verdict chain, both
+    orientations, every problem, keyed by what identifies them."""
+    steps = {}
+    for gid in C.all_ids():
+        base = C.lookup(gid).graph
+        for g in (base, G.complement(base)):
+            for problem in CL.PROBLEMS:
+                for st in CL.classify(g, problem).chain:
+                    key = (st.construction, st.rule, st.complemented,
+                           G.to_graph6(st.source_h), G.to_graph6(st.target_h))
+                    steps.setdefault(key, st)
+    return [(key, steps[key]) for key in sorted(steps)]
+
+
+def test_execute_step_digest():
+    """The exact output of every catalogue chain step on every graph with
+    at most four vertices, k in {0, 1} and every mode (a dash where the
+    output would exceed the vertex cap)."""
+    digest = hashlib.sha256()
+    for key, step in _catalogue_chain_steps():
+        digest.update(("|".join(map(str, key)) + "\n").encode())
+        for gp in small_graphs(4):
+            for k in (0, 1):
+                for mode in S.MODES:
+                    try:
+                        out = R.execute_step(step, S.EditInstance(gp, k, mode))
+                    except R.CapExceeded:
+                        digest.update(b"-\n")
+                        continue
+                    digest.update(
+                        f"{G.to_graph6(out.g)}|{out.k}|{out.mode}\n".encode())
+    assert digest.hexdigest() == (
+        "e24d862cbf62957056eff690564b8391f55a34f94d92df23d44b98fc9fc2901f")
 
 
 def test_derive_chain_families_and_catalogue():
