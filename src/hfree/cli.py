@@ -42,6 +42,19 @@ def _parse_graph(text: str) -> G.SmallGraph:
     return G.from_graph6(text)
 
 
+_MODES = {"edit": "edit", "del": "delete", "comp": "complete"}
+
+
+def _parse_instance(args) -> S.EditInstance:
+    """The instance given by --graph, --k, --mode and --forbidden."""
+    pairs = []
+    for part in args.forbidden.split(",") if args.forbidden else ():
+        a, _, b = part.partition("-")
+        pairs.append((int(a), int(b)))
+    return S.EditInstance(
+        _parse_graph(args.graph), args.k, _MODES[args.mode], frozenset(pairs))
+
+
 def _emit(payload: dict, summary: str) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
     print(summary, file=sys.stderr)
@@ -120,34 +133,26 @@ def cmd_reduce(args) -> int:
         raise ValueError(
             f"--construction {args.construction} needs {' and '.join(missing)}"
         )
-    g = _parse_graph(args.graph)
+    inst = _parse_instance(args)
     params = [_REDUCE_PARAMS[name](getattr(args, name)) for name in names]
-    out = build(g, args.k, *params)
-    payload = {"input": G.to_graph6(g), "output": G.to_graph6(out),
-               "n": out.n, "k_out": args.k,
-               "construction": args.construction, "k": args.k}
-    _emit(payload, f"reduce: {g.n} -> {out.n} vertices")
+    out = build(inst, *params)
+    payload = {"input": G.to_graph6(inst.g), "output": G.to_graph6(out.g),
+               "n": out.g.n, "k_out": out.k, "mode": out.mode,
+               "forbidden": sorted(out.forbidden),
+               "construction": args.construction, "k": inst.k}
+    _emit(payload, f"reduce: {inst.g.n} -> {out.g.n} vertices")
     return 0
 
 
 def cmd_solve(args) -> int:
-    g = _parse_graph(args.graph)
+    inst = _parse_instance(args)
     h = _parse_graph(args.h)
-    mode = {"edit": "edit", "del": "delete", "comp": "complete"}[args.mode]
-    forbidden = frozenset()
-    if args.forbidden:
-        pairs = []
-        for part in args.forbidden.split(","):
-            a, _, b = part.partition("-")
-            pairs.append((int(a), int(b)))
-        forbidden = frozenset(pairs)
-    inst = S.EditInstance(g, args.k, mode, forbidden)
     sol = S.solve(inst, h)
     payload = {
-        "graph": G.to_graph6(g),
+        "graph": G.to_graph6(inst.g),
         "h": G.to_graph6(h),
-        "k": args.k,
-        "mode": mode,
+        "k": inst.k,
+        "mode": inst.mode,
         "feasible": sol.feasible,
         "witness": sorted(sol.witness),
     }
@@ -209,6 +214,16 @@ def cmd_catalogue(args) -> int:
     return 0
 
 
+def _add_instance_args(p, mode_default=None) -> None:
+    """The flags ``_parse_instance`` reads; --mode is required unless it
+    has a default."""
+    p.add_argument("--graph", required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--mode", choices=sorted(_MODES), default=mode_default,
+                   required=mode_default is None)
+    p.add_argument("--forbidden", help="comma-separated pairs like 0-1,2-3")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hfree",
@@ -234,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run one construction on an instance")
     p.add_argument("--construction", required=True,
                    choices=sorted(R.CONSTRUCTIONS))
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
+    _add_instance_args(p, mode_default="edit")
     p.add_argument("--h")
     p.add_argument("--vprime", help="comma-separated vertices of h")
     p.add_argument("--ell", type=int)
@@ -243,11 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("solve", help="exact decision for one instance")
-    p.add_argument("--graph", required=True)
+    _add_instance_args(p)
     p.add_argument("--h", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", required=True, choices=["edit", "del", "comp"])
-    p.add_argument("--forbidden", help="comma-separated pairs like 0-1,2-3")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="run a search campaign")

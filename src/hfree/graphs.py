@@ -149,13 +149,6 @@ def complement(g: SmallGraph) -> SmallGraph:
     return SmallGraph(g.n, [full ^ r ^ (1 << v) for v, r in enumerate(g.rows)])
 
 
-def add_edge(g: SmallGraph, u: int, v: int) -> SmallGraph:
-    rows = list(g.rows)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return SmallGraph(g.n, rows)
-
-
 def delete_edge(g: SmallGraph, u: int, v: int) -> SmallGraph:
     rows = list(g.rows)
     rows[u] &= ~(1 << v)

@@ -6,6 +6,11 @@ budget growing at most polynomially. The generic constructions (satellite
 copies over injections, per-subset cliques, near-universal independent
 sets) power the simulation chains; the formula reduction and the per-host
 attachment gadgets power the restricted-problem hardness routes.
+
+Every construction but the formula reduction is a row of ``CONSTRUCTIONS``:
+it takes an ``EditInstance`` plus named params, checks its own
+precondition, and returns an ``EditInstance``. ``execute_step`` and
+``hfree reduce`` both run the rows from there.
 """
 
 from __future__ import annotations
@@ -28,19 +33,24 @@ class PreconditionError(ValueError):
 # -- generic constructions ----------------------------------------------------
 
 
+def _unrestricted(inst: EditInstance) -> SmallGraph:
+    """The graph of a chain-step source, which has no forbidden pairs."""
+    if inst.forbidden:
+        raise PreconditionError("chain steps execute on unrestricted instances")
+    return inst.g
+
+
 def con_main(
-    gprime: SmallGraph,
-    k: int,
-    h: SmallGraph,
-    vprime: Sequence[int],
+    inst: EditInstance, h: SmallGraph, vprime: Sequence[int],
     cap: int = VERTEX_CAP,
-) -> SmallGraph:
+) -> EditInstance:
     """Satellite construction over all injective placements of h[vprime].
 
-    For every injective map f of vprime into V(gprime), add k+1 fresh
-    copies of h - vprime, wiring each copy so that f(vprime) plus the copy
+    For every injective map f of vprime into V(G'), add k+1 fresh copies
+    of h - vprime, wiring each copy so that f(vprime) plus the copy
     induces h. The original graph is untouched on its own labels.
     """
+    gprime, k = _unrestricted(inst), inst.k
     vp = sorted(set(vprime))
     if any(v < 0 or v >= h.n for v in vp):
         raise ValueError("vprime must be a subset of V(h)")
@@ -50,31 +60,29 @@ def con_main(
         image = dict(zip(vp, placement))
         for _ in range(k + 1):
             grow.glue(h, image)
-    return grow.graph()
+    return EditInstance(grow.graph(), k, inst.mode)
 
 
-def con_mod(
-    gprime: SmallGraph, k: int, ell: int, cap: int = VERTEX_CAP
-) -> SmallGraph:
+def con_mod(inst: EditInstance, ell: int, cap: int = VERTEX_CAP) -> EditInstance:
     """A fresh (k+1)-clique fully joined to every ell-subset of vertices.
 
     Sources with fewer than ell vertices have no such subsets and come
     back unchanged.
     """
+    gprime, k = _unrestricted(inst), inst.k
     if ell < 1:
         raise ValueError("ell must be positive")
     grow = Builder(gprime, cap, gprime.n + comb(gprime.n, ell) * (k + 1))
     unit = G.complete_graph(ell + k + 1)
     for sub in itertools.combinations(range(gprime.n), ell):
         grow.glue(unit, dict(enumerate(sub)))
-    return grow.graph()
+    return EditInstance(grow.graph(), k, inst.mode)
 
 
-def con_near_uni(
-    gprime: SmallGraph, k: int, t: int, cap: int = VERTEX_CAP
-) -> SmallGraph:
+def con_near_uni(inst: EditInstance, t: int, cap: int = VERTEX_CAP) -> EditInstance:
     """A fresh independent (k+2)-set joined to everything except each
     t-subset. Sources with fewer than t vertices come back unchanged."""
+    gprime, k = _unrestricted(inst), inst.k
     if t < 1:
         raise ValueError("t must be positive")
     grow = Builder(gprime, cap, gprime.n + comb(gprime.n, t) * (k + 2))
@@ -82,19 +90,20 @@ def con_near_uni(
     for sub in itertools.combinations(range(gprime.n), t):
         others = [v for v in range(gprime.n) if v not in sub]
         grow.glue(unit, dict(enumerate(others)))
-    return grow.graph()
+    return EditInstance(grow.graph(), k, inst.mode)
 
 
-def union_clique(gprime: SmallGraph, k: int, cap: int = VERTEX_CAP) -> SmallGraph:
+def union_clique(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     """Disjoint union with a (k+1)-clique (isolated-vertex removal step)."""
+    gprime, k = _unrestricted(inst), inst.k
     if gprime.n + k + 1 > cap:
         raise CapExceeded("clique union exceeds cap")
-    return G.disjoint_union(gprime, G.complete_graph(k + 1))
+    return EditInstance(
+        G.disjoint_union(gprime, G.complete_graph(k + 1)), k, inst.mode)
 
 
 def largest_component_reduction(
-    gprime: SmallGraph, k: int, h: SmallGraph, mode: str = "edit",
-    cap: int = VERTEX_CAP,
+    inst: EditInstance, h: SmallGraph, cap: int = VERTEX_CAP,
 ) -> EditInstance:
     """Composition reducing (largest component of h)-free to h-free.
 
@@ -102,13 +111,12 @@ def largest_component_reduction(
     (only needed when h has several copies of it), then satellites are
     attached over all placements of the copies.
     """
+    gprime, k = _unrestricted(inst), inst.k
     comps = G.components(h)
     if len(comps) < 2:
         raise PreconditionError("h must be disconnected")
-    sizes = [len(c) for c in comps]
-    big = max(sizes)
-    largest = [c for c in comps if len(c) == big]
-    hprime = G.induced_subgraph(h, largest[0])
+    big = max(map(len, comps))
+    hprime = G.induced_subgraph(h, next(c for c in comps if len(c) == big))
     iso_comps = [
         c
         for c in comps
@@ -123,8 +131,20 @@ def largest_component_reduction(
             raise CapExceeded("component join exceeds cap")
         g1 = G.disjoint_union(gprime, joined)
     vprime = sorted(v for c in iso_comps for v in c)
-    out = con_main(g1, k, h, vprime, cap=cap)
-    return EditInstance(out, k, mode)
+    return con_main(EditInstance(g1, k, inst.mode), h, vprime, cap=cap)
+
+
+_DUAL_MODE = {"delete": "complete", "complete": "delete", "edit": "edit"}
+
+
+def complement_instance(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+    """H-free deletion on G is co-H-free completion on co-G: the same
+    budget and forbidden pairs (edges turn into nonedges) under the dual
+    mode."""
+    if inst.g.n > cap:
+        raise CapExceeded(f"{inst.g.n} vertices exceed cap {cap}")
+    return EditInstance(
+        G.complement(inst.g), inst.k, _DUAL_MODE[inst.mode], inst.forbidden)
 
 
 # -- formula reduction ---------------------------------------------------------
@@ -198,21 +218,27 @@ def con_cai(
     # the empty formula gives a single-vertex instance, trivially free
     graph = grow.graph() if phi.clauses else G.empty_graph(1)
 
-    if mode == "delete":
-        forbidden = frozenset(graph.edges()) - allowed
-    else:
-        forbidden = frozenset(
-            (u, v)
-            for u in range(graph.n)
-            for v in range(u + 1, graph.n)
-            if not graph.has_edge(u, v)
-        ) - allowed
+    forbidden = frozenset(EditInstance(graph, 0, mode).permissible_pairs()) - allowed
     return EditInstance(graph, 3 * h.n * k, mode, forbidden), per_var
 
 
-def enforcer_attach(inst: EditInstance, enforcer: GD.Gadget) -> EditInstance:
+def enforcer_attach(
+    inst: EditInstance, h: SmallGraph, cap: int = VERTEX_CAP
+) -> EditInstance:
     """Drop the forbidden set by pinning each forbidden pair with k+1
-    enforcer copies."""
+    copies of the gadget table's enforcer for h in the instance's mode."""
+    rows = [r for r in GD.table_rows() if G.are_isomorphic(GD.host_graph(r), h)]
+    enforcer = GD.table_gadget(rows[0], inst.mode, "Enforcer") if rows else None
+    if enforcer is None:
+        raise PreconditionError(f"the gadget table has no {inst.mode} enforcer for h")
+    return _pin_forbidden(inst, enforcer, cap)
+
+
+def _pin_forbidden(
+    inst: EditInstance, enforcer: GD.Gadget, cap: int = VERTEX_CAP
+) -> EditInstance:
+    """``enforcer_attach`` with the enforcer given, checked by the exact
+    layer of ``gadgets.verify_enforcer``."""
     if enforcer.role != "Enforcer":
         raise GD.GadgetError("gadget role mismatch")
     if enforcer.mode != inst.mode:
@@ -223,6 +249,9 @@ def enforcer_attach(inst: EditInstance, enforcer: GD.Gadget) -> EditInstance:
     if not exact["toggle_creates"]:
         raise GD.GadgetError("unverified enforcer: toggle creates no copy")
     g = inst.g
+    total = g.n + len(inst.forbidden) * (inst.k + 1) * (enforcer.graph.n - 2)
+    if total > cap:
+        raise CapExceeded(f"{total} vertices exceed cap {cap}")
     for pair in sorted(inst.forbidden):
         g = GD.attach_enforcer(g, pair, enforcer, inst.k + 1)
     return EditInstance(g, inst.k, inst.mode)
@@ -232,24 +261,13 @@ def enforcer_attach(inst: EditInstance, enforcer: GD.Gadget) -> EditInstance:
 
 def _has_all_allowed_c4_subgraph(inst: EditInstance) -> bool:
     """A 4-cycle subgraph (not necessarily induced) avoiding forbidden
-    edges entirely."""
-    g = inst.g
-    allowed_rows = list(g.rows)
+    edges entirely: two vertices with two common allowed neighbours."""
+    rows = list(inst.g.rows)
     for u, v in inst.forbidden:
-        allowed_rows[u] &= ~(1 << v)
-        allowed_rows[v] &= ~(1 << u)
-    n = g.n
-    for a in range(n):
-        for b in G._bits(allowed_rows[a]):
-            if b <= a:
-                continue
-            for c in G._bits(allowed_rows[b]):
-                if c == a:
-                    continue
-                for d in G._bits(allowed_rows[c] & allowed_rows[a]):
-                    if d not in (a, b):
-                        return True
-    return False
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return any((rows[a] & rows[b]).bit_count() >= 2
+               for a, b in itertools.combinations(range(len(rows)), 2))
 
 
 def _tricky_clique(inst: EditInstance, cap: int, q: bool) -> EditInstance:
@@ -302,38 +320,23 @@ def tricky_a9c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     return _tricky_clique(inst, cap, q=True)
 
 
-# units glued at each forbidden edge uv: u is 0, v is 1, then x, y, z
+# the unit glued at each forbidden edge uv: u is 0, v is 1, then x, y, z
 _A6C_UNIT = G.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)])
-_A8C_UNIT = G.from_edges(5, [(0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
-
-
-def _tricky_units(
-    inst: EditInstance, cap: int, unit: SmallGraph, copies: int
-) -> EditInstance:
-    """``copies`` copies of ``unit`` glued at each forbidden edge, for a
-    source without an all-allowed 4-cycle subgraph."""
-    if inst.mode != "delete":
-        raise PreconditionError("source must be a restricted deletion instance")
-    if _has_all_allowed_c4_subgraph(inst):
-        raise PreconditionError("input contains an all-allowed 4-cycle subgraph")
-    gp = inst.g
-    grow = Builder(gp, cap, gp.n + (unit.n - 2) * copies * len(inst.forbidden))
-    for u, v in sorted(inst.forbidden):
-        for _ in range(copies):
-            grow.glue(unit, {0: u, 1: v})
-    return EditInstance(grow.graph(), inst.k, "delete")
 
 
 def tricky_a6c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     """Restricted co-A1 deletion (no all-allowed 4-cycle subgraph) to
-    unrestricted co-A6 deletion."""
-    return _tricky_units(inst, cap, _A6C_UNIT, inst.k + 1)
-
-
-def tricky_a8c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
-    """Restricted C4 deletion (no all-allowed 4-cycle subgraph) to
-    unrestricted co-A8 deletion."""
-    return _tricky_units(inst, cap, _A8C_UNIT, inst.k + 2)
+    unrestricted co-A6 deletion: k+1 unit copies at each forbidden edge."""
+    if inst.mode != "delete":
+        raise PreconditionError("source must be a restricted deletion instance")
+    if _has_all_allowed_c4_subgraph(inst):
+        raise PreconditionError("input contains an all-allowed 4-cycle subgraph")
+    gp, copies = inst.g, inst.k + 1
+    grow = Builder(gp, cap, gp.n + 3 * copies * len(inst.forbidden))
+    for u, v in sorted(inst.forbidden):
+        for _ in range(copies):
+            grow.glue(_A6C_UNIT, {0: u, 1: v})
+    return EditInstance(grow.graph(), inst.k, "delete")
 
 
 def _completion_pre(inst: EditInstance, max_allowed: int = 18) -> None:
@@ -343,12 +346,7 @@ def _completion_pre(inst: EditInstance, max_allowed: int = 18) -> None:
     if inst.mode != "complete":
         raise PreconditionError("source must be a restricted completion instance")
     g = inst.g
-    allowed = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v) and (u, v) not in inst.forbidden
-    ]
+    allowed = inst.permissible_pairs()
     gall = G.apply_flips(g, allowed)
     for u, v in inst.forbidden:
         if (gall.rows[u] & gall.rows[v]).bit_count() > 2:
@@ -440,6 +438,25 @@ def tricky_a6c_com(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     return _completion_gadget(inst, cap, tail=True)
 
 
+# construction -> (builder called as builder(inst, *params, cap=cap) on an
+# EditInstance, returning one; the names of its params). Chain steps and
+# ``hfree reduce`` run the same rows.
+CONSTRUCTIONS = {
+    "ConMain": (con_main, ("h", "vprime")),
+    "ConMod": (con_mod, ("ell",)),
+    "ConNearUni": (con_near_uni, ("t",)),
+    "UnionClique": (union_clique, ()),
+    "LargestComponent": (largest_component_reduction, ("h",)),
+    "Complement": (complement_instance, ()),
+    "TrickyA6c": (tricky_a6c, ()),
+    "TrickyA7c": (tricky_a7c, ()),
+    "TrickyA9c": (tricky_a9c, ()),
+    "TrickyA1cCom": (tricky_a1c_com, ()),
+    "TrickyA6cCom": (tricky_a6c_com, ()),
+    "EnforcerAttach": (enforcer_attach, ("h",)),
+}
+
+
 # -- simulation chain machinery -------------------------------------------------
 
 
@@ -466,44 +483,15 @@ class ReductionStep:
         }
 
 
-_DUAL_MODE = {"delete": "complete", "complete": "delete", "edit": "edit"}
-
-# construction -> (builder called as builder(g, k, *params, cap=cap), the
-# names of its params); the chain steps and ``hfree reduce`` share it
-CONSTRUCTIONS = {
-    "ConMain": (con_main, ("h", "vprime")),
-    "ConMod": (con_mod, ("ell",)),
-    "ConNearUni": (con_near_uni, ("t",)),
-    "UnionClique": (union_clique, ()),
-    "LargestComponent": (
-        lambda g, k, h, cap=VERTEX_CAP: largest_component_reduction(
-            g, k, h, cap=cap
-        ).g,
-        ("h",),
-    ),
-}
-
-
 def execute_step(step: ReductionStep, inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     """Map an instance of the target_h-free problem to one of the
-    source_h-free problem (hardness flows from target to source)."""
-    if inst.forbidden:
-        raise PreconditionError("chain steps execute on unrestricted instances")
-    g = G.complement(inst.g) if step.complemented else inst.g
-    c = step.construction
-    mode = inst.mode
-    if c == "Complement":
-        # H-free deletion on G is co-H-free completion on co-G
-        out = G.complement(g)
-        mode = _DUAL_MODE[mode]
-    elif c in CONSTRUCTIONS:
-        build, names = CONSTRUCTIONS[c]
-        out = build(g, inst.k, *(step.params[name] for name in names), cap=cap)
-    else:
-        raise KeyError(f"step construction {c} is not executable here")
+    source_h-free problem (hardness flows from target to source). A
+    complemented step runs its construction between two complements."""
+    build, names = CONSTRUCTIONS[step.construction]
     if step.complemented:
-        out = G.complement(out)
-    return EditInstance(out, inst.k, mode)
+        inst = complement_instance(inst, cap)
+    out = build(inst, *(step.params[name] for name in names), cap=cap)
+    return complement_instance(out, cap) if step.complemented else out
 
 
 # -- per-rule target computations ------------------------------------------------

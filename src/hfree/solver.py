@@ -43,6 +43,8 @@ class EditInstance:
         pairs = frozenset(_norm_pair(p) for p in self.forbidden)
         object.__setattr__(self, "forbidden", pairs)
         for u, v in pairs:
+            if u < 0 or v >= self.g.n:
+                raise ValueError(f"forbidden pair ({u}, {v}) outside 0..{self.g.n - 1}")
             if self.mode == "delete" and not self.g.has_edge(u, v):
                 raise ValueError("forbidden pair is not an edge")
             if self.mode == "complete" and self.g.has_edge(u, v):

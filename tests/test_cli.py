@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from hfree import catalogue as C
 from hfree import cli
 from hfree import graphs as G
+from hfree import solver as S
 
 
 def run(capsys, *argv):
@@ -137,15 +139,28 @@ def test_missing_arguments_are_usage_errors(capsys, argv):
 
 
 # one small valid instance per table construction, with its params
+_P3, _C4, _C5 = G.path_graph(3), G.cycle_graph(4), G.cycle_graph(5)
 _REDUCE_CASES = {
-    "ConMain": (G.path_graph(3), 1, {"h": G.path_graph(3), "vprime": [0, 2]}),
-    "ConMod": (G.path_graph(3), 1, {"ell": 1}),
-    "ConNearUni": (G.cycle_graph(4), 1, {"t": 2}),
-    "UnionClique": (G.star_graph(3), 2, {}),
+    "ConMain": (S.EditInstance(_P3, 1, "edit"), {"h": _P3, "vprime": [0, 2]}),
+    "ConMod": (S.EditInstance(_P3, 1, "edit"), {"ell": 1}),
+    "ConNearUni": (S.EditInstance(_C4, 1, "delete"), {"t": 2}),
+    "UnionClique": (S.EditInstance(G.star_graph(3), 2, "complete"), {}),
     "LargestComponent": (
-        G.cycle_graph(4), 1,
-        {"h": G.disjoint_union(G.path_graph(3), G.path_graph(3))}),
+        S.EditInstance(_C4, 1, "edit"),
+        {"h": G.disjoint_union(_P3, _P3)}),
+    "Complement": (S.EditInstance(_C4, 1, "delete", frozenset([(0, 1)])), {}),
+    "TrickyA6c": (S.EditInstance(_P3, 1, "delete", frozenset([(0, 1)])), {}),
+    "TrickyA7c": (S.EditInstance(_C4, 1, "delete", frozenset([(0, 1)])), {}),
+    "TrickyA9c": (S.EditInstance(_C4, 2, "delete", frozenset([(0, 1)])), {}),
+    "TrickyA1cCom": (
+        S.EditInstance(_P3, 1, "complete", frozenset([(0, 2)])), {}),
+    "TrickyA6cCom": (
+        S.EditInstance(_P3, 1, "complete", frozenset([(0, 2)])), {}),
+    "EnforcerAttach": (
+        S.EditInstance(_C5, 1, "delete", frozenset([(0, 1)])),
+        {"h": C.lookup("A3").graph}),
 }
+_MODE_FLAGS = {"edit": "edit", "delete": "del", "complete": "comp"}
 
 
 def _param_flag(value):
@@ -160,15 +175,54 @@ def _param_flag(value):
 def test_reduce_runs_every_table_construction(capsys, construction):
     """Every table row runs from ``hfree reduce`` and prints what the
     direct call builds."""
-    g, k, params = _REDUCE_CASES[construction]
+    inst, params = _REDUCE_CASES[construction]
     build, names = cli.R.CONSTRUCTIONS[construction]
     argv = ["reduce", "--construction", construction,
-            "--graph", G.to_graph6(g), "--k", str(k)]
+            "--graph", G.to_graph6(inst.g), "--k", str(inst.k),
+            "--mode", _MODE_FLAGS[inst.mode]]
+    if inst.forbidden:
+        argv.append("--forbidden=" + ",".join(f"{u}-{v}" for u, v in inst.forbidden))
     for name in names:
         argv += [f"--{name}", _param_flag(params[name])]
     code, payload, _ = run(capsys, *argv)
-    out = build(g, k, *(params[name] for name in names))
+    out = build(inst, *(params[name] for name in names))
     assert code == 0
-    assert payload == {"input": G.to_graph6(g), "output": G.to_graph6(out),
-                       "n": out.n, "k_out": k, "construction": construction,
-                       "k": k}
+    assert payload == {"input": G.to_graph6(inst.g), "output": G.to_graph6(out.g),
+                       "n": out.g.n, "k_out": out.k, "mode": out.mode,
+                       "forbidden": [list(p) for p in sorted(out.forbidden)],
+                       "construction": construction, "k": inst.k}
+    assert out.g.n > inst.g.n or construction == "Complement"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--graph", "C]", "--h", "C4", "--k", "0", "--mode", "del",
+         "--forbidden=1--1"],
+        ["solve", "--graph", "C]", "--h", "C4", "--k", "0", "--mode", "comp",
+         "--forbidden", "0-9"],
+        ["reduce", "--construction", "TrickyA7c", "--graph", "C]", "--k", "1",
+         "--mode", "del", "--forbidden=1--1"],
+        ["reduce", "--construction", "Complement", "--graph", "C]", "--k", "0",
+         "--mode", "comp", "--forbidden", "0-9"],
+    ],
+)
+def test_forbidden_pairs_outside_the_graph_are_usage_errors(capsys, argv):
+    code, payload, err = run(capsys, *argv)
+    assert code == 2 and payload is None
+    assert "outside" in err and "Traceback" not in err
+
+
+def test_reduce_refusals_are_usage_errors(capsys):
+    """A chain construction given forbidden pairs, and a restricted
+    gadget given an edit instance, refuse with exit code 2."""
+    for argv in (
+        ["--construction", "ConMod", "--graph", "Cl", "--k", "1", "--ell", "1",
+         "--mode", "del", "--forbidden", "0-1"],
+        ["--construction", "TrickyA7c", "--graph", "Cl", "--k", "1"],
+        ["--construction", "EnforcerAttach", "--graph", "Cl", "--k", "1",
+         "--h", "C4", "--mode", "del", "--forbidden", "0-1"],
+    ):
+        code, payload, err = run(capsys, "reduce", *argv)
+        assert code == 2 and payload is None
+        assert "error:" in err and "Traceback" not in err

@@ -103,7 +103,7 @@ def test_generic_construction_first_entry_always_zero():
             edges = list(h.edges())
             for x in nonedges[:2]:
                 y, z = edges[0], edges[1]
-                gx = G.add_edge(h, *x)
+                gx = G.apply_flips(h, [x])
                 # the f(1,0,0) entry of the toggle table
                 assert not G.is_free_of(G.delete_edge(gx, *x), h)
 

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from hfree import catalogue as C
-from hfree import classify as CL
 from hfree import enumeration as E
 from hfree import gadgets as GD
 from hfree import graphs as G
@@ -22,12 +21,16 @@ def small_graphs(n_max):
         yield from E.graphs_on(n)
 
 
+def edit(g, k):
+    return S.EditInstance(g, k, "edit")
+
+
 # -- size laws -----------------------------------------------------------------
 
 
 def test_con_main_counts():
     p3 = G.path_graph(3)
-    out = R.con_main(G.complete_graph(2), 1, p3, [0, 2])
+    out = R.con_main(edit(G.complete_graph(2), 1), p3, [0, 2]).g
     # 2 ordered injections x 2 satellites x 1 vertex + 2 originals
     assert out.n == 6
     assert G.induced_subgraph(out, [0, 1]) == G.complete_graph(2)
@@ -44,19 +47,19 @@ def test_con_main_size_formula_random():
         vp = [0, 2]
         k = rnd.randint(0, 2)
         inj = n * (n - 1)
-        out = R.con_main(gp, k, h, vp, cap=4000)
+        out = R.con_main(edit(gp, k), h, vp, cap=4000).g
         assert out.n == gp.n + inj * (k + 1) * 1
 
 
 def test_con_mod_counts():
-    out = R.con_mod(G.path_graph(3), 1, 1)
+    out = R.con_mod(edit(G.path_graph(3), 1), 1).g
     assert out.n == 3 + 3 * 2
     with pytest.raises(R.CapExceeded):
-        R.con_mod(G.complete_graph(10), 5, 2)
+        R.con_mod(edit(G.complete_graph(10), 5), 2)
 
 
 def test_con_near_uni_counts():
-    out = R.con_near_uni(G.complete_graph(3), 1, 1)
+    out = R.con_near_uni(edit(G.complete_graph(3), 1), 1).g
     assert out.n == 3 + 3 * 3
     # every added set is independent and near-universal
     for v in range(3, out.n):
@@ -64,7 +67,7 @@ def test_con_near_uni_counts():
 
 
 def test_union_clique():
-    out = R.union_clique(G.star_graph(3), 2)
+    out = R.union_clique(edit(G.star_graph(3), 2)).g
     assert out.n == 7
     comps = sorted(G.components(out), key=len)
     assert G.is_complete(G.induced_subgraph(out, comps[0]))
@@ -72,21 +75,32 @@ def test_union_clique():
 
 def test_largest_component_reduction_counts():
     h = G.disjoint_union(G.complete_graph(4), G.complete_graph(2))
-    inst = R.largest_component_reduction(G.complete_graph(3), 0, h)
+    inst = R.largest_component_reduction(edit(G.complete_graph(3), 0), h)
     # K_4 unique largest: no join stage; injections of 4 into 3 are empty
     assert inst.g.n == 3 and inst.k == 0
     with pytest.raises(R.PreconditionError):
-        R.largest_component_reduction(G.complete_graph(3), 0, G.path_graph(4))
+        R.largest_component_reduction(edit(G.complete_graph(3), 0), G.path_graph(4))
+
+
+@pytest.mark.parametrize("construction", ["ConMain", "ConMod", "ConNearUni",
+                                          "UnionClique", "LargestComponent"])
+def test_chain_builders_refuse_forbidden_pairs(construction):
+    build, names = R.CONSTRUCTIONS[construction]
+    params = {"h": G.disjoint_union(G.path_graph(3), G.path_graph(3)),
+              "vprime": [0, 2], "ell": 1, "t": 1}
+    inst = S.EditInstance(G.path_graph(3), 1, "delete", frozenset([(0, 1)]))
+    with pytest.raises(R.PreconditionError, match="unrestricted"):
+        build(inst, *(params[name] for name in names))
 
 
 def test_original_graph_embeds_in_outputs():
     gp = G.cycle_graph(4)
     for out in (
-        R.con_mod(gp, 1, 2),
-        R.con_near_uni(gp, 1, 1),
-        R.con_main(gp, 1, G.path_graph(3), [0, 2], cap=200),
+        R.con_mod(edit(gp, 1), 2),
+        R.con_near_uni(edit(gp, 1), 1),
+        R.con_main(edit(gp, 1), G.path_graph(3), [0, 2], cap=200),
     ):
-        assert G.induced_subgraph(out, range(4)) == gp
+        assert G.induced_subgraph(out.g, range(4)) == gp
 
 
 # -- backward soundness of the satellite construction ---------------------------
@@ -100,7 +114,7 @@ def test_con_main_backward_direction():
     hprime = G.induced_subgraph(h, vp)
     for gp in small_graphs(3):
         for k in (1,):
-            built = R.con_main(gp, k, h, vp, cap=200)
+            built = R.con_main(edit(gp, k), h, vp, cap=200).g
             for mode in S.MODES:
                 sol = S.solve(S.EditInstance(built, k, mode), h)
                 if sol.feasible:
@@ -357,17 +371,25 @@ def test_rule_targets_match_subset_scans():
 
 
 def _catalogue_chain_steps():
-    """The distinct steps of every catalogue verdict chain, both
-    orientations, every problem, keyed by what identifies them."""
+    """The distinct steps of the deletion and editing chains of every
+    catalogue entry in both orientations, and of the complement step that
+    opens a completion chain. ``derive_chain`` keeps no memo, so the steps
+    and their labels do not depend on what ran before."""
     steps = {}
     for gid in C.all_ids():
         base = C.lookup(gid).graph
         for g in (base, G.complement(base)):
-            for problem in CL.PROBLEMS:
-                for st in CL.classify(g, problem).chain:
-                    key = (st.construction, st.rule, st.complemented,
-                           G.to_graph6(st.source_h), G.to_graph6(st.target_h))
-                    steps.setdefault(key, st)
+            chain = [R.ReductionStep("Complement", "complement-duality", g,
+                                     G.complement(g))]
+            for problem in ("deletion", "editing"):
+                try:
+                    chain += R.derive_chain(g, problem)
+                except R.PreconditionError:
+                    pass  # the chain leaves the catalogue
+            for st in chain:
+                key = (st.construction, st.rule, st.complemented,
+                       G.to_graph6(st.source_h), G.to_graph6(st.target_h))
+                steps.setdefault(key, st)
     return [(key, steps[key]) for key in sorted(steps)]
 
 
@@ -389,7 +411,7 @@ def test_execute_step_digest():
                     digest.update(
                         f"{G.to_graph6(out.g)}|{out.k}|{out.mode}\n".encode())
     assert digest.hexdigest() == (
-        "e24d862cbf62957056eff690564b8391f55a34f94d92df23d44b98fc9fc2901f")
+        "7966dbeb2345457dec21c658714b3f270399f88a0243fea4bb3f0ecf0e4e657e")
 
 
 def test_derive_chain_families_and_catalogue():
@@ -422,71 +444,74 @@ def test_derive_chain_rejects_outside_graphs():
 # -- tricky reductions -----------------------------------------------------------
 
 
-def _restricted_deletion_instances(n_max, k, max_r=1, require=None):
+def _restricted_deletion_instances(n_max, ks):
+    """Every instance with one forbidden edge on at most n_max vertices,
+    for each budget in ks."""
     for gp in small_graphs(n_max):
-        edges = sorted(gp.edges())
-        for r in edges:
-            inst = S.EditInstance(gp, k, "delete", frozenset([r]))
-            if require is not None and not require(inst):
-                continue
-            yield inst
+        for r in sorted(gp.edges()):
+            for k in ks:
+                yield S.EditInstance(gp, k, "delete", frozenset([r]))
+
+
+def _tricky_equivalences(build, src, tgt, new_vertices):
+    """solve agrees on both sides of ``build`` for one forbidden edge,
+    n <= 6 and k in {0, 1, 2}; returns how many instances it accepted."""
+    count = 0
+    for inst in _restricted_deletion_instances(6, (0, 1, 2)):
+        try:
+            built = build(inst)
+        except R.PreconditionError:
+            continue
+        assert built.g.n == inst.g.n + new_vertices(inst.k)
+        a = S.solve(inst, src).feasible
+        b = S.solve(built, tgt, max_n=40).feasible
+        assert a == b, (G.to_graph6(inst.g), sorted(inst.forbidden), inst.k)
+        count += 1
+    return count
 
 
 def test_tricky_a7c_equivalence():
     host = GD.host_graph("co-A7")
-    count = 0
-    for inst in _restricted_deletion_instances(4, 1):
-        built = R.tricky_a7c(inst)
-        assert built.g.n == inst.g.n + 1 + 3
-        a = S.solve(inst, host).feasible
-        b = S.solve(built, host, max_n=40).feasible
-        assert a == b, G.to_graph6(inst.g)
-        count += 1
-    assert count > 10
+    assert _tricky_equivalences(
+        R.tricky_a7c, host, host, lambda k: k + 3 * k) == 4140
 
 
 def test_tricky_a9c_equivalence():
     host = GD.host_graph("co-A9")
-    for inst in _restricted_deletion_instances(4, 1):
-        built = R.tricky_a9c(inst)
-        assert built.g.n == inst.g.n + 1 + 4
-        a = S.solve(inst, host).feasible
-        b = S.solve(built, host, max_n=40).feasible
-        assert a == b, G.to_graph6(inst.g)
+    assert _tricky_equivalences(
+        R.tricky_a9c, host, host, lambda k: k + 4 * k) == 4140
 
 
 def test_tricky_a6c_equivalence():
     src = GD.host_graph("co-A1")
     tgt = GD.host_graph("co-A6")
-    no_c4 = lambda inst: not R._has_all_allowed_c4_subgraph(inst)
-    count = 0
-    for inst in _restricted_deletion_instances(5, 1, require=no_c4):
-        built = R.tricky_a6c(inst)
-        assert built.g.n == inst.g.n + 3 * 2
-        a = S.solve(inst, src).feasible
-        b = S.solve(built, tgt, max_n=40).feasible
-        assert a == b, G.to_graph6(inst.g)
-        count += 1
-    assert count > 20
+    assert _tricky_equivalences(
+        R.tricky_a6c, src, tgt, lambda k: 3 * (k + 1)) == 1350
 
 
-def test_tricky_a8c_equivalence():
-    c4 = G.cycle_graph(4)
-    tgt = GD.host_graph("co-A8")
-    no_c4 = lambda inst: not R._has_all_allowed_c4_subgraph(inst)
-    for inst in _restricted_deletion_instances(5, 1, require=no_c4):
-        built = R.tricky_a8c(inst)
-        assert built.g.n == inst.g.n + 3 * 3
-        a = S.solve(inst, c4).feasible
-        b = S.solve(built, tgt, max_n=40).feasible
-        assert a == b, G.to_graph6(inst.g)
-
-
-def test_tricky_a8c_rejects_allowed_c4():
+def test_tricky_a6c_rejects_allowed_c4():
     c4 = G.cycle_graph(4)
     inst = S.EditInstance(c4, 1, "delete")
     with pytest.raises(R.PreconditionError):
-        R.tricky_a8c(inst)
+        R.tricky_a6c(inst)
+
+
+def test_all_allowed_c4_is_two_common_allowed_neighbours():
+    """Reference: a 4-cycle a-b-c-d over allowed edges, found by brute
+    force, on every graph with at most six vertices and each single
+    forbidden edge (or none)."""
+    def brute(inst):
+        def ok(u, v):
+            return inst.g.has_edge(u, v) and tuple(sorted((u, v))) not in inst.forbidden
+        return any(ok(a, b) and ok(b, c) and ok(c, d) and ok(d, a)
+                   for a, b, c, d in itertools.permutations(range(inst.g.n), 4))
+    count = 0
+    for gp in small_graphs(6):
+        for r in [None] + sorted(gp.edges()):
+            inst = S.EditInstance(gp, 0, "delete", frozenset([r] if r else []))
+            assert R._has_all_allowed_c4_subgraph(inst) == brute(inst)
+            count += 1
+    assert count > 1000
 
 
 def test_tricky_gadget_digest():
@@ -494,8 +519,8 @@ def test_tricky_gadget_digest():
     up to isomorphism is pinned for every one-forbidden-edge instance on at
     most five vertices (a dash where the precondition refuses)."""
     digest = hashlib.sha256()
-    for inst in _restricted_deletion_instances(5, 1):
-        for fn in (R.tricky_a7c, R.tricky_a9c, R.tricky_a6c, R.tricky_a8c):
+    for inst in _restricted_deletion_instances(5, (1,)):
+        for fn in (R.tricky_a7c, R.tricky_a9c, R.tricky_a6c):
             try:
                 out = fn(inst).g
             except R.PreconditionError:
@@ -504,10 +529,14 @@ def test_tricky_gadget_digest():
             assert G.induced_subgraph(out, range(inst.g.n)) == inst.g
             digest.update(G.canonical_cert(out).hex().encode() + b"\n")
     assert digest.hexdigest() == (
-        "5512395b3a141940d0612ca377dd85f37fb4ce14d27f7a48084c370aa32ee419")
+        "4fca6d90989879c218b6a5730202ba752a6f754ce8aa3153efb7e56780b0e36b")
 
 
-def _restricted_completion_instances(n_max, k):
+def _restricted_completion_instances(n_max, ks):
+    """Every instance on at most n_max vertices that forbids all nonedges
+    but at most two and passes the completion gadgets' precondition. (With
+    one forbidden nonedge the precondition refuses every instance on five
+    or more vertices.)"""
     for gp in small_graphs(n_max):
         nonedges = [
             (u, v)
@@ -515,13 +544,16 @@ def _restricted_completion_instances(n_max, k):
             for v in range(u + 1, gp.n)
             if not gp.has_edge(u, v)
         ]
-        for r in nonedges:
-            inst = S.EditInstance(gp, k, "complete", frozenset([r]))
-            try:
-                R._completion_pre(inst)
-            except R.PreconditionError:
-                continue
-            yield inst
+        for size in range(3):
+            for allowed in itertools.combinations(nonedges, size):
+                for k in ks:
+                    inst = S.EditInstance(
+                        gp, k, "complete", frozenset(nonedges) - frozenset(allowed))
+                    try:
+                        R._completion_pre(inst)
+                    except R.PreconditionError:
+                        continue
+                    yield inst
 
 
 def test_tricky_completion_equivalences():
@@ -529,14 +561,15 @@ def test_tricky_completion_equivalences():
     a1 = GD.host_graph("co-A1")
     a6 = GD.host_graph("co-A6")
     count = 0
-    for inst in _restricted_completion_instances(4, 1):
+    for inst in _restricted_completion_instances(5, (0, 1, 2)):
         b1 = R.tricky_a1c_com(inst)
         b2 = R.tricky_a6c_com(inst)
         a = S.solve(inst, c4).feasible
-        assert a == S.solve(b1, a1, max_n=40).feasible, G.to_graph6(inst.g)
-        assert a == S.solve(b2, a6, max_n=40).feasible, G.to_graph6(inst.g)
+        where = (G.to_graph6(inst.g), sorted(inst.forbidden), inst.k)
+        assert a == S.solve(b1, a1, max_n=40).feasible, where
+        assert a == S.solve(b2, a6, max_n=40).feasible, where
         count += 1
-    assert count > 10
+    assert count == 1914
 
 
 # -- enforcer attachment ----------------------------------------------------------
@@ -547,17 +580,19 @@ def test_enforcer_attach_counts_and_equivalence():
     host = GD.host_graph("A3")
     base = G.cycle_graph(5)
     inst = S.EditInstance(base, 1, "delete", frozenset([(0, 1)]))
-    out = R.enforcer_attach(inst, enf)
+    out = R.enforcer_attach(inst, host)
     assert not out.forbidden
     assert out.g.n == base.n + 2 * (enf.graph.n - 2)
+    with pytest.raises(R.CapExceeded):
+        R.enforcer_attach(inst, host, cap=base.n + 2 * (enf.graph.n - 2) - 1)
     # unchanged when nothing is forbidden
     free = S.EditInstance(base, 1, "delete")
-    assert R.enforcer_attach(free, enf).g == base
+    assert R.enforcer_attach(free, host).g == base
     count = 0
     for gp in small_graphs(4):
         for r in sorted(gp.edges()):
             inst = S.EditInstance(gp, 1, "delete", frozenset([r]))
-            built = R.enforcer_attach(inst, enf)
+            built = R.enforcer_attach(inst, host)
             a = S.solve(inst, host).feasible
             b = S.solve(built, host, max_n=40).feasible
             assert a == b, (G.to_graph6(gp), r)
@@ -566,8 +601,8 @@ def test_enforcer_attach_counts_and_equivalence():
 
 
 def test_enforcer_attach_refuses_what_the_exact_layer_refuses():
-    """``enforcer_attach`` and layer (a) of ``verify_enforcer`` ask the one
-    ``enforcer_exact`` check."""
+    """``enforcer_attach`` (through ``_pin_forbidden``) and layer (a) of
+    ``verify_enforcer`` ask the one ``enforcer_exact`` check."""
     host = GD.host_graph("co-A1")
     edge = sorted(host.edges())[0]
     inst = S.EditInstance(G.cycle_graph(4), 1, "delete", frozenset([(0, 1)]))
@@ -577,14 +612,18 @@ def test_enforcer_attach_refuses_what_the_exact_layer_refuses():
     for enf, why in ((not_free, "not host-free"), (no_copy, "creates no copy")):
         assert not GD.verify_enforcer(enf, n_host=2)["layers"]["exact"]["ok"]
         with pytest.raises(GD.GadgetError, match=why):
-            R.enforcer_attach(inst, enf)
+            R._pin_forbidden(inst, enf)
 
 
 def test_enforcer_attach_rejects_mode_mismatch():
     enf = GD.table_gadget("co-A1", "complete", "Enforcer")
     inst = S.EditInstance(G.cycle_graph(4), 1, "delete", frozenset([(0, 1)]))
     with pytest.raises(GD.GadgetError):
-        R.enforcer_attach(inst, enf)
+        R._pin_forbidden(inst, enf)
+    # the table holds no deletion enforcer for co-A6, and none for C4
+    for h in (GD.host_graph("co-A6"), G.cycle_graph(4)):
+        with pytest.raises(R.PreconditionError, match="no delete enforcer"):
+            R.enforcer_attach(inst, h)
 
 
 # -- formula reduction -------------------------------------------------------------

@@ -62,6 +62,15 @@ def test_instance_validation():
         S.EditInstance(c4, 1, "edit", frozenset([(0, 1)]))
 
 
+def test_forbidden_pairs_must_lie_in_the_vertex_range():
+    c4 = G.from_graph6("C]")
+    # (-1, 1) once read as the edge (3, 1), and (0, 9) as a nonedge
+    for mode, pair in (("delete", (1, -1)), ("complete", (0, 9)),
+                       ("delete", (0, 4))):
+        with pytest.raises(ValueError, match="outside"):
+            S.EditInstance(c4, 0, mode, frozenset([pair]))
+
+
 def test_guardrails():
     big = G.cycle_graph(25)
     with pytest.raises(S.GuardrailError):
