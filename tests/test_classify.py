@@ -25,23 +25,24 @@ def test_churn_star_stops_at_step_four():
     assert M.in_y_d(G.peel_low(star)) and M.in_y_d(G.peel_high(star))
 
 
-def _churn_reference(g):
-    """Independent straight-line reimplementation used as an oracle."""
+def _churn_reference(g, trace=()):
+    """Independent straight-line reimplementation used as an oracle: the
+    graph churn stops at and the (side, stage) trace that reaches it."""
     if G.is_regular(g):
-        return g
+        return CL.ChurnResult(g, trace)
     low = G.peel_low(g)
     if not M.in_y_d(low):
-        return _churn_reference(low)
+        return _churn_reference(low, trace + (("low", low),))
     high = G.peel_high(g)
     if not M.in_y_d(high):
-        return _churn_reference(high)
-    return g
+        return _churn_reference(high, trace + (("high", high),))
+    return CL.ChurnResult(g, trace)
 
 
 def test_churn_matches_reference_exhaustively():
     for n in range(1, 8):
         for g in E.graphs_on(n):
-            assert CL.churn(g).result == _churn_reference(g)
+            assert CL.churn(g) == _churn_reference(g), G.to_graph6(g)
 
 
 def test_churn_trace_soundness():
@@ -154,6 +155,35 @@ def test_chain_steps_name_low_or_high_peels():
     assert [s.rule for s in v.chain] == ["peel-high"]
     assert v.chain[0].target_h.edge_count() == 1
     assert v.chain[0].target_h.n == 5
+
+
+def test_stored_b_and_d_graphs_pinned():
+    """B1-B3, D1, D2 in their stored orientation under all three problems.
+    Under editing each low peel is easy and the high peel has one edge on
+    five vertices; B3 has 8 vertices, beyond the golden's levels."""
+    want = {
+        "deletion": {
+            "B1": ("Incompressible", "two-connected-catalogue:B1", None, []),
+            "B2": ("Incompressible", "two-connected-catalogue:B2", None, []),
+            "B3": ("Incompressible", "two-connected-catalogue:B3", None, []),
+            "D1": ("OpenCatalogue", "catalogue:D1", "D1", []),
+            "D2": ("OpenCatalogue", "catalogue:D2", "D2", []),
+        },
+        "editing": {
+            gid: ("Incompressible", "one-edge>=5-vertices", None, ["peel-high"])
+            for gid in ("B1", "B2", "B3", "D1", "D2")
+        },
+        "completion": {
+            gid: ("Incompressible", "dual:3-connected", None,
+                  ["complement-duality", "peel-low"])
+            for gid in ("B1", "B2", "B3", "D1", "D2")
+        },
+    }
+    for problem, rows in want.items():
+        for gid, expect in rows.items():
+            v = CL.classify(C.lookup(gid).graph, problem)
+            got = (v.status, v.reason, v.member, [s.rule for s in v.chain])
+            assert got == expect, (gid, problem)
 
 
 def test_symmetric_regular_graph_needs_no_certificate():
