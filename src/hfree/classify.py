@@ -18,13 +18,7 @@ from . import reductions as R
 from .graphs import SmallGraph
 
 PROBLEMS = ("editing", "deletion", "completion")
-STATUSES = (
-    "PolyKernel",
-    "Incompressible",
-    "OpenCatalogue",
-    "ClawExcluded",
-    "Unclassified",
-)
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -34,15 +28,6 @@ class Verdict:
     chain: tuple[R.ReductionStep, ...] = ()
     member: Optional[str] = None  # catalogue id for OpenCatalogue verdicts
 
-    def describe(self) -> dict:
-        return {
-            "problem": self.problem,
-            "status": self.status,
-            "reason": self.reason,
-            "member": self.member,
-            "chain": [s.describe() for s in self.chain],
-        }
-
 
 @dataclass(frozen=True)
 class ChurnResult:
@@ -50,48 +35,33 @@ class ChurnResult:
     trace: tuple[tuple[str, SmallGraph], ...]  # ("low"/"high", graph after)
 
 
-# The one memo, keyed by canonical certificate: (cert, problem) holds the
-# chain-producing part of the rule table (rules 6-8), (cert, "churn") the
-# peel decisions of churn(). Unbounded: an evicted entry would come back
-# labeled after another graph of its class.
-_memo: dict[tuple[bytes, str], Verdict | tuple[str, ...]] = {}
-
-
-def _churn_sides(g: SmallGraph) -> tuple[str, ...]:
-    """The iso-invariant sequence of peel decisions for g."""
-    key = (G.canonical_cert(g), "churn")
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    if G.is_regular(g):
-        out: tuple[str, ...] = ()
-    else:
-        low = G.peel_low(g)
-        high = G.peel_high(g)
-        if not M.in_y_d(low):
-            out = ("low",) + _churn_sides(low)
-        elif not M.in_y_d(high):
-            out = ("high",) + _churn_sides(high)
-        else:
-            out = ()
-    _memo[key] = out
-    return out
+# The verdicts of rules 6-8, keyed by (canonical certificate, problem).
+# Unbounded: an evicted entry would come back labeled after another graph
+# of its class.
+_memo: dict[tuple[bytes, str], Verdict] = {}
 
 
 def churn(g: SmallGraph) -> ChurnResult:
     """Peel extreme degree classes until regular or both peels are easy.
 
-    Step 1: regular graphs come straight back. Step 2/3: recurse on the
-    low/high peel when it is outside the easy deletion set. Step 4: return
-    the graph whose peels are both easy. The decision sequence is memoized
-    per isomorphism class and replayed on the given labeling.
+    Step 1: a regular graph comes straight back. Step 2/3: move to the low
+    peel if it lies outside the easy deletion set Y_D, else to the high
+    peel if that does. Step 4: stop at a graph whose peels are both in Y_D.
+    The trace records each side taken and the graph that remains.
     """
     trace = []
-    current = g
-    for side in _churn_sides(g):
-        current = G.peel_low(current) if side == "low" else G.peel_high(current)
-        trace.append((side, current))
-    return ChurnResult(current, tuple(trace))
+    while not G.is_regular(g):
+        low = G.peel_low(g)
+        if not M.in_y_d(low):
+            g = low
+            trace.append(("low", g))
+            continue
+        high = G.peel_high(g)
+        if M.in_y_d(high):
+            break
+        g = high
+        trace.append(("high", g))
+    return ChurnResult(g, tuple(trace))
 
 
 def peel_types(p: SmallGraph) -> list[str]:
@@ -145,7 +115,8 @@ def classify(g: SmallGraph, problem: str) -> Verdict:
 # 1 complete, 2 empty, 3 Y' (claw excluded, the rest small kernels),
 # 4 at most one edge (deletion): none needs a canonical certificate.
 # 5 X witness: peels and chain targets enter the table here.
-# 6 W member, 7 low then high peel, 8 exhausted: memoized by certificate.
+# 6 W member, 7 the low, else the high peel outside the problem's easy set
+# (Y_E for editing, Y_D for deletion), 8 exhausted: memoized by certificate.
 
 
 def _decide(g: SmallGraph, problem: str) -> Verdict:
@@ -180,34 +151,23 @@ def _chain_part(g: SmallGraph, problem: str) -> Verdict:
     wr = C.membership_W(g)
     if wr is not None:
         steps = R.w_steps(g, wr)
-        if steps is None:
-            return _terminal(g, wr, problem)
-        return _prefixed(steps, _pipeline(steps[-1].target_h, problem))
+        if steps is not None:
+            return _prefixed(steps, _pipeline(steps[-1].target_h, problem))
+        v = _terminal(g, wr, problem)
+        if v is not None:
+            return v
     if not G.is_regular(g):
-        for step in _peel_steps(g):
-            v = _one_edge_peel(step, problem)
-            if v is not None:
-                return v
-            if not M.in_y_d(step.target_h):
+        easy = M.in_y_e if problem == "editing" else M.in_y_d
+        for rule in ("peel-low", "peel-high"):
+            step = R.make_step(rule, g, False)
+            if not easy(step.target_h):
                 return _prefixed((step,), _pipeline(step.target_h, problem))
     return Verdict(problem, "Unclassified", "pipeline-exhausted")
 
 
-def _peel_steps(g: SmallGraph):
-    for rule in ("peel-low", "peel-high"):
-        yield R.make_step(rule, g, False)
-
-
-def _one_edge_peel(step: R.ReductionStep, problem: str) -> Optional[Verdict]:
-    """A peel with exactly one edge on >= 5 vertices is hard for editing."""
-    p = step.target_h
-    if problem == "editing" and p.edge_count() == 1 and p.n >= 5:
-        return Verdict(problem, "Incompressible", "one-edge>=5-vertices", (step,))
-    return None
-
-
-def _terminal(g: SmallGraph, wr: C.WReason, problem: str) -> Verdict:
-    """Verdict for a W member without chain-table steps (H, A, B, D)."""
+def _terminal(g: SmallGraph, wr: C.WReason, problem: str) -> Optional[Verdict]:
+    """The fixed verdict of a W member without chain-table steps (H, A, B,
+    D), or None for B/D under editing, which go on to the peels."""
     series = wr.id[0]
     member = str(wr)
     if series == "A" or (series == "B" and problem == "deletion"):
@@ -221,8 +181,4 @@ def _terminal(g: SmallGraph, wr: C.WReason, problem: str) -> Verdict:
         chain = (_complement_step(g, G.complement(g)),) if wr.complemented else ()
         return Verdict(problem, "OpenCatalogue", f"catalogue:{wr.id}",
                        chain, member=wr.id)
-    for step in _peel_steps(g):
-        v = _one_edge_peel(step, problem)
-        if v is not None:
-            return v
-    return Verdict(problem, "Unclassified", f"unresolved:{wr.id}")
+    return None

@@ -7,6 +7,7 @@ JSON reports go to stdout, human-readable summaries to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -191,7 +192,6 @@ def cmd_catalogue(args) -> int:
         raise ValueError("catalogue show needs an id")
     entry = C.lookup(args.id)
     g = entry.graph
-    sm = M.set_membership(g)
     payload = {
         "id": entry.id,
         "series": entry.source,
@@ -201,14 +201,7 @@ def cmd_catalogue(args) -> int:
         "edges": sorted(g.edges()),
         "degrees": sorted(g.degrees()),
         "connected": G.is_connected(g),
-        "membership": {
-            "in_XD": sm.in_XD,
-            "in_XE": sm.in_XE,
-            "in_YE": sm.in_YE,
-            "in_YD": sm.in_YD,
-            "in_Yprime": sm.in_Yprime,
-            "witness": sm.witness,
-        },
+        "membership": dataclasses.asdict(M.set_membership(g)),
     }
     _emit(payload, f"{entry.id}: n={g.n} m={g.edge_count()}")
     return 0

@@ -377,10 +377,13 @@ def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
     exceptions: list[dict] = []
     findings: list[dict] = []
     cells: dict[str, dict] = {}
+    miscounted = []
     checked = 0
     for n in range(lo, cfg.n_max + 1):
         level = graphs_on(n, cfg.workers, cfg.checkpoint_path)
         checked += len(level)
+        if n <= len(KNOWN_COUNTS) and len(level) != KNOWN_COUNTS[n - 1]:
+            miscounted.append(n)
         tasks = [
             (i, (campaign, level[start : start + _CHECK_CHUNK]))
             for i, start in enumerate(range(0, len(level), _CHECK_CHUNK))
@@ -417,6 +420,10 @@ def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
     else:
         report["counterexamples"] = sorted(findings, key=lambda d: d["g6"])
         report["ok"] = not findings
+    if miscounted:
+        # a level of the wrong size makes every check above meaningless
+        report["miscounted_levels"] = miscounted
+        report["ok"] = False
     report["checked"] = checked
     report["runtime_sec"] = round(time.time() - t0, 3)
     return report

@@ -11,6 +11,7 @@ attachment boundary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -22,6 +23,11 @@ from .graphs import SmallGraph
 ROLES = ("SComponent", "BasicUnit", "Enforcer")
 _ROLE_KEY = {"SComponent": "s_component", "BasicUnit": "basic_unit",
              "Enforcer": "enforcer"}
+
+
+# the most allowed pairs a truth-setting complex may have for its 2**n toggle
+# masks to be scanned one by one (``modification_sets``)
+EXHAUSTIVE_PAIRS = 21
 
 
 class GadgetError(ValueError):
@@ -189,21 +195,20 @@ def build_truth_setting(unit: Gadget, p: Optional[int] = None) -> TruthSetting:
                         variable_pairs, unit.h)
 
 
-def modification_sets(
-    tc: TruthSetting, h: SmallGraph, max_pairs: int = 21
-) -> list[int]:
+def modification_sets(tc: TruthSetting, h: SmallGraph) -> list[int]:
     """All subsets of allowed pairs whose toggle leaves the complex h-free.
 
     Returned as bitmasks over tc.allowed. The candidate vertex sets are
     those that induce h for some toggle of the allowed pairs inside them,
     found by one relaxed search (``find_induced`` with the allowed pairs
     free); each is then checked pattern by pattern. The final scan over
-    all masks is exhaustive, guarded at 2**max_pairs subsets.
+    all masks is exhaustive, guarded at 2**EXHAUSTIVE_PAIRS subsets.
     """
     pairs = list(tc.allowed)
     np_ = len(pairs)
-    if np_ > max_pairs:
-        raise GadgetError(f"{np_} allowed pairs exceed exhaustive guard {max_pairs}")
+    if np_ > EXHAUSTIVE_PAIRS:
+        raise GadgetError(
+            f"{np_} allowed pairs exceed exhaustive guard {EXHAUSTIVE_PAIRS}")
     pair_index = {p: i for i, p in enumerate(pairs)}
     base = tc.graph
     hm = h.edge_count()
@@ -260,13 +265,11 @@ def modification_sets(
     return good
 
 
-def verify_truth_setting(
-    tc: TruthSetting, h: SmallGraph, mode: str, max_pairs: int = 21
-) -> bool:
+def verify_truth_setting(tc: TruthSetting, h: SmallGraph, mode: str) -> bool:
     """Exactly two modification sets: empty and all allowed pairs."""
     if mode != tc.mode:
         raise GadgetError("mode mismatch")
-    good = modification_sets(tc, h, max_pairs=max_pairs)
+    good = modification_sets(tc, h)
     full = (1 << len(tc.allowed)) - 1
     return sorted(good) == [0, full]
 
@@ -394,8 +397,8 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
 def _first_crossing_copy(enf: Gadget, h: SmallGraph, n_host: int) -> Optional[dict]:
     """The first violation of layer (c): hosts by size, in enumeration
     order, then their (non)edges (u, v), u < v, in row order. The enforcer
-    is attached once per Aut(host)-orbit of these ordered pairs, at the
-    orbit's first pair: an automorphism mapping (u, v) onto (u', v') maps
+    is attached only at the first pair of each Aut(host)-orbit
+    (``_orbit_firsts``): an automorphism mapping (u, v) onto (u', v') maps
     one joined graph onto the other and fixes the enforcer's own vertices,
     so both have a crossing copy or neither has. The first violating pair
     is therefore the first of its orbit, and the search that reports it is
@@ -405,21 +408,34 @@ def _first_crossing_copy(enf: Gadget, h: SmallGraph, n_host: int) -> Optional[di
     want_edge = enf.mode == "delete"
     for n in range(2, n_host + 1):
         for host in enumeration.graphs_on(n):
-            # Aut(host) acting on ordered pairs, point u * n + v
-            gens = [[g[u] * n + g[v] for u in range(n) for v in range(n)]
-                    for g in G.canonical_labeling(host.rows)[1]]
-            done = 0
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if host.has_edge(u, v) != want_edge or done >> (u * n + v) & 1:
-                        continue
-                    done |= G._closure(1 << (u * n + v), gens)
-                    joined = attach_enforcer(host, (u, v), enf, 1)
-                    for hit in G.find_induced(joined, h):
-                        if any(w >= n for w in hit):
-                            return {"host": G.to_graph6(host), "pair": (u, v),
-                                    "copy": sorted(hit)}
+            for pair in _orbit_firsts(host, want_edge):
+                joined = attach_enforcer(host, pair, enf, 1)
+                for hit in G.find_induced(joined, h):
+                    if any(w >= n for w in hit):
+                        return {"host": G.to_graph6(host), "pair": pair,
+                                "copy": sorted(hit)}
     return None
+
+
+@functools.lru_cache(maxsize=512)
+def _orbit_firsts(host: SmallGraph, want_edge: bool) -> tuple[tuple[int, int], ...]:
+    """The edges (want_edge) or nonedges (u, v), u < v, of host that come
+    first in row order within their orbit under Aut(host) acting on
+    ordered pairs. It depends on the host and the mode alone, so the 18
+    table enforcers share one labeling per host; the bound holds every
+    host with n <= 6 (207 of them) in both modes."""
+    n = host.n
+    # Aut(host) acting on ordered pairs, point u * n + v
+    gens = [[g[u] * n + g[v] for u in range(n) for v in range(n)]
+            for g in G.canonical_labeling(host.rows)[1]]
+    firsts = []
+    done = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if host.has_edge(u, v) == want_edge and not done >> (u * n + v) & 1:
+                done |= G._closure(1 << (u * n + v), gens)
+                firsts.append((u, v))
+    return tuple(firsts)
 
 
 def _special_structural(h: SmallGraph, enf: Gadget) -> tuple[str, bool]:
@@ -454,7 +470,8 @@ def verify_row(row: str, mode: str, role: str, n_host: int = 6) -> Optional[dict
     The entry records the outcome under "ok", plus the toggle table (or the
     error) of an S-component, the method of a basic unit and the layers of an
     enforcer. A basic unit's complex is checked exhaustively when it has at
-    most 21 allowed pairs and 50 vertices, else by the weak forcing check.
+    most ``EXHAUSTIVE_PAIRS`` allowed pairs and 50 vertices, else by the
+    weak forcing check.
     """
     gadget = table_gadget(row, mode, role)
     if gadget is None:
@@ -470,7 +487,7 @@ def verify_row(row: str, mode: str, role: str, n_host: int = 6) -> Optional[dict
     elif role == "BasicUnit":
         tc = build_truth_setting(gadget)
         h = host_graph(row)
-        if len(tc.allowed) <= 21 and tc.graph.n <= 50:
+        if len(tc.allowed) <= EXHAUSTIVE_PAIRS and tc.graph.n <= 50:
             entry["ok"] = verify_truth_setting(tc, h, mode)
             entry["method"] = "exhaustive"
         else:

@@ -65,24 +65,20 @@ class SetMembership:
 def set_membership(g: SmallGraph) -> SetMembership:
     """All five set flags with a witness for the strongest applicable one."""
     yname = yprime_name(g)
-    near_big = g.edge_count() == 1 and g.n >= 5
-    xw = x_witness_for(g, "deletion")
-    in_ye = in_y_e(g)
+    xe = x_witness_for(g, "editing")
     if G.is_complete(g):
         witness = "complete"
     elif G.is_empty(g):
         witness = "empty"
     elif yname is not None:
         witness = yname
-    elif near_big:
-        witness = "one-edge>=5-vertices"
     else:
-        witness = xw or "none"
+        witness = xe or "none"
     return SetMembership(
-        in_XD=xw is not None,
-        in_XE=xw is not None or near_big,
-        in_YE=in_ye,
-        in_YD=in_ye or near_big,
+        in_XD=x_witness_for(g, "deletion") is not None,
+        in_XE=xe is not None,
+        in_YE=in_y_e(g),
+        in_YD=in_y_d(g),
         in_Yprime=yname is not None,
         witness=witness,
     )

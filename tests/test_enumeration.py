@@ -182,6 +182,21 @@ def test_campaign_regular_tail_flags_deviation(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_campaign_flags_a_miscounted_level(monkeypatch, capsys):
+    """A cached level that lost a class fails the campaign: the report
+    names the level and is not ok, and ``hfree verify`` exits 1. A normal
+    report has no such key. ``setitem`` puts the true level back."""
+    good = E.run_search_campaign(E.EnumConfig(n_max=6), "regular_tail")
+    assert good["ok"] and "miscounted_levels" not in good
+    monkeypatch.setitem(E._levels, 6, E.graphs_on(6)[:-1])
+    rep = E.run_search_campaign(E.EnumConfig(n_max=6), "regular_tail")
+    assert rep["per_n"][6]["graphs"] == E.KNOWN_COUNTS[5] - 1
+    assert rep["miscounted_levels"] == [6] and not rep["ok"]
+    code = cli.main(["verify", "--campaign", "case_lemmas", "--n-max", "6"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["miscounted_levels"] == [6]
+
+
 def test_campaign_case_lemma_cells():
     cells = E.run_search_campaign(E.EnumConfig(n_max=7), "case_lemmas")["cells"]
     assert "empty|complete" not in cells

@@ -127,14 +127,6 @@ def test_con_main_backward_direction():
 
 # -- the designated equivalence suite -------------------------------------------
 
-DESIGNATED = []
-
-
-def _k23_to_c4():
-    src = C.lookup("S1").graph
-    return ("biclique-shrink", src, G.cycle_graph(4),
-            lambda inst: R.execute_step(R.make_step("biclique-shrink", src, False), inst))
-
 
 def _chain_case(rule, src):
     step = R.make_step(rule, src, False)
