@@ -1,8 +1,12 @@
 """Catalogue transcription guards and family generator/recognizer tests."""
 
+import random
+
 import pytest
 
+import w_oracle
 from hfree import catalogue as C
+from hfree import enumeration as E
 from hfree import graphs as G
 from hfree import membership as M
 from iso_oracle import vertex_connectivity
@@ -129,3 +133,23 @@ def test_w_closed_under_complement():
         for t in range(tmin, 9):
             g = C.generate_family(C.FamilyId(fam, t))
             assert C.membership_W(G.complement(g)) is not None, (fam, t)
+
+
+def test_membership_w_matches_oracle():
+    """membership_W and recognize_family answer as the oracle does on every
+    graph with n <= 7, every catalogue id and co-id, and every family member
+    from tmin to tmin+8 with its complement, each as stored and relabeled."""
+    pool = [g for n in range(1, 8) for g in E.graphs_on(n)]
+    for name in C.all_ids():
+        pool += [C.lookup(name).graph, C.lookup(f"co-{name}").graph]
+    for fam, tmin in C.FAMILY_CONSTRAINTS.items():
+        for t in range(tmin, tmin + 9):
+            g = C.generate_family(C.FamilyId(fam, t))
+            pool += [g, G.complement(g)]
+    rng = random.Random(13)
+    for g in pool:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for h in (g, G.relabel(g, perm)):
+            assert C.membership_W(h) == w_oracle.membership_W(h), G.to_graph6(h)
+            assert C.recognize_family(h) == w_oracle.recognize_family(h)
