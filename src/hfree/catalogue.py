@@ -6,13 +6,15 @@ small 3/4-vertex graphs) are stored as graph6 strings in
 ``docs/catalogue_edges.txt``. Families F1..F10 are generated on demand.
 
 The union W = named entries + families, closed under complementation, is
-what the churning classifier tests membership against.
+what the churning classifier tests membership against. ``membership_W``
+looks one certificate up in an index of W's graphs on that many vertices,
+built on the first lookup at each vertex count.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -52,35 +54,6 @@ class WReason:
         return f"co-{base}" if self.complemented else base
 
 
-# family name -> minimum t; the vertex count t + offset is in _FAMILY_OFFSET
-FAMILY_CONSTRAINTS = {
-    "F1": 4,
-    "F2": 5,
-    "F3": 4,
-    "F4": 4,
-    "F5": 4,
-    "F6": 4,
-    "F7": 4,
-    "F8": 6,
-    "F9": 3,
-    "F10": 3,
-}
-
-_FAMILY_OFFSET = {
-    # n = t + offset
-    "F1": 2,
-    "F2": 1,
-    "F3": 2,
-    "F4": 3,
-    "F5": 2,
-    "F6": 2,
-    "F7": 3,
-    "F8": 1,
-    "F9": 4,
-    "F10": 4,
-}
-
-
 @functools.cache
 def _load() -> dict[str, NamedGraph]:
     entries = {}
@@ -107,27 +80,6 @@ def lookup(gid: str) -> NamedGraph:
         base = entries[gid[3:]]
         return NamedGraph(gid, G.complement(base.graph), base.source)
     raise KeyError(f"unknown catalogue id: {gid}")
-
-
-@functools.cache
-def _index() -> dict[bytes, str]:
-    idx: dict[bytes, str] = {}
-    for name, entry in _load().items():
-        idx.setdefault(G.canonical_cert(entry.graph), name)
-    return idx
-
-
-def identify(g: SmallGraph) -> Optional[str]:
-    """Catalogue id of g, a 'co-' id if only its complement is stored."""
-    cert = G.canonical_cert(g)
-    idx = _index()
-    if cert in idx:
-        return idx[cert]
-    co = G.canonical_cert(G.complement(g))
-    if co in idx:
-        name = idx[co]
-        return name if cert == co else f"co-{name}"
-    return None
 
 
 # -- families ----------------------------------------------------------------
@@ -158,72 +110,88 @@ def _with_handle(g: SmallGraph) -> SmallGraph:
     )
 
 
-def _klique_minus_e(t: int) -> SmallGraph:
-    return G.delete_edge(G.complete_graph(t), 0, 1)
+def _co_clique_minus_e_plus(t: int, g: SmallGraph) -> SmallGraph:
+    """The complement of (K_t - e) + g."""
+    return G.complement(G.disjoint_union(G.delete_edge(G.complete_graph(t), 0, 1), g))
+
+
+# family name -> (minimum t, vertex offset with n = t + offset, member builder)
+_FAMILIES = {
+    "F1": (4, 2, lambda t: G.complete_bipartite(2, t)),
+    "F2": (5, 1, G.star_graph),
+    "F3": (4, 2, _k2_join_independent),
+    "F4": (4, 3, lambda t: twin_star(t, 1)),
+    "F5": (4, 2, lambda t: _co_clique_minus_e_plus(t, G.empty_graph(2))),
+    "F6": (4, 2, lambda t: _co_clique_minus_e_plus(t, G.complete_graph(2))),
+    "F7": (4, 3, lambda t: G.disjoint_union(G.star_graph(t), G.complete_graph(2))),
+    "F8": (6, 1, lambda t: _co_clique_minus_e_plus(t, G.empty_graph(1))),
+    # handles on the two top vertices 0, 1 of K2 + tK1, and on the two
+    # t-degree vertices 0, 1 of K(2, t)
+    "F9": (3, 4, lambda t: _with_handle(_k2_join_independent(t))),
+    "F10": (3, 4, lambda t: _with_handle(G.complete_bipartite(2, t))),
+}
+
+FAMILY_CONSTRAINTS = {fam: tmin for fam, (tmin, _, _) in _FAMILIES.items()}
 
 
 def generate_family(fid: FamilyId) -> SmallGraph:
     """The member of the infinite family fid, on t + offset vertices."""
     fam, t = fid.family, fid.t
-    if fam not in FAMILY_CONSTRAINTS:
+    if fam not in _FAMILIES:
         raise KeyError(f"unknown family: {fam}")
-    if t < FAMILY_CONSTRAINTS[fam]:
-        raise ValueError(f"{fam} requires t >= {FAMILY_CONSTRAINTS[fam]}, got {t}")
-    if fam == "F1":
-        return G.complete_bipartite(2, t)
-    if fam == "F2":
-        return G.star_graph(t)
-    if fam == "F3":
-        return _k2_join_independent(t)
-    if fam == "F4":
-        return twin_star(t, 1)
-    if fam == "F5":
-        return G.complement(G.disjoint_union(_klique_minus_e(t), G.empty_graph(2)))
-    if fam == "F6":
-        return G.complement(G.disjoint_union(_klique_minus_e(t), G.complete_graph(2)))
-    if fam == "F7":
-        return G.disjoint_union(G.star_graph(t), G.complete_graph(2))
-    if fam == "F8":
-        return G.complement(G.disjoint_union(_klique_minus_e(t), G.empty_graph(1)))
-    if fam == "F9":
-        return _with_handle(_k2_join_independent(t))  # top vertices 0, 1
-    return _with_handle(G.complete_bipartite(2, t))  # t-degree vertices 0, 1
+    tmin, _, build = _FAMILIES[fam]
+    if t < tmin:
+        raise ValueError(f"{fam} requires t >= {tmin}, got {t}")
+    return build(t)
+
+
+def _members(n: int) -> list[tuple[FamilyId, SmallGraph]]:
+    """Every family member on n vertices, in table order."""
+    return [
+        (FamilyId(fam, n - offset), build(n - offset))
+        for fam, (tmin, offset, build) in _FAMILIES.items()
+        if n - offset >= tmin
+    ]
 
 
 def recognize_family(g: SmallGraph) -> Optional[FamilyId]:
-    """Inverse of generate_family: the fid with g isomorphic to its member."""
+    """Inverse of generate_family: the first fid in table order with g
+    isomorphic to its member."""
     cert = None
-    for fam, tmin in FAMILY_CONSTRAINTS.items():
-        t = g.n - _FAMILY_OFFSET[fam]
-        if t < tmin:
-            continue
-        member = generate_family(FamilyId(fam, t))
+    for fid, member in _members(g.n):
         if member.edge_count() != g.edge_count():
             continue
         if cert is None:
             cert = G.canonical_cert(g)
         if G.canonical_cert(member) == cert:
-            return FamilyId(fam, t)
+            return fid
     return None
+
+
+@functools.lru_cache(maxsize=128)
+def _w_on(n: int) -> dict[bytes, WReason]:
+    """Certificate -> WReason for every graph of W on n vertices. Earlier
+    entries win: named entries, their complements, family members, then the
+    members' complements, each in catalogue or table order."""
+    named = [
+        (e.graph, WReason("named", e.id))
+        for e in _load().values()
+        if e.graph.n == n and e.source != "small"
+    ]
+    family = [(g, WReason("family", f.family, t=f.t)) for f, g in _members(n)]
+    idx: dict[bytes, WReason] = {}
+    for part in (named, family):
+        for co in (False, True):
+            for g, reason in part:
+                cert = G.canonical_cert(G.complement(g) if co else g)
+                idx.setdefault(cert, replace(reason, complemented=co))
+    return idx
 
 
 def membership_W(g: SmallGraph) -> Optional[WReason]:
     """Locate g inside W (named entries, families, and their complements).
 
     The set W is closed under complementation and is the same for every
-    problem variant.
+    problem variant. The small 3/4-vertex entries are not part of it.
     """
-    name = identify(g)
-    if name is not None:
-        base = name[3:] if name.startswith("co-") else name
-        if _load()[base].source != "small":
-            if name.startswith("co-"):
-                return WReason("named", base, complemented=True)
-            return WReason("named", name)
-    fid = recognize_family(g)
-    if fid is not None:
-        return WReason("family", fid.family, t=fid.t)
-    fid = recognize_family(G.complement(g))
-    if fid is not None:
-        return WReason("family", fid.family, t=fid.t, complemented=True)
-    return None
+    return _w_on(g.n).get(G.canonical_cert(g))

@@ -62,19 +62,12 @@ def _emit(payload: dict, summary: str) -> None:
 
 
 def _chain_json(chain) -> list[dict]:
+    """Each step's ``describe()`` with its rule shown as the citation."""
     out = []
     for s in chain:
         d = s.describe()
-        out.append(
-            {
-                "from": d["from"],
-                "to": d["to"],
-                "construction": d["construction"],
-                "citation": d["rule"],
-                "k_map": d["k_map"],
-                "complemented": d["complemented"],
-            }
-        )
+        d["citation"] = d.pop("rule")
+        out.append(d)
     return out
 
 

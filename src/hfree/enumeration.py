@@ -31,7 +31,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import __version__
+from . import catalogue as C
+from . import classify as CL
 from . import graphs as G
+from . import membership as M
 from .graphs import SmallGraph
 
 # the largest n enumerated: level 11 has 1 018 997 864 classes (OEIS
@@ -266,10 +269,6 @@ REGULAR_TAIL_EXCEPTIONS = ("C`", "Cl", "Dhc")
 
 
 def _check_case_lemmas(g: SmallGraph) -> Optional[dict]:
-    from . import catalogue as C
-    from . import classify as CL
-    from . import membership as M
-
     if M.in_y_d(g) or M.x_witness_for(g, "deletion") is not None:
         return None
     if G.is_regular(g):
@@ -290,8 +289,6 @@ def _check_case_lemmas(g: SmallGraph) -> Optional[dict]:
 
 
 def _check_regular_tail(g: SmallGraph) -> Optional[dict]:
-    from . import membership as M
-
     if not G.is_regular(g) or G.is_complete(g) or G.is_empty(g):
         return None
     r = g.degree(0)
@@ -302,9 +299,6 @@ def _check_regular_tail(g: SmallGraph) -> Optional[dict]:
 
 
 def _check_churn_totality(g: SmallGraph) -> Optional[dict]:
-    from . import classify as CL
-    from . import membership as M
-
     out = {}
     if not M.in_y_d(g):
         v = CL.classify(g, "deletion")
@@ -332,8 +326,6 @@ def _check_shard(task: tuple[str, list[SmallGraph]]) -> list[dict]:
 
 
 def _campaign_w_closure(cfg: EnumConfig) -> dict:
-    from . import catalogue as C
-
     t_hi = 9
     failures = []
     checked = 0

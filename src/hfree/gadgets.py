@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from . import catalogue
 from . import graphs as G
 from ._gadget_table import GADGET_TABLE
 from .graphs import SmallGraph
@@ -59,8 +60,6 @@ class Gadget:
 
 
 def host_graph(h_id: str) -> SmallGraph:
-    from . import catalogue
-
     return catalogue.lookup(h_id).graph
 
 
@@ -403,6 +402,7 @@ def _first_crossing_copy(enf: Gadget, h: SmallGraph, n_host: int) -> Optional[di
     so both have a crossing copy or neither has. The first violating pair
     is therefore the first of its orbit, and the search that reports it is
     the one an attachment at every pair would make."""
+    # imported here: gadgets -> enumeration -> classify -> reductions -> gadgets
     from . import enumeration
 
     want_edge = enf.mode == "delete"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from . import catalogue
 from . import graphs as G
 from .graphs import SmallGraph
 
@@ -21,8 +22,6 @@ from .graphs import SmallGraph
 @functools.cache
 def _yprime_index() -> dict[bytes, str]:
     """Names of the nine Y' graphs, keyed by canonical cert."""
-    from . import catalogue
-
     return {
         G.canonical_cert(catalogue.lookup(name).graph): name
         for name in ("P3", "co-P3", "P4", "claw", "co-claw", "paw",

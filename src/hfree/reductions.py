@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 from math import comb, perm
 from typing import Sequence
 
+from . import catalogue as C
 from . import gadgets as GD
 from . import graphs as G
+from . import membership as M
 from .graphs import VERTEX_CAP, Builder, CapExceeded, SmallGraph
 from .solver import EditInstance
 
@@ -40,10 +42,7 @@ def _unrestricted(inst: EditInstance) -> SmallGraph:
     return inst.g
 
 
-def con_main(
-    inst: EditInstance, h: SmallGraph, vprime: Sequence[int],
-    cap: int = VERTEX_CAP,
-) -> EditInstance:
+def con_main(inst: EditInstance, h: SmallGraph, vprime: Sequence[int]) -> EditInstance:
     """Satellite construction over all injective placements of h[vprime].
 
     For every injective map f of vprime into V(G'), add k+1 fresh copies
@@ -55,7 +54,7 @@ def con_main(
     if any(v < 0 or v >= h.n for v in vp):
         raise ValueError("vprime must be a subset of V(h)")
     total = gprime.n + perm(gprime.n, len(vp)) * (k + 1) * (h.n - len(vp))
-    grow = Builder(gprime, cap, total)
+    grow = Builder(gprime, total=total)
     for placement in itertools.permutations(range(gprime.n), len(vp)):
         image = dict(zip(vp, placement))
         for _ in range(k + 1):
@@ -63,7 +62,7 @@ def con_main(
     return EditInstance(grow.graph(), k, inst.mode)
 
 
-def con_mod(inst: EditInstance, ell: int, cap: int = VERTEX_CAP) -> EditInstance:
+def con_mod(inst: EditInstance, ell: int) -> EditInstance:
     """A fresh (k+1)-clique fully joined to every ell-subset of vertices.
 
     Sources with fewer than ell vertices have no such subsets and come
@@ -72,20 +71,20 @@ def con_mod(inst: EditInstance, ell: int, cap: int = VERTEX_CAP) -> EditInstance
     gprime, k = _unrestricted(inst), inst.k
     if ell < 1:
         raise ValueError("ell must be positive")
-    grow = Builder(gprime, cap, gprime.n + comb(gprime.n, ell) * (k + 1))
+    grow = Builder(gprime, total=gprime.n + comb(gprime.n, ell) * (k + 1))
     unit = G.complete_graph(ell + k + 1)
     for sub in itertools.combinations(range(gprime.n), ell):
         grow.glue(unit, dict(enumerate(sub)))
     return EditInstance(grow.graph(), k, inst.mode)
 
 
-def con_near_uni(inst: EditInstance, t: int, cap: int = VERTEX_CAP) -> EditInstance:
+def con_near_uni(inst: EditInstance, t: int) -> EditInstance:
     """A fresh independent (k+2)-set joined to everything except each
     t-subset. Sources with fewer than t vertices come back unchanged."""
     gprime, k = _unrestricted(inst), inst.k
     if t < 1:
         raise ValueError("t must be positive")
-    grow = Builder(gprime, cap, gprime.n + comb(gprime.n, t) * (k + 2))
+    grow = Builder(gprime, total=gprime.n + comb(gprime.n, t) * (k + 2))
     unit = G.complete_bipartite(max(gprime.n - t, 0), k + 2)
     for sub in itertools.combinations(range(gprime.n), t):
         others = [v for v in range(gprime.n) if v not in sub]
@@ -93,18 +92,15 @@ def con_near_uni(inst: EditInstance, t: int, cap: int = VERTEX_CAP) -> EditInsta
     return EditInstance(grow.graph(), k, inst.mode)
 
 
-def union_clique(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+def union_clique(inst: EditInstance) -> EditInstance:
     """Disjoint union with a (k+1)-clique (isolated-vertex removal step)."""
     gprime, k = _unrestricted(inst), inst.k
-    if gprime.n + k + 1 > cap:
-        raise CapExceeded("clique union exceeds cap")
-    return EditInstance(
-        G.disjoint_union(gprime, G.complete_graph(k + 1)), k, inst.mode)
+    grow = Builder(gprime, total=gprime.n + k + 1)
+    grow.glue(G.complete_graph(k + 1), {})
+    return EditInstance(grow.graph(), k, inst.mode)
 
 
-def largest_component_reduction(
-    inst: EditInstance, h: SmallGraph, cap: int = VERTEX_CAP,
-) -> EditInstance:
+def largest_component_reduction(inst: EditInstance, h: SmallGraph) -> EditInstance:
     """Composition reducing (largest component of h)-free to h-free.
 
     First the input gains the join of k+1 copies of the largest component
@@ -122,27 +118,26 @@ def largest_component_reduction(
         for c in comps
         if len(c) == big and G.are_isomorphic(G.induced_subgraph(h, c), hprime)
     ]
-    g1 = gprime
-    if len(iso_comps) > 1:
+    copies = k + 1 if len(iso_comps) > 1 else 0
+    grow = Builder(gprime, total=gprime.n + copies * hprime.n)
+    if copies:
         joined = hprime
         for _ in range(k):
             joined = G.join(joined, hprime)
-        if gprime.n + joined.n > cap:
-            raise CapExceeded("component join exceeds cap")
-        g1 = G.disjoint_union(gprime, joined)
+        grow.glue(joined, {})
     vprime = sorted(v for c in iso_comps for v in c)
-    return con_main(EditInstance(g1, k, inst.mode), h, vprime, cap=cap)
+    return con_main(EditInstance(grow.graph(), k, inst.mode), h, vprime)
 
 
 _DUAL_MODE = {"delete": "complete", "complete": "delete", "edit": "edit"}
 
 
-def complement_instance(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+def complement_instance(inst: EditInstance) -> EditInstance:
     """H-free deletion on G is co-H-free completion on co-G: the same
     budget and forbidden pairs (edges turn into nonedges) under the dual
     mode."""
-    if inst.g.n > cap:
-        raise CapExceeded(f"{inst.g.n} vertices exceed cap {cap}")
+    if inst.g.n > VERTEX_CAP:
+        raise CapExceeded(f"{inst.g.n} vertices exceed cap {VERTEX_CAP}")
     return EditInstance(
         G.complement(inst.g), inst.k, _DUAL_MODE[inst.mode], inst.forbidden)
 
@@ -222,21 +217,17 @@ def con_cai(
     return EditInstance(graph, 3 * h.n * k, mode, forbidden), per_var
 
 
-def enforcer_attach(
-    inst: EditInstance, h: SmallGraph, cap: int = VERTEX_CAP
-) -> EditInstance:
+def enforcer_attach(inst: EditInstance, h: SmallGraph) -> EditInstance:
     """Drop the forbidden set by pinning each forbidden pair with k+1
     copies of the gadget table's enforcer for h in the instance's mode."""
     rows = [r for r in GD.table_rows() if G.are_isomorphic(GD.host_graph(r), h)]
     enforcer = GD.table_gadget(rows[0], inst.mode, "Enforcer") if rows else None
     if enforcer is None:
         raise PreconditionError(f"the gadget table has no {inst.mode} enforcer for h")
-    return _pin_forbidden(inst, enforcer, cap)
+    return _pin_forbidden(inst, enforcer)
 
 
-def _pin_forbidden(
-    inst: EditInstance, enforcer: GD.Gadget, cap: int = VERTEX_CAP
-) -> EditInstance:
+def _pin_forbidden(inst: EditInstance, enforcer: GD.Gadget) -> EditInstance:
     """``enforcer_attach`` with the enforcer given, checked by the exact
     layer of ``gadgets.verify_enforcer``."""
     if enforcer.role != "Enforcer":
@@ -250,8 +241,8 @@ def _pin_forbidden(
         raise GD.GadgetError("unverified enforcer: toggle creates no copy")
     g = inst.g
     total = g.n + len(inst.forbidden) * (inst.k + 1) * (enforcer.graph.n - 2)
-    if total > cap:
-        raise CapExceeded(f"{total} vertices exceed cap {cap}")
+    if total > VERTEX_CAP:
+        raise CapExceeded(f"{total} vertices exceed cap {VERTEX_CAP}")
     for pair in sorted(inst.forbidden):
         g = GD.attach_enforcer(g, pair, enforcer, inst.k + 1)
     return EditInstance(g, inst.k, inst.mode)
@@ -270,7 +261,7 @@ def _has_all_allowed_c4_subgraph(inst: EditInstance) -> bool:
                for a, b in itertools.combinations(range(len(rows)), 2))
 
 
-def _tricky_clique(inst: EditInstance, cap: int, q: bool) -> EditInstance:
+def _tricky_clique(inst: EditInstance, q: bool) -> EditInstance:
     """A fresh k-set W joined to V(G'); each forbidden uv gets k-sets X on
     u and Y on v, both joined to W, and a fresh Z[i] on X[i] and Y[i]
     (with ``q``, also a fresh Q[i] on them, joined to W); all the X and Y
@@ -280,7 +271,7 @@ def _tricky_clique(inst: EditInstance, cap: int, q: bool) -> EditInstance:
     k = inst.k
     gp = inst.g
     R = sorted(inst.forbidden)
-    grow = Builder(gp, cap, gp.n + k + (4 if q else 3) * k * len(R))
+    grow = Builder(gp, total=gp.n + k + (4 if q else 3) * k * len(R))
     W = grow.fresh(k)
     for w in W:
         for v in range(gp.n):
@@ -310,21 +301,21 @@ def _tricky_clique(inst: EditInstance, cap: int, q: bool) -> EditInstance:
     return EditInstance(grow.graph(), k, "delete")
 
 
-def tricky_a7c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+def tricky_a7c(inst: EditInstance) -> EditInstance:
     """Restricted deletion for the co-A7 host to unrestricted deletion."""
-    return _tricky_clique(inst, cap, q=False)
+    return _tricky_clique(inst, q=False)
 
 
-def tricky_a9c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+def tricky_a9c(inst: EditInstance) -> EditInstance:
     """Restricted deletion for the co-A9 host to unrestricted deletion."""
-    return _tricky_clique(inst, cap, q=True)
+    return _tricky_clique(inst, q=True)
 
 
 # the unit glued at each forbidden edge uv: u is 0, v is 1, then x, y, z
 _A6C_UNIT = G.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)])
 
 
-def tricky_a6c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+def tricky_a6c(inst: EditInstance) -> EditInstance:
     """Restricted co-A1 deletion (no all-allowed 4-cycle subgraph) to
     unrestricted co-A6 deletion: k+1 unit copies at each forbidden edge."""
     if inst.mode != "delete":
@@ -332,14 +323,18 @@ def tricky_a6c(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
     if _has_all_allowed_c4_subgraph(inst):
         raise PreconditionError("input contains an all-allowed 4-cycle subgraph")
     gp, copies = inst.g, inst.k + 1
-    grow = Builder(gp, cap, gp.n + 3 * copies * len(inst.forbidden))
+    grow = Builder(gp, total=gp.n + 3 * copies * len(inst.forbidden))
     for u, v in sorted(inst.forbidden):
         for _ in range(copies):
             grow.glue(_A6C_UNIT, {0: u, 1: v})
     return EditInstance(grow.graph(), inst.k, "delete")
 
 
-def _completion_pre(inst: EditInstance, max_allowed: int = 18) -> None:
+# the most allowed nonedges whose 2^n subsets _completion_pre walks
+_COMPLETION_MAX_ALLOWED = 18
+
+
+def _completion_pre(inst: EditInstance) -> None:
     """Check the structured-completion conditions on a restricted C4
     completion instance (common-neighbor bound and the per-subset
     4-cycle conditions), exhaustively over allowed subsets."""
@@ -353,7 +348,7 @@ def _completion_pre(inst: EditInstance, max_allowed: int = 18) -> None:
             raise PreconditionError(
                 "forbidden nonedge with more than two common neighbors"
             )
-    if len(allowed) > max_allowed:
+    if len(allowed) > _COMPLETION_MAX_ALLOWED:
         raise PreconditionError("too many allowed nonedges to certify")
     c4 = G.cycle_graph(4)
     allowed_set = set(allowed)
@@ -396,14 +391,14 @@ def _completion_pre(inst: EditInstance, max_allowed: int = 18) -> None:
             )
 
 
-def _completion_gadget(inst: EditInstance, cap: int, tail: bool) -> EditInstance:
+def _completion_gadget(inst: EditInstance, tail: bool) -> EditInstance:
     """Each forbidden nonedge xy with a common neighbor gets a fresh vertex
     on x, y and their first common neighbor (with ``tail``, also a fresh
     pendant on that vertex and y); every nonedge at a fresh vertex becomes
     forbidden."""
     _completion_pre(inst)
     g = inst.g
-    grow = Builder(g, cap)
+    grow = Builder(g)
     new: list[int] = []
     for (x, y) in sorted(inst.forbidden):
         common = g.rows[x] & g.rows[y]
@@ -428,19 +423,20 @@ def _completion_gadget(inst: EditInstance, cap: int, tail: bool) -> EditInstance
     return EditInstance(out, inst.k, "complete", frozenset(forbidden))
 
 
-def tricky_a1c_com(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+def tricky_a1c_com(inst: EditInstance) -> EditInstance:
     """Restricted C4 completion to restricted co-A1 completion."""
-    return _completion_gadget(inst, cap, tail=False)
+    return _completion_gadget(inst, tail=False)
 
 
-def tricky_a6c_com(inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+def tricky_a6c_com(inst: EditInstance) -> EditInstance:
     """Restricted C4 completion to restricted co-A6 completion."""
-    return _completion_gadget(inst, cap, tail=True)
+    return _completion_gadget(inst, tail=True)
 
 
-# construction -> (builder called as builder(inst, *params, cap=cap) on an
+# construction -> (builder called as builder(inst, *params) on an
 # EditInstance, returning one; the names of its params). Chain steps and
-# ``hfree reduce`` run the same rows.
+# ``hfree reduce`` run the same rows; every row refuses outputs above
+# VERTEX_CAP.
 CONSTRUCTIONS = {
     "ConMain": (con_main, ("h", "vprime")),
     "ConMod": (con_mod, ("ell",)),
@@ -483,15 +479,15 @@ class ReductionStep:
         }
 
 
-def execute_step(step: ReductionStep, inst: EditInstance, cap: int = VERTEX_CAP) -> EditInstance:
+def execute_step(step: ReductionStep, inst: EditInstance) -> EditInstance:
     """Map an instance of the target_h-free problem to one of the
     source_h-free problem (hardness flows from target to source). A
     complemented step runs its construction between two complements."""
     build, names = CONSTRUCTIONS[step.construction]
     if step.complemented:
-        inst = complement_instance(inst, cap)
-    out = build(inst, *(step.params[name] for name in names), cap=cap)
-    return complement_instance(out, cap) if step.complemented else out
+        inst = complement_instance(inst)
+    out = build(inst, *(step.params[name] for name in names))
+    return complement_instance(out) if step.complemented else out
 
 
 # -- per-rule target computations ------------------------------------------------
@@ -837,9 +833,6 @@ def w_steps(h: SmallGraph, wr) -> list[ReductionStep] | None:
 def derive_chain(h: SmallGraph, problem: str = "deletion") -> list[ReductionStep]:
     """Full simulation chain from h down to the finite core or a known-hard
     anchor, following the chain table."""
-    from . import catalogue as C
-    from . import membership as M
-
     steps: list[ReductionStep] = []
     current = h
     seen = {G.canonical_cert(current)}

@@ -18,6 +18,9 @@ from .graphs import SmallGraph
 
 MODES = ("edit", "delete", "complete")
 
+# the most pair sets solve_exhaustive may try
+EXHAUSTIVE_MAX_WORK = 10_000_000
+
 
 def _norm_pair(p) -> tuple[int, int]:
     u, v = p
@@ -108,8 +111,9 @@ def solve(
         raise GuardrailError(f"solve guardrail: n={inst.g.n} > {max_n}")
     if inst.k > max_k:
         raise GuardrailError(f"solve guardrail: k={inst.k} > {max_k}")
-    forbidden = inst.forbidden
-    mode = inst.mode
+    # an unflipped pair keeps inst.g's adjacency, so the mode test on
+    # inst.g holds on every branch
+    allowed = set(inst.permissible_pairs())
 
     def rec(
         g: SmallGraph, k: int, flipped: frozenset[tuple[int, int]]
@@ -121,10 +125,7 @@ def solve(
             return None
         vs = sorted(hit)
         for u, v in itertools.combinations(vs, 2):
-            if (u, v) in forbidden or (u, v) in flipped:
-                continue
-            e = g.has_edge(u, v)
-            if (mode == "delete" and not e) or (mode == "complete" and e):
+            if (u, v) not in allowed or (u, v) in flipped:
                 continue
             found = rec(G.flip_pair(g, u, v), k - 1, flipped | {(u, v)})
             if found is not None:
@@ -138,14 +139,12 @@ def solve(
     return Solution(True, witness)
 
 
-def solve_exhaustive(
-    inst: EditInstance, h: SmallGraph, max_work: int = 10_000_000
-) -> Solution:
+def solve_exhaustive(inst: EditInstance, h: SmallGraph) -> Solution:
     """Brute force over all permissible pair sets of size at most k."""
     pairs = inst.permissible_pairs()
     total = sum(comb(len(pairs), i) for i in range(min(inst.k, len(pairs)) + 1))
-    if total > max_work:
-        raise GuardrailError(f"exhaustive guardrail: {total} > {max_work}")
+    if total > EXHAUSTIVE_MAX_WORK:
+        raise GuardrailError(f"exhaustive guardrail: {total} > {EXHAUSTIVE_MAX_WORK}")
     for size in range(min(inst.k, len(pairs)) + 1):
         for sel in itertools.combinations(pairs, size):
             if G.is_free_of(G.apply_flips(inst.g, sel), h):

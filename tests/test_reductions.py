@@ -47,7 +47,7 @@ def test_con_main_size_formula_random():
         vp = [0, 2]
         k = rnd.randint(0, 2)
         inj = n * (n - 1)
-        out = R.con_main(edit(gp, k), h, vp, cap=4000).g
+        out = R.con_main(edit(gp, k), h, vp).g
         assert out.n == gp.n + inj * (k + 1) * 1
 
 
@@ -80,6 +80,10 @@ def test_largest_component_reduction_counts():
     assert inst.g.n == 3 and inst.k == 0
     with pytest.raises(R.PreconditionError):
         R.largest_component_reduction(edit(G.complete_graph(3), 0), G.path_graph(4))
+    # the join of k+1 copies of K3 is refused before it is built
+    two_k3 = G.disjoint_union(G.complete_graph(3), G.complete_graph(3))
+    with pytest.raises(R.CapExceeded):
+        R.largest_component_reduction(edit(G.path_graph(3), 10**6), two_k3)
 
 
 @pytest.mark.parametrize("construction", ["ConMain", "ConMod", "ConNearUni",
@@ -98,7 +102,7 @@ def test_original_graph_embeds_in_outputs():
     for out in (
         R.con_mod(edit(gp, 1), 2),
         R.con_near_uni(edit(gp, 1), 1),
-        R.con_main(edit(gp, 1), G.path_graph(3), [0, 2], cap=200),
+        R.con_main(edit(gp, 1), G.path_graph(3), [0, 2]),
     ):
         assert G.induced_subgraph(out.g, range(4)) == gp
 
@@ -114,7 +118,7 @@ def test_con_main_backward_direction():
     hprime = G.induced_subgraph(h, vp)
     for gp in small_graphs(3):
         for k in (1,):
-            built = R.con_main(edit(gp, k), h, vp, cap=200).g
+            built = R.con_main(edit(gp, k), h, vp).g
             for mode in S.MODES:
                 sol = S.solve(S.EditInstance(built, k, mode), h)
                 if sol.feasible:
@@ -575,8 +579,14 @@ def test_enforcer_attach_counts_and_equivalence():
     out = R.enforcer_attach(inst, host)
     assert not out.forbidden
     assert out.g.n == base.n + 2 * (enf.graph.n - 2)
+    # at the vertex cap: C4 with one forbidden edge gains k+1 copies of the
+    # enforcer's 4 other vertices, 64 vertices at k = 14 and 68 at k = 15
+    def c4_pinned(k):
+        return S.EditInstance(G.cycle_graph(4), k, "delete", frozenset([(0, 1)]))
+
+    assert R.enforcer_attach(c4_pinned(14), host).g.n == 64 == R.VERTEX_CAP
     with pytest.raises(R.CapExceeded):
-        R.enforcer_attach(inst, host, cap=base.n + 2 * (enf.graph.n - 2) - 1)
+        R.enforcer_attach(c4_pinned(15), host)
     # unchanged when nothing is forbidden
     free = S.EditInstance(base, 1, "delete")
     assert R.enforcer_attach(free, host).g == base
