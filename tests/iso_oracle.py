@@ -10,6 +10,9 @@ package. ``automorphisms`` tries every permutation, and
 ``unpruned_falsification`` is the falsification layer of
 ``gadgets.verify_enforcer`` as it was before it attached once per
 automorphism orbit: an attachment at every (non)edge of every host.
+``structural_layer`` is that function's layer (b) as it was before it
+became one pass: each separator deleted and its components remapped, and
+a fallback that recomputes the separators and searches P5 once for each.
 """
 
 from __future__ import annotations
@@ -104,3 +107,47 @@ def unpruned_falsification(enf: GD.Gadget, n_host: int):
                              if max(hit) >= n), None)
                 out.append((host, pair, copy))
     return out
+
+
+def structural_layer(h: SmallGraph, enf: GD.Gadget) -> dict:
+    """The ``structural`` entry of ``verify_enforcer(enf)`` when the
+    enforcer's host graph is h."""
+    want_edge = enf.mode == "delete"
+    seps = [
+        (u, v)
+        for u, v in map(G._bits, G.separators(h, 2))
+        if h.has_edge(u, v) == want_edge
+    ]
+    if not seps:
+        return {"condition": "no-matching-2-separator", "ok": True}
+    all_have_common = True
+    for u, v in seps:
+        rest = G.delete_vertices(h, [u, v])
+        keep = [w for w in range(h.n) if w not in (u, v)]
+        common = h.rows[u] & h.rows[v]
+        for comp in G.components(rest):
+            comp_orig = {keep[i] for i in comp}
+            if not any(common >> w & 1 for w in comp_orig):
+                all_have_common = False
+    ex, ey = enf.allowed[0]
+    pair_common = enf.graph.rows[ex] & enf.graph.rows[ey]
+    if all_have_common and pair_common == 0:
+        return {"condition": "separator-common-neighbors", "ok": True}
+    if enf.mode == "delete":
+        ok = not G.contains_induced(h, G.cycle_graph(4))
+        return {"condition": "no-induced-C4", "ok": ok}
+    want = [
+        (u, v)
+        for u, v in map(G._bits, G.separators(h, 2))
+        if not h.has_edge(u, v)
+    ]
+    p5 = G.path_graph(5)
+    for u, v in want:
+        for hit in G.find_induced(h, p5):
+            sub = G.induced_subgraph(h, hit)
+            ends = [i for i in range(5) if sub.degree(i) == 1]
+            orig = sorted(hit)
+            endpoints = {orig[ends[0]], orig[ends[1]]}
+            if endpoints == {u, v}:
+                return {"condition": "no-induced-P5-between-separator", "ok": False}
+    return {"condition": "no-induced-P5-between-separator", "ok": True}

@@ -1,5 +1,6 @@
 """Enumeration counts, closure, campaigns, checkpointing."""
 
+import hashlib
 import json
 import os
 import pickle
@@ -225,6 +226,25 @@ def test_campaign_churn_totality_small():
 def test_campaign_unknown():
     with pytest.raises(ValueError):
         E.run_search_campaign(E.EnumConfig(n_max=5), "nope")
+
+
+def test_campaign_reports_pinned():
+    """Pins each campaign's whole report at n_max = 7 apart from its run
+    time: per-level sizes and hits, cells, counterexamples, exceptions,
+    checked and ok."""
+    assert E.CAMPAIGNS == ("case_lemmas", "regular_tail", "churn_totality", "W_closure")
+    digests = {}
+    for name in E.CAMPAIGNS:
+        rep = E.run_search_campaign(E.EnumConfig(n_max=7), name)
+        del rep["runtime_sec"]
+        blob = json.dumps(rep, sort_keys=True).encode()
+        digests[name] = hashlib.sha256(blob).hexdigest()
+    assert digests == {
+        "case_lemmas": "30eb45393b3b719a34867f615f81cb45c42816c6b9eb6e039ca6260395cba666",
+        "regular_tail": "b78f06d6683ede03e636e76996df8ea467bd959bf2240ba98a31305134dc902e",
+        "churn_totality": "4af307e5c25af65d22761364d79e0d3768f1b27e66d1dc078cc422165dbe7ac5",
+        "W_closure": "05b050e7957bde1edc439e198ca10517ee5b484db02222597f0ed5acf2a2b36f",
+    }
 
 
 def test_campaign_worker_determinism():

@@ -3,13 +3,14 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
 from hfree import enumeration as E
 from hfree import gadgets as GD
 from hfree import graphs as G
-from iso_oracle import automorphisms, unpruned_falsification
+from iso_oracle import automorphisms, structural_layer, unpruned_falsification
 
 
 def test_table_shape():
@@ -298,6 +299,30 @@ def test_enforcer_report_digest():
     assert sum(not r["layers"]["falsification"]["ok"] for r in reports) == 15
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == "463d61c35c5bab15c090a7f25cffcd0482c0b8e4ff3c499c7d2074b6d9dcdb69"
+
+
+def test_structural_layer_matches_oracle(monkeypatch):
+    """Layer (b) equals the oracle's copy of its separator scan on every
+    host with 5 or 6 vertices, for four enforcers on the pair (0, 1): K2
+    and K3 deleting it, 2K1 and P3 (the pair as its ends) completing it.
+    Unlike the table enforcers, these reach both failing fallbacks."""
+    p3 = G.from_edges(3, [(0, 2), (1, 2)])
+    enforcers = [
+        GD.Gadget(g, "Enforcer", mode, ((0, 1),), "host")
+        for g, mode in ((G.complete_graph(2), "delete"),
+                        (G.complete_graph(3), "delete"),
+                        (G.empty_graph(2), "complete"), (p3, "complete"))
+    ]
+    outcomes = Counter()
+    for host in E.graphs_on(5) + E.graphs_on(6):
+        monkeypatch.setattr(GD, "host_graph", lambda h_id, host=host: host)
+        for enf in enforcers:
+            got = GD.verify_enforcer(enf, n_host=2)["layers"]["structural"]
+            assert got == structural_layer(host, enf), (G.to_graph6(host), enf)
+            outcomes[got["condition"], got["ok"]] += 1
+    assert sum(outcomes.values()) == 760
+    assert outcomes["no-induced-C4", False] == 70
+    assert outcomes["no-induced-P5-between-separator", False] == 6
 
 
 def test_crossing_copy_constant_on_ordered_pair_orbits():
