@@ -261,18 +261,16 @@ def _graphs_on(n: int, workers: int, cp: Optional[str]) -> list[SmallGraph]:
 
 # -- campaigns ----------------------------------------------------------------
 
-CAMPAIGNS = ("case_lemmas", "regular_tail", "churn_totality", "W_closure")
-
 # graph6 of the only nontrivial regular graphs with r > n - 5 where neither
 # the graph nor its complement is 3-connected: 2K2, C4 and C5
 REGULAR_TAIL_EXCEPTIONS = ("C`", "Cl", "Dhc")
 
 
 def _check_case_lemmas(g: SmallGraph) -> Optional[dict]:
+    # a regular graph is complete or empty (in Y_D) or nontrivial regular
+    # (in X), so none gets past this line
     if M.in_y_d(g) or M.x_witness_for(g, "deletion") is not None:
         return None
-    if G.is_regular(g):
-        return None  # regular graphs outside Y are in X; unreachable here
     low = G.peel_low(g)
     high = G.peel_high(g)
     tl = CL.peel_types(low)
@@ -288,6 +286,23 @@ def _check_case_lemmas(g: SmallGraph) -> Optional[dict]:
     }
 
 
+def _fold_case_lemmas(hits: list[dict], n_max: int) -> dict:
+    """Hits per (low, high) peel-type cell; a hit outside W fails."""
+    cells: dict[str, dict] = {}
+    for h in hits:
+        for a, b in h.pop("cells"):
+            c = cells.setdefault(f"{a}|{b}", {"graphs": 0, "counterexamples": 0})
+            c["graphs"] += 1
+            if not h["in_W"]:
+                c["counterexamples"] += 1
+    found = sorted((h for h in hits if not h["in_W"]), key=lambda d: d["g6"])
+    return {
+        "cells": {k: cells[k] for k in sorted(cells)},
+        "counterexamples": found,
+        "ok": not found,
+    }
+
+
 def _check_regular_tail(g: SmallGraph) -> Optional[dict]:
     if not G.is_regular(g) or G.is_complete(g) or G.is_empty(g):
         return None
@@ -296,6 +311,15 @@ def _check_regular_tail(g: SmallGraph) -> Optional[dict]:
         return None
     ok = M.is_3_connected(g) or M.is_3_connected(G.complement(g))
     return {"g6": G.to_graph6(g), "r": r, "three_connected_side": ok}
+
+
+def _fold_regular_tail(hits: list[dict], n_max: int) -> dict:
+    """Hits with no 3-connected side: the known exceptions up to n_max."""
+    got = sorted({h["g6"] for h in hits if not h["three_connected_side"]})
+    expected = [G.from_graph6(s) for s in REGULAR_TAIL_EXCEPTIONS]
+    want = {G.canonical_cert(g) for g in expected if g.n <= n_max}
+    certs = [G.canonical_cert(G.from_graph6(s)) for s in got]
+    return {"exceptions": got, "ok": len(certs) == len(want) and set(certs) == want}
 
 
 def _check_churn_totality(g: SmallGraph) -> Optional[dict]:
@@ -311,22 +335,31 @@ def _check_churn_totality(g: SmallGraph) -> Optional[dict]:
     return {"g6": G.to_graph6(g), **out} if out else None
 
 
-_CHECKS: dict[str, Callable[[SmallGraph], Optional[dict]]] = {
-    "case_lemmas": _check_case_lemmas,
-    "regular_tail": _check_regular_tail,
-    "churn_totality": _check_churn_totality,
+def _fold_churn_totality(hits: list[dict], n_max: int) -> dict:
+    return {"counterexamples": sorted(hits, key=lambda d: d["g6"]), "ok": not hits}
+
+
+# level campaign -> (first n, check, fold). The check runs on every graph
+# of levels first n .. n_max and returns a hit or None; the fold turns all
+# the hits, in level order, into the report's result keys, "ok" among them.
+_LEVEL_CAMPAIGNS: dict[str, tuple[int, Callable, Callable]] = {
+    "case_lemmas": (5, _check_case_lemmas, _fold_case_lemmas),
+    "regular_tail": (4, _check_regular_tail, _fold_regular_tail),
+    "churn_totality": (5, _check_churn_totality, _fold_churn_totality),
 }
+CAMPAIGNS = (*_LEVEL_CAMPAIGNS, "W_closure")
 
 
 def _check_shard(task: tuple[str, list[SmallGraph]]) -> list[dict]:
-    """The hits of one campaign check on a slice of a level."""
+    """The hits of one level campaign's check on a slice of a level."""
     name, graphs = task
-    check = _CHECKS[name]
+    check = _LEVEL_CAMPAIGNS[name][1]
     return [h for h in map(check, graphs) if h is not None]
 
 
-def _campaign_w_closure(cfg: EnumConfig) -> dict:
-    t_hi = 9
+def _w_closure() -> tuple[int, list[dict]]:
+    """The number of non-small catalogue entries and family members (t up
+    to 8) checked, and those whose complement is not in W."""
     failures = []
     checked = 0
     for name in C.all_ids():
@@ -337,12 +370,12 @@ def _campaign_w_closure(cfg: EnumConfig) -> dict:
         if C.membership_W(G.complement(entry.graph)) is None:
             failures.append({"id": name})
     for fam, tmin in C.FAMILY_CONSTRAINTS.items():
-        for t in range(tmin, t_hi):
+        for t in range(tmin, 9):
             g = C.generate_family(C.FamilyId(fam, t))
             checked += 1
             if C.membership_W(G.complement(g)) is None:
                 failures.append({"id": f"{fam}(t={t})"})
-    return {"checked": checked, "counterexamples": failures}
+    return checked, failures
 
 
 def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
@@ -358,65 +391,31 @@ def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
         "counterexamples": [],
     }
     if campaign == "W_closure":
-        sub = _campaign_w_closure(cfg)
-        report["checked"] = sub["checked"]
-        report["counterexamples"] = sub["counterexamples"]
-        report["ok"] = not sub["counterexamples"]
-        report["runtime_sec"] = round(time.time() - t0, 3)
-        return report
-
-    lo = 4 if campaign == "regular_tail" else 5
-    exceptions: list[dict] = []
-    findings: list[dict] = []
-    cells: dict[str, dict] = {}
-    miscounted = []
-    checked = 0
-    for n in range(lo, cfg.n_max + 1):
-        level = graphs_on(n, cfg.workers, cfg.checkpoint_path)
-        checked += len(level)
-        if n <= len(KNOWN_COUNTS) and len(level) != KNOWN_COUNTS[n - 1]:
-            miscounted.append(n)
-        tasks = [
-            (i, (campaign, level[start : start + _CHECK_CHUNK]))
-            for i, start in enumerate(range(0, len(level), _CHECK_CHUNK))
-        ]
-        out = dict(_shard_map(_check_shard, tasks, cfg.workers))
-        hits = [h for i in range(len(tasks)) for h in out[i]]
-        report["per_n"][n] = {"graphs": len(level), "hits": len(hits)}
-        for h in hits:
-            if campaign == "case_lemmas":
-                for cell in h.pop("cells"):
-                    key = f"{cell[0]}|{cell[1]}"
-                    c = cells.setdefault(key, {"graphs": 0, "counterexamples": 0})
-                    c["graphs"] += 1
-                    if not h["in_W"]:
-                        c["counterexamples"] += 1
-                if not h["in_W"]:
-                    findings.append(h)
-            elif campaign == "regular_tail":
-                if not h["three_connected_side"]:
-                    exceptions.append(h)
-            else:
-                findings.append(h)
-    if campaign == "case_lemmas":
-        report["cells"] = {k: cells[k] for k in sorted(cells)}
-        report["counterexamples"] = sorted(findings, key=lambda d: d["g6"])
-        report["ok"] = not findings
-    elif campaign == "regular_tail":
-        report["exceptions"] = sorted({e["g6"] for e in exceptions})
-        expected = [G.from_graph6(s) for s in REGULAR_TAIL_EXCEPTIONS]
-        expected = [g for g in expected if lo <= g.n <= cfg.n_max]
-        want = {G.canonical_cert(g) for g in expected}
-        got = [G.canonical_cert(G.from_graph6(s)) for s in report["exceptions"]]
-        report["ok"] = len(got) == len(want) and set(got) == want
+        checked, found = _w_closure()
+        report.update(checked=checked, counterexamples=found, ok=not found)
     else:
-        report["counterexamples"] = sorted(findings, key=lambda d: d["g6"])
-        report["ok"] = not findings
-    if miscounted:
-        # a level of the wrong size makes every check above meaningless
-        report["miscounted_levels"] = miscounted
-        report["ok"] = False
-    report["checked"] = checked
+        first_n, _, fold = _LEVEL_CAMPAIGNS[campaign]
+        hits: list[dict] = []
+        miscounted = []
+        checked = 0
+        for n in range(first_n, cfg.n_max + 1):
+            level = graphs_on(n, cfg.workers, cfg.checkpoint_path)
+            checked += len(level)
+            if n <= len(KNOWN_COUNTS) and len(level) != KNOWN_COUNTS[n - 1]:
+                miscounted.append(n)
+            tasks = [
+                (i, (campaign, level[start : start + _CHECK_CHUNK]))
+                for i, start in enumerate(range(0, len(level), _CHECK_CHUNK))
+            ]
+            out = dict(_shard_map(_check_shard, tasks, cfg.workers))
+            found = [h for i in range(len(tasks)) for h in out[i]]
+            report["per_n"][n] = {"graphs": len(level), "hits": len(found)}
+            hits += found
+        report.update(fold(hits, cfg.n_max))
+        if miscounted:
+            # a level of the wrong size makes every check above meaningless
+            report["miscounted_levels"] = miscounted
+            report["ok"] = False
+        report["checked"] = checked
     report["runtime_sec"] = round(time.time() - t0, 3)
     return report
-

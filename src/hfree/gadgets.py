@@ -352,33 +352,29 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
 
     report["layers"]["exact"] = enforcer_exact(enf)
 
-    # layer (b): separators of the host of the relevant induced type
+    # layer (b): the host's 2-separators of the distinguished pair's type
     want_edge = enf.mode == "delete"
-    seps = [
-        (u, v)
-        for u, v in map(G._bits, G.separators(h, 2))
-        if h.has_edge(u, v) == want_edge
-    ]
+    seps = [(u, v) for u, v in map(G._bits, G.separators(h, 2))
+            if h.has_edge(u, v) == want_edge]
+    ex, ey = enf.allowed[0]
+    full = (1 << h.n) - 1
     if not seps:
-        cond = "no-matching-2-separator"
-        ok_b = True
-    else:
-        all_have_common = True
-        for u, v in seps:
-            rest = G.delete_vertices(h, [u, v])
-            keep = [w for w in range(h.n) if w not in (u, v)]
-            common = h.rows[u] & h.rows[v]
-            for comp in G.components(rest):
-                comp_orig = {keep[i] for i in comp}
-                if not any(common >> w & 1 for w in comp_orig):
-                    all_have_common = False
-        ex, ey = enf.allowed[0]
-        pair_common = enf.graph.rows[ex] & enf.graph.rows[ey]
-        if all_have_common and pair_common == 0:
-            cond = "separator-common-neighbors"
-            ok_b = True
-        else:
-            cond, ok_b = _special_structural(h, enf)
+        cond, ok_b = "no-matching-2-separator", True
+    elif not enf.graph.rows[ex] & enf.graph.rows[ey] and all(
+        comp & h.rows[u] & h.rows[v]  # a common neighbor in each component
+        for u, v in seps
+        for comp in G._component_masks(h.rows, full ^ (1 << u | 1 << v))
+    ):
+        cond, ok_b = "separator-common-neighbors", True
+    elif want_edge:  # the fallbacks: cycle and path freeness arguments
+        cond, ok_b = "no-induced-C4", not G.contains_induced(h, G.cycle_graph(4))
+    else:  # no induced P5 has its two ends on a separator
+        ends = set()
+        for hit in G.find_induced(h, G.path_graph(5)):
+            inside = G._mask(hit)
+            ends.add(G._mask(w for w in hit if (h.rows[w] & inside).bit_count() == 1))
+        cond = "no-induced-P5-between-separator"
+        ok_b = not any((1 << u | 1 << v) in ends for u, v in seps)
     report["layers"]["structural"] = {"condition": cond, "ok": ok_b}
 
     # layer (c): bounded falsification over all small hosts
@@ -436,29 +432,6 @@ def _orbit_firsts(host: SmallGraph, want_edge: bool) -> tuple[tuple[int, int], .
                 done |= G._closure(1 << (u * n + v), gens)
                 firsts.append((u, v))
     return tuple(firsts)
-
-
-def _special_structural(h: SmallGraph, enf: Gadget) -> tuple[str, bool]:
-    """Fallback structural conditions for hosts whose separators lack
-    common neighbors in every component: path/cycle freeness arguments."""
-    if enf.mode == "delete":
-        ok = not G.contains_induced(h, G.cycle_graph(4))
-        return "no-induced-C4", ok
-    want = [
-        (u, v)
-        for u, v in map(G._bits, G.separators(h, 2))
-        if not h.has_edge(u, v)
-    ]
-    p5 = G.path_graph(5)
-    for u, v in want:
-        for hit in G.find_induced(h, p5):
-            sub = G.induced_subgraph(h, hit)
-            ends = [i for i in range(5) if sub.degree(i) == 1]
-            orig = sorted(hit)
-            endpoints = {orig[ends[0]], orig[ends[1]]}
-            if endpoints == {u, v}:
-                return "no-induced-P5-between-separator", False
-    return "no-induced-P5-between-separator", True
 
 
 # -- the table ----------------------------------------------------------------

@@ -351,33 +351,22 @@ def _completion_pre(inst: EditInstance) -> None:
     if len(allowed) > _COMPLETION_MAX_ALLOWED:
         raise PreconditionError("too many allowed nonedges to certify")
     c4 = G.cycle_graph(4)
-    allowed_set = set(allowed)
     for bits in range(1 << len(allowed)):
-        sel = [allowed[i] for i in range(len(allowed)) if bits >> i & 1]
+        sel = {allowed[i] for i in range(len(allowed)) if bits >> i & 1}
         gs = G.apply_flips(g, sel)
-        sel_set = set(sel)
         witnesses = []
         for hit in G.find_induced(gs, c4):
-            vs = sorted(hit)
-            cyc_edges = [
-                (a, b)
-                for a, b in itertools.combinations(vs, 2)
-                if gs.has_edge(a, b)
-            ]
-            non = [
-                (a, b)
-                for a, b in itertools.combinations(vs, 2)
-                if not gs.has_edge(a, b)
-            ]
-            added = [e for e in cyc_edges if e in sel_set]
+            pairs = list(itertools.combinations(sorted(hit), 2))
+            # an allowed nonedge of g is an edge of gs only when added
+            added = [e for e in pairs if e in sel]
             # adjacent added pairs are banned
             for e1, e2 in itertools.combinations(added, 2):
                 if set(e1) & set(e2):
                     raise PreconditionError(
                         "4-cycle with two adjacent added edges"
                     )
-            n_allowed_edges = sum(1 for e in cyc_edges if e in allowed_set or e in sel_set)
-            witnesses.append((n_allowed_edges, non))
+            non = [e for e in pairs if not gs.has_edge(*e)]
+            witnesses.append((len(added), non))
         for n_allowed_edges, non in witnesses:
             if n_allowed_edges <= 1:
                 if not any(e in inst.forbidden for e in non):

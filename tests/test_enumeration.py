@@ -247,11 +247,17 @@ def test_campaign_reports_pinned():
     }
 
 
-def test_campaign_worker_determinism():
-    a = E.run_search_campaign(E.EnumConfig(n_max=6, workers=1), "case_lemmas")
-    b = E.run_search_campaign(E.EnumConfig(n_max=6, workers=2), "case_lemmas")
-    for key in ("cells", "counterexamples", "checked", "per_n"):
-        assert a[key] == b[key]
+@pytest.mark.parametrize("campaign", ["case_lemmas", "regular_tail", "churn_totality"])
+def test_campaign_worker_determinism(campaign, monkeypatch):
+    """Two workers give the serial report. Level 6 is four check slices
+    here, so its checks run in worker processes."""
+    monkeypatch.setattr(E, "_CHECK_CHUNK", 40)
+    reports = []
+    for workers in (1, 2):
+        rep = E.run_search_campaign(E.EnumConfig(n_max=6, workers=workers), campaign)
+        del rep["runtime_sec"], rep["workers"]
+        reports.append(rep)
+    assert reports[0] == reports[1]
 
 
 def test_checkpoint_roundtrip(tmp_path):
