@@ -72,6 +72,19 @@ def test_counts_match_polya_per_edge_count():
         assert [hist[m] for m in range(n * (n - 1) // 2 + 1)] == _polya_counts(n)
 
 
+def test_generation_order_pinned():
+    """The graph6 lines of levels 1-8, level by level in generation order.
+    Checkpoint shard files hold the levels in this order, so a change of
+    order must bump ``_CHECKPOINT_FORMAT``."""
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for g in E.graphs_on(n):
+            digest.update((G.to_graph6(g) + "\n").encode())
+    assert E._CHECKPOINT_FORMAT == 4
+    assert digest.hexdigest() == (
+        "c556f280e50a3d15b6ababf85022e4acb4c7e32a47a435cb1731e7e150becbd5")
+
+
 def test_augment_labels_only_children_with_ties(monkeypatch):
     """_augment labels each parent once, and a child once exactly when x
     has the maximal key (degree, neighbour-degree sum) and some other

@@ -410,6 +410,59 @@ def test_execute_step_digest():
         "7966dbeb2345457dec21c658714b3f270399f88a0243fea4bb3f0ecf0e4e657e")
 
 
+def _step_line(step):
+    params = ",".join(
+        f"{name}={G.to_graph6(v) if isinstance(v, G.SmallGraph) else repr(v)}"
+        for name, v in step.params.items())
+    return "|".join([step.construction, step.rule, str(step.complemented),
+                     G.to_graph6(step.source_h), G.to_graph6(step.target_h),
+                     step.k_map, params])
+
+
+def _chain_step_listing():
+    """One line per step, with its params, or per refusal message: every
+    ``derive_chain`` step under deletion and editing of every catalogue
+    entry and family member (t from tmin to tmin + 5) in both orientations;
+    every rule run complemented through ``make_step`` on every non-regular
+    graph with at most seven vertices; and both peel rules uncomplemented
+    on the same graphs."""
+    lines = []
+    graphs = [C.lookup(gid).graph for gid in C.all_ids()]
+    graphs += [
+        C.generate_family(C.FamilyId(fam, t))
+        for fam, tmin in C.FAMILY_CONSTRAINTS.items()
+        for t in range(tmin, tmin + 6)
+    ]
+    for g in graphs:
+        for h in (g, G.complement(g)):
+            for problem in ("deletion", "editing"):
+                try:
+                    lines += map(_step_line, R.derive_chain(h, problem))
+                except R.PreconditionError as exc:
+                    lines.append(str(exc))
+    runs = [(rule, True) for rule in R._RULES]
+    runs += [("peel-low", False), ("peel-high", False)]
+    for h in small_graphs(7):
+        if G.is_regular(h):
+            continue  # no degree partition
+        for rule, complemented in runs:
+            try:
+                lines.append(_step_line(R.make_step(rule, h, complemented)))
+            except R.PreconditionError as exc:
+                lines.append(str(exc))
+    return lines
+
+
+def test_chain_steps_pinned():
+    """Every rule's target and params, through ``make_step`` and along
+    ``derive_chain``, pinned by the digest of the listing above."""
+    lines = _chain_step_listing()
+    assert len(lines) == 18272
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+    assert digest.hexdigest() == (
+        "5bf9b76ffbe83d3cfcdb9b7a94a8b966ac26e228d5ca8372d95851a659bc56f2")
+
+
 def test_derive_chain_families_and_catalogue():
     g = G.complete_bipartite(2, 8)
     chain = R.derive_chain(g)
