@@ -81,7 +81,12 @@ def _augment(parent: SmallGraph) -> list[SmallGraph]:
         dsum += [t + d for t in dsum]
     nsum = [dsum[r] for r in prow]
     top = max(deg)
-    gens = G.canonical_labeling(prow)[1]
+    tables = []  # each automorphism lifted to vertex sets: mask -> image
+    for p in G.canonical_labeling(prow)[1]:
+        img = [0]
+        for v in range(n):
+            img += [m | 1 << p[v] for m in img]
+        tables.append(img)
     x = 1 << n
     out: list[SmallGraph] = []
     for mask in range(x):
@@ -103,7 +108,7 @@ def _augment(parent: SmallGraph) -> list[SmallGraph]:
             if t == xsum:
                 ties |= 1 << v
         else:
-            if gens and not _least_in_orbit(mask, gens):
+            if G._closure(1 << mask, tables) & ((1 << mask) - 1):
                 continue  # the least mask of the orbit gave this child
             rows = [r | (mask >> v & 1) << n for v, r in enumerate(prow)]
             rows.append(mask)
@@ -114,25 +119,6 @@ def _augment(parent: SmallGraph) -> list[SmallGraph]:
                     continue  # x is not in the canonical orbit
             out.append(SmallGraph(n + 1, rows))
     return out
-
-
-def _least_in_orbit(mask: int, gens: list[list[int]]) -> bool:
-    """Whether no permutation in the group ``gens`` generates maps the
-    vertex set ``mask`` to a smaller bitmask."""
-    seen = {mask}
-    todo = [mask]
-    while todo:
-        m = todo.pop()
-        for g in gens:
-            img = 0
-            for v in G._bits(m):
-                img |= 1 << g[v]
-            if img < mask:
-                return False
-            if img not in seen:
-                seen.add(img)
-                todo.append(img)
-    return True
 
 
 def _augment_shard(parents: list[SmallGraph]) -> list[SmallGraph]:
@@ -383,17 +369,22 @@ def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
     if campaign not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {campaign}; pick from {CAMPAIGNS}")
     t0 = time.time()
-    report: dict = {
-        "campaign": campaign,
-        "n_max": cfg.n_max,
-        "workers": cfg.workers,
-        "per_n": {},
-        "counterexamples": [],
-    }
-    if campaign == "W_closure":
+    if campaign == "W_closure":  # enumerates nothing, so no n_max, workers, per_n
         checked, found = _w_closure()
-        report.update(checked=checked, counterexamples=found, ok=not found)
+        report: dict = {
+            "campaign": campaign,
+            "checked": checked,
+            "counterexamples": found,
+            "ok": not found,
+        }
     else:
+        report = {
+            "campaign": campaign,
+            "n_max": cfg.n_max,
+            "workers": cfg.workers,
+            "per_n": {},
+            "counterexamples": [],
+        }
         first_n, _, fold = _LEVEL_CAMPAIGNS[campaign]
         hits: list[dict] = []
         miscounted = []

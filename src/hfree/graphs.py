@@ -156,13 +156,6 @@ def delete_edge(g: SmallGraph, u: int, v: int) -> SmallGraph:
     return SmallGraph(g.n, rows)
 
 
-def flip_pair(g: SmallGraph, u: int, v: int) -> SmallGraph:
-    rows = list(g.rows)
-    rows[u] ^= 1 << v
-    rows[v] ^= 1 << u
-    return SmallGraph(g.n, rows)
-
-
 def apply_flips(g: SmallGraph, pairs: Iterable[tuple[int, int]]) -> SmallGraph:
     rows = list(g.rows)
     for u, v in pairs:
@@ -428,7 +421,8 @@ def _pack(n: int, rows: Sequence[int], perm: Sequence[int]) -> bytes:
 
 def _closure(mask: int, gens: list[list[int]]) -> int:
     """The union of the orbits of the points in ``mask`` under ``gens``,
-    permutations of the points: vertices, or ordered vertex pairs."""
+    permutations of the points: vertices, vertex sets (as bitmasks), or
+    ordered vertex pairs."""
     frontier = mask
     while frontier:
         new = 0

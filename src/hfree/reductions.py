@@ -479,10 +479,14 @@ def execute_step(step: ReductionStep, inst: EditInstance) -> EditInstance:
     return complement_instance(out) if step.complemented else out
 
 
-# -- per-rule target computations ------------------------------------------------
+# -- chain rules ------------------------------------------------------------------
+#
+# Each rule checks its preconditions on h and returns the vertices it drops
+# plus its construction's numeric params; ``make_step`` builds the target
+# and the params that name h or the kept vertices.
 
 
-def mod_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
+def mod_reduce(h: SmallGraph) -> tuple[list[int], dict]:
     """Remove one vertex from each module inside the low-degree class.
 
     Checks the module-shrink preconditions: low degree 1 or 2 on an
@@ -496,10 +500,10 @@ def mod_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
     for u, v in itertools.combinations(vl, 2):
         if h.has_edge(u, v):
             raise PreconditionError("low-degree class must be independent")
-    rest = sorted(set(range(h.n)) - dp.v_low)
-    if not G.is_connected(G.induced_subgraph(h, rest)):
-        raise PreconditionError("high+middle classes must induce a connected graph")
     lowmask = G._mask(vl)
+    rest = ((1 << h.n) - 1) ^ lowmask
+    if G._reach(h.rows, rest & -rest, rest) != rest:
+        raise PreconditionError("high+middle classes must induce a connected graph")
     for v in sorted(dp.v_high):
         if not h.rows[v] & lowmask:
             raise PreconditionError("every high vertex needs a low neighbor")
@@ -521,18 +525,19 @@ def mod_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
     groups: dict[int, int] = {}
     for v in vl:
         groups.setdefault(h.rows[v], v)
-    target = G.delete_vertices(h, sorted(groups.values()))
-    return target, {"ell": dp.ell}
+    return list(groups.values()), {"ell": dp.ell}
 
 
-def near_uni_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
+def near_uni_reduce(h: SmallGraph) -> tuple[list[int], dict]:
     """Remove one highest-degree vertex (near-universal class shrink)."""
     dp = G.DegreePartition(h)
     vh = sorted(dp.v_high)
     for u, v in itertools.combinations(vh, 2):
         if not h.has_edge(u, v):
             raise PreconditionError("high-degree class must be a clique")
-    certs = {G.canonical_cert(G.delete_vertices(h, [u])) for u in vh}
+    # h - u and h - v are isomorphic iff they are with u and v isolated
+    certs = {G.canonical_cert(G.apply_flips(h, [(u, w) for w in h.neighbors(u)]))
+             for u in vh}
     if len(certs) > 1:
         raise PreconditionError("high-vertex deletions must all be isomorphic")
     degs = h.degrees()
@@ -544,7 +549,7 @@ def near_uni_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
                 raise PreconditionError(
                     "independent set with too-high degrees exists"
                 )
-    return G.delete_vertices(h, [vh[0]]), {"t": dp.h_star}
+    return vh[:1], {"t": dp.h_star}
 
 
 def unique_degree2_path(h: SmallGraph) -> tuple[int, frozenset[int]]:
@@ -583,13 +588,11 @@ def unique_degree2_path(h: SmallGraph) -> tuple[int, frozenset[int]]:
     return best + 1, frozenset(G._bits(top[0][1]))
 
 
-def path_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
-    _, internals = unique_degree2_path(h)
-    vprime = [v for v in range(h.n) if v not in internals]
-    return G.induced_subgraph(h, vprime), {"h": h, "vprime": vprime}
+def path_reduce(h: SmallGraph) -> tuple[frozenset[int], dict]:
+    return unique_degree2_path(h)[1], {}
 
 
-def cut_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
+def cut_reduce(h: SmallGraph) -> tuple[frozenset[int], dict]:
     """Drop the unique smallest leaf block, keeping its cut vertex.
 
     Blocks of two vertices (bridges) do not count. A leaf block of three or
@@ -612,11 +615,10 @@ def cut_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
     cands = [k for k in leaves if k.bit_count() == smallest]
     if len(cands) != 1:
         raise PreconditionError("smallest leaf block not unique")
-    vprime = [u for u in range(h.n) if not cands[0] >> u & 1]
-    return G.induced_subgraph(h, vprime), {"h": h, "vprime": vprime}
+    return frozenset(G._bits(cands[0])), {}
 
 
-def deg3_pair_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
+def deg3_pair_reduce(h: SmallGraph) -> tuple[tuple[int, int], dict]:
     """Drop the unique adjacent pair of degree-3 vertices."""
     degs = h.degrees()
     pairs = [
@@ -627,12 +629,10 @@ def deg3_pair_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
     ]
     if len(pairs) != 1:
         raise PreconditionError("adjacent degree-3 pair not unique")
-    u, v = pairs[0]
-    vprime = [w for w in range(h.n) if w not in (u, v)]
-    return G.induced_subgraph(h, vprime), {"h": h, "vprime": vprime}
+    return pairs[0], {}
 
 
-def jukt_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
+def jukt_reduce(h: SmallGraph) -> tuple[list[int], dict]:
     """Drop one vertex of the low-degree clique component."""
     dp = G.DegreePartition(h)
     vl = sorted(dp.v_low)
@@ -642,43 +642,35 @@ def jukt_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
             raise PreconditionError("low class must be a separate component")
         if h.rows[v] & lowmask != lowmask ^ (1 << v):
             raise PreconditionError("low class must induce a clique")
-    drop = vl[0]
-    vprime = [w for w in range(h.n) if w != drop]
-    return G.induced_subgraph(h, vprime), {"h": h, "vprime": vprime}
+    return vl[:1], {}
 
 
-def jutk1_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
+def jutk1_reduce(h: SmallGraph) -> tuple[list[int], dict]:
     """Drop one isolated vertex (the rest must avoid clique components)."""
     isolated = [v for v in range(h.n) if h.rows[v] == 0]
     if len(isolated) < 2:
         raise PreconditionError("need at least two isolated vertices")
-    comps = G.components(h)
-    for comp in comps:
-        if len(comp) > 1:
-            sub = G.induced_subgraph(h, comp)
-            if G.is_complete(sub):
-                raise PreconditionError("non-trivial clique component present")
-    return G.delete_vertices(h, [isolated[0]]), {}
+    for comp in G.components(h):
+        if len(comp) > 1 and all(h.degree(v) == len(comp) - 1 for v in comp):
+            raise PreconditionError("non-trivial clique component present")
+    return isolated[:1], {}
 
 
-def largest_component_target(h: SmallGraph) -> tuple[SmallGraph, dict]:
+def largest_component_target(h: SmallGraph) -> tuple[set[int], dict]:
     comps = G.components(h)
     if len(comps) < 2:
         raise PreconditionError("h must be disconnected")
-    big = max(comps, key=len)
-    return G.induced_subgraph(h, big), {"h": h}
+    return set(range(h.n)).difference(max(comps, key=len)), {}
 
 
-def biclique_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
+def biclique_reduce(h: SmallGraph) -> tuple[list[int], dict]:
     """The bespoke K_{2,3}-to-C4 shrink."""
     if not G.are_isomorphic(h, G.complete_bipartite(2, 3)):
         raise PreconditionError("rule applies to K_{2,3} only")
-    dp = G.DegreePartition(h)
-    drop = min(dp.v_low)
-    return G.delete_vertices(h, [drop]), {"ell": 2}
+    return [min(G.DegreePartition(h).v_low)], {"ell": 2}
 
 
-def near_kt_euk1_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
+def near_kt_euk1_reduce(h: SmallGraph) -> tuple[list[int], dict]:
     """(K_t - e) u K_1 drops its two sub-maximum-degree vertices."""
     degs = h.degrees()
     t = h.n - 1
@@ -686,19 +678,16 @@ def near_kt_euk1_reduce(h: SmallGraph) -> tuple[SmallGraph, dict]:
     iso = [v for v in range(h.n) if degs[v] == 0]
     if len(low) != 2 or len(iso) != 1 or h.has_edge(*low):
         raise PreconditionError("shape is not (K_t - e) u K_1")
-    return G.delete_vertices(h, low), {"t": 1}
+    return low, {"t": 1}
 
 
-def peel_reduce(h: SmallGraph, side: str) -> tuple[SmallGraph, dict]:
+def peel_reduce(h: SmallGraph, side: str) -> tuple[frozenset[int], dict]:
     dp = G.DegreePartition(h)
-    keep = sorted(
-        set(range(h.n)) - (dp.v_low if side == "low" else dp.v_high)
-    )
-    return G.induced_subgraph(h, keep), {"h": h, "vprime": keep}
+    return dp.v_low if side == "low" else dp.v_high, {}
 
 
 _RULES = {
-    # rule -> (construction, target function)
+    # rule -> (construction, rule function)
     "module-shrink": ("ConMod", mod_reduce),
     "near-universal-shrink": ("ConNearUni", near_uni_reduce),
     "degree2-path-contract": ("ConMain", path_reduce),
@@ -777,17 +766,21 @@ CHAIN_TABLE: dict[str, list[tuple[str, bool]]] = {
 
 
 def make_step(rule: str, h: SmallGraph, complemented: bool) -> ReductionStep:
-    """Build one executable step for h (given in its stored orientation)."""
+    """Build one executable step for h (given in its stored orientation):
+    the rule runs on h, or on its complement for a complemented step; the
+    target is what the rule keeps, complemented back."""
     construction, fn = _RULES[rule]
     raw = G.complement(h) if complemented else h
-    target_raw, params = fn(raw)
-    target = G.complement(target_raw) if complemented else target_raw
+    drop, params = fn(raw)
+    keep = [v for v in range(raw.n) if v not in drop]
+    target = G.induced_subgraph(raw, keep)
+    given = {"h": raw, "vprime": keep, **params}
     return ReductionStep(
         construction=construction,
         rule=rule,
         source_h=h,
-        target_h=target,
-        params=params,
+        target_h=G.complement(target) if complemented else target,
+        params={name: given[name] for name in CONSTRUCTIONS[construction][1]},
         complemented=complemented,
     )
 

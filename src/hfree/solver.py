@@ -127,7 +127,7 @@ def solve(
         for u, v in itertools.combinations(vs, 2):
             if (u, v) not in allowed or (u, v) in flipped:
                 continue
-            found = rec(G.flip_pair(g, u, v), k - 1, flipped | {(u, v)})
+            found = rec(G.apply_flips(g, [(u, v)]), k - 1, flipped | {(u, v)})
             if found is not None:
                 return found
         return None

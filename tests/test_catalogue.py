@@ -1,5 +1,6 @@
 """Catalogue transcription guards and family generator/recognizer tests."""
 
+import os
 import random
 
 import pytest
@@ -25,6 +26,19 @@ def test_lookup_known_identities():
     )
     with pytest.raises(KeyError):
         C.lookup("H99")
+
+
+def test_edge_list_document_matches_the_data_file():
+    """docs/catalogue_edges.txt lists every entry of data/catalogue.g6, in
+    the same order, with the same n, m and edges."""
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "catalogue_edges.txt")
+    with open(path) as f:
+        entries = [line.split() for line in f if ": n=" in line]
+    assert [fields[0][:-1] for fields in entries] == C.all_ids()
+    for name, n, m, *edges in entries:
+        g = C.lookup(name[:-1]).graph
+        assert (n, m) == (f"n={g.n}", f"m={g.edge_count()}"), name
+        assert edges == [f"{u}-{v}" for u, v in g.edges()], name
 
 
 def test_h_series_has_nine_five_vertex_graphs():

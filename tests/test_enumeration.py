@@ -100,10 +100,12 @@ def test_augment_labels_only_children_with_ties(monkeypatch):
         calls.clear()
         E._augment(parent)
         gens = labeling(parent.rows)[1]
+        tables = [[G._mask(p[v] for v in G._bits(m)) for m in range(1 << 6)]
+                  for p in gens]
         tied = 0
         for mask in range(1 << 6):
-            if gens and not E._least_in_orbit(mask, gens):
-                continue
+            if G._closure(1 << mask, tables) & ((1 << mask) - 1):
+                continue  # not the least mask of its orbit
             rows = [r | (mask >> v & 1) << 6 for v, r in enumerate(parent.rows)]
             child = G.SmallGraph(7, rows + [mask])
             deg = child.degrees()
@@ -229,6 +231,8 @@ def test_campaign_case_lemmas_small():
 def test_campaign_w_closure():
     rep = E.run_search_campaign(E.EnumConfig(n_max=6), "W_closure")
     assert rep["ok"] and rep["checked"] > 100
+    # it enumerates nothing, so it reports no n_max, workers or per_n
+    assert sorted(rep) == ["campaign", "checked", "counterexamples", "ok", "runtime_sec"]
 
 
 def test_campaign_churn_totality_small():
@@ -256,7 +260,7 @@ def test_campaign_reports_pinned():
         "case_lemmas": "30eb45393b3b719a34867f615f81cb45c42816c6b9eb6e039ca6260395cba666",
         "regular_tail": "b78f06d6683ede03e636e76996df8ea467bd959bf2240ba98a31305134dc902e",
         "churn_totality": "4af307e5c25af65d22761364d79e0d3768f1b27e66d1dc078cc422165dbe7ac5",
-        "W_closure": "05b050e7957bde1edc439e198ca10517ee5b484db02222597f0ed5acf2a2b36f",
+        "W_closure": "1646b850ffe2cebae62deaff3f166d8496c3abbad822076bcc43e33b7c6ea994",
     }
 
 

@@ -207,8 +207,8 @@ def test_modification_sets_match_all_subsets():
     co_a1 = units[0]
     for u, v in itertools.combinations(range(co_a1.graph.n), 2):
         if (u, v) not in co_a1.allowed:
-            units.append(GD.Gadget(G.flip_pair(co_a1.graph, u, v), "BasicUnit",
-                                   "delete", co_a1.allowed, co_a1.h))
+            units.append(GD.Gadget(G.apply_flips(co_a1.graph, [(u, v)]),
+                                   "BasicUnit", "delete", co_a1.allowed, co_a1.h))
     counts = set()
     for unit in units:
         tc = GD.build_truth_setting(unit, p=2)

@@ -199,9 +199,9 @@ def test_certs_match_old_engine():
 
 def test_automorphism_generators_generate_the_group():
     """For every graph with n <= 6 the generators give exactly the
-    automorphisms a search over all permutations finds, and so the same
-    orbits on vertices and on vertex sets: enumeration keeps the least
-    vertex set of each orbit."""
+    automorphisms a search over all permutations finds, and ``_closure``
+    over the generators lifted to vertex sets gives each vertex set's
+    orbit: enumeration keeps the least vertex set of each orbit."""
     for n in range(1, 7):
         for g in E.graphs_on(n):
             autos = {
@@ -220,9 +220,11 @@ def test_automorphism_generators_generate_the_group():
                         group.add(q)
                         todo.append(q)
             assert group == autos, G.to_graph6(g)
+            tables = [[G._mask(p[v] for v in G._bits(m)) for m in range(1 << n)]
+                      for p in gens]
             for mask in range(1 << n):
                 orbit = {G._mask(p[v] for v in G._bits(mask)) for p in autos}
-                assert E._least_in_orbit(mask, gens) == (mask == min(orbit))
+                assert G._closure(1 << mask, tables) == G._mask(orbit)
 
 
 def test_symmetric_certificates_are_fast():

@@ -335,9 +335,7 @@ def _subset_scan_cut_reduce(h):
     cands = [b for b in leaf_blocks if len(b) == smallest]
     if len(cands) != 1:
         raise R.PreconditionError("smallest leaf block not unique")
-    (v,) = cands[0] & cuts
-    vprime = [u for u in range(h.n) if u not in cands[0] or u == v]
-    return G.induced_subgraph(h, vprime), {"h": h, "vprime": vprime}
+    return cands[0] - cuts, {}  # the block without its cut vertex
 
 
 def _outcome(fn, h):
