@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb, perm
-from typing import Sequence
+from typing import Collection, Sequence
 
 from . import catalogue as C
 from . import gadgets as GD
@@ -486,7 +486,7 @@ def execute_step(step: ReductionStep, inst: EditInstance) -> EditInstance:
 # and the params that name h or the kept vertices.
 
 
-def mod_reduce(h: SmallGraph) -> tuple[list[int], dict]:
+def mod_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     """Remove one vertex from each module inside the low-degree class.
 
     Checks the module-shrink preconditions: low degree 1 or 2 on an
@@ -528,7 +528,7 @@ def mod_reduce(h: SmallGraph) -> tuple[list[int], dict]:
     return list(groups.values()), {"ell": dp.ell}
 
 
-def near_uni_reduce(h: SmallGraph) -> tuple[list[int], dict]:
+def near_uni_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     """Remove one highest-degree vertex (near-universal class shrink)."""
     dp = G.DegreePartition(h)
     vh = sorted(dp.v_high)
@@ -588,11 +588,11 @@ def unique_degree2_path(h: SmallGraph) -> tuple[int, frozenset[int]]:
     return best + 1, frozenset(G._bits(top[0][1]))
 
 
-def path_reduce(h: SmallGraph) -> tuple[frozenset[int], dict]:
+def path_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     return unique_degree2_path(h)[1], {}
 
 
-def cut_reduce(h: SmallGraph) -> tuple[frozenset[int], dict]:
+def cut_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     """Drop the unique smallest leaf block, keeping its cut vertex.
 
     Blocks of two vertices (bridges) do not count. A leaf block of three or
@@ -618,7 +618,7 @@ def cut_reduce(h: SmallGraph) -> tuple[frozenset[int], dict]:
     return frozenset(G._bits(cands[0])), {}
 
 
-def deg3_pair_reduce(h: SmallGraph) -> tuple[tuple[int, int], dict]:
+def deg3_pair_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     """Drop the unique adjacent pair of degree-3 vertices."""
     degs = h.degrees()
     pairs = [
@@ -632,7 +632,7 @@ def deg3_pair_reduce(h: SmallGraph) -> tuple[tuple[int, int], dict]:
     return pairs[0], {}
 
 
-def jukt_reduce(h: SmallGraph) -> tuple[list[int], dict]:
+def jukt_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     """Drop one vertex of the low-degree clique component."""
     dp = G.DegreePartition(h)
     vl = sorted(dp.v_low)
@@ -645,7 +645,7 @@ def jukt_reduce(h: SmallGraph) -> tuple[list[int], dict]:
     return vl[:1], {}
 
 
-def jutk1_reduce(h: SmallGraph) -> tuple[list[int], dict]:
+def jutk1_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     """Drop one isolated vertex (the rest must avoid clique components)."""
     isolated = [v for v in range(h.n) if h.rows[v] == 0]
     if len(isolated) < 2:
@@ -656,21 +656,21 @@ def jutk1_reduce(h: SmallGraph) -> tuple[list[int], dict]:
     return isolated[:1], {}
 
 
-def largest_component_target(h: SmallGraph) -> tuple[set[int], dict]:
+def largest_component_target(h: SmallGraph) -> tuple[Collection[int], dict]:
     comps = G.components(h)
     if len(comps) < 2:
         raise PreconditionError("h must be disconnected")
     return set(range(h.n)).difference(max(comps, key=len)), {}
 
 
-def biclique_reduce(h: SmallGraph) -> tuple[list[int], dict]:
+def biclique_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     """The bespoke K_{2,3}-to-C4 shrink."""
     if not G.are_isomorphic(h, G.complete_bipartite(2, 3)):
         raise PreconditionError("rule applies to K_{2,3} only")
     return [min(G.DegreePartition(h).v_low)], {"ell": 2}
 
 
-def near_kt_euk1_reduce(h: SmallGraph) -> tuple[list[int], dict]:
+def near_kt_euk1_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     """(K_t - e) u K_1 drops its two sub-maximum-degree vertices."""
     degs = h.degrees()
     t = h.n - 1
@@ -681,7 +681,7 @@ def near_kt_euk1_reduce(h: SmallGraph) -> tuple[list[int], dict]:
     return low, {"t": 1}
 
 
-def peel_reduce(h: SmallGraph, side: str) -> tuple[frozenset[int], dict]:
+def peel_reduce(h: SmallGraph, side: str) -> tuple[Collection[int], dict]:
     dp = G.DegreePartition(h)
     return dp.v_low if side == "low" else dp.v_high, {}
 
