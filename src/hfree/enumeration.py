@@ -117,7 +117,7 @@ def _augment(parent: SmallGraph) -> list[SmallGraph]:
                 first = next(v for v in order if ties >> v & 1)
                 if not G._closure(1 << first, cgens) & x:
                     continue  # x is not in the canonical orbit
-            out.append(SmallGraph(n + 1, rows))
+            out.append(SmallGraph._trusted(n + 1, rows))
     return out
 
 

@@ -38,9 +38,21 @@ class SmallGraph:
             for u in _bits(rows[v]):
                 if not rows[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at ({v},{u})")
+        self._fill(n, tuple(rows))
+
+    @classmethod
+    def _trusted(cls, n: int, rows: Sequence[int]) -> SmallGraph:
+        """The graph with ``rows``, unchecked: for the package's own
+        operations, whose rows are loop-free, symmetric and inside 0..n-1
+        by construction. Input from outside goes through ``__init__``."""
+        g = object.__new__(cls)
+        g._fill(n, tuple(rows))
+        return g
+
+    def _fill(self, n: int, rows: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "_hash", hash((n, tuple(rows))))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", hash((n, rows)))
 
     def __setattr__(self, *a):
         raise AttributeError("SmallGraph is immutable")
@@ -103,11 +115,15 @@ def _mask(vs: Iterable[int]) -> int:
 # -- constructors ----------------------------------------------------------
 
 
+def _check_pair(n: int, u: int, v: int) -> None:
+    if u == v or not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"({u}, {v}) is not two distinct vertices of 0..{n - 1}")
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SmallGraph:
     rows = [0] * n
     for u, v in edges:
-        if u == v:
-            raise ValueError("self-loop")
+        _check_pair(n, u, v)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return SmallGraph(n, rows)
@@ -146,22 +162,30 @@ def star_graph(t: int) -> SmallGraph:
 
 def complement(g: SmallGraph) -> SmallGraph:
     full = (1 << g.n) - 1
-    return SmallGraph(g.n, [full ^ r ^ (1 << v) for v, r in enumerate(g.rows)])
+    return SmallGraph._trusted(
+        g.n, [full ^ r ^ (1 << v) for v, r in enumerate(g.rows)])
+
+
+# The operations below build with ``SmallGraph._trusted``: g is a valid
+# graph, and the vertex numbers they take from the caller are checked at a
+# cost proportional to those arguments.
 
 
 def delete_edge(g: SmallGraph, u: int, v: int) -> SmallGraph:
+    _check_pair(g.n, u, v)
     rows = list(g.rows)
     rows[u] &= ~(1 << v)
     rows[v] &= ~(1 << u)
-    return SmallGraph(g.n, rows)
+    return SmallGraph._trusted(g.n, rows)
 
 
 def apply_flips(g: SmallGraph, pairs: Iterable[tuple[int, int]]) -> SmallGraph:
     rows = list(g.rows)
     for u, v in pairs:
+        _check_pair(g.n, u, v)
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-    return SmallGraph(g.n, rows)
+    return SmallGraph._trusted(g.n, rows)
 
 
 def induced_subgraph(g: SmallGraph, vs: Iterable[int]) -> SmallGraph:
@@ -178,7 +202,7 @@ def induced_subgraph(g: SmallGraph, vs: Iterable[int]) -> SmallGraph:
         for u in keep:
             if r >> u & 1:
                 rows[i] |= 1 << pos[u]
-    return SmallGraph(len(keep), rows)
+    return SmallGraph._trusted(len(keep), rows)
 
 
 def delete_vertices(g: SmallGraph, vs: Iterable[int]) -> SmallGraph:
@@ -189,7 +213,7 @@ def delete_vertices(g: SmallGraph, vs: Iterable[int]) -> SmallGraph:
 
 def disjoint_union(g1: SmallGraph, g2: SmallGraph) -> SmallGraph:
     rows = list(g1.rows) + [r << g1.n for r in g2.rows]
-    return SmallGraph(g1.n + g2.n, rows)
+    return SmallGraph._trusted(g1.n + g2.n, rows)
 
 
 def join(g1: SmallGraph, g2: SmallGraph) -> SmallGraph:
@@ -198,11 +222,13 @@ def join(g1: SmallGraph, g2: SmallGraph) -> SmallGraph:
     right = ((1 << n2) - 1) << n1
     rows = [r | right for r in g1.rows]
     rows += [(r << n1) | left for r in g2.rows]
-    return SmallGraph(n1 + n2, rows)
+    return SmallGraph._trusted(n1 + n2, rows)
 
 
 def relabel(g: SmallGraph, perm: Sequence[int]) -> SmallGraph:
     """Relabel so that old vertex perm[i] becomes new vertex i."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError(f"{list(perm)} is not a permutation of 0..{g.n - 1}")
     inv = [0] * g.n
     for i, v in enumerate(perm):
         inv[v] = i
@@ -210,7 +236,7 @@ def relabel(g: SmallGraph, perm: Sequence[int]) -> SmallGraph:
     for i, v in enumerate(perm):
         for u in _bits(g.rows[v]):
             rows[i] |= 1 << inv[u]
-    return SmallGraph(g.n, rows)
+    return SmallGraph._trusted(g.n, rows)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -294,15 +320,15 @@ def is_connected(g: SmallGraph) -> bool:
 
 def _reach(rows: Sequence[int], seed: int, alive: int) -> int:
     """Bitmask of vertices reachable from ``seed`` inside ``alive``."""
-    seen = seed & alive
-    frontier = seen
+    seen = frontier = seed & alive
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
-            nxt |= rows[v]
-        nxt &= alive & ~seen
-        seen |= nxt
-        frontier = nxt
+        while frontier:
+            b = frontier & -frontier
+            nxt |= rows[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nxt & alive & ~seen
+        seen |= frontier
     return seen
 
 

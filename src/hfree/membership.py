@@ -46,9 +46,11 @@ def is_3_connected(g: SmallGraph) -> bool:
     if min(r.bit_count() for r in g.rows) < 3:
         # the neighbors of a low-degree vertex disconnect it
         return False
-    if not G.is_connected(g):
-        return False
-    return all(next(G.separators(g, size), None) is None for size in (1, 2))
+    # With n >= 4, a separating set of size 0 or 1 grows into a separating
+    # pair: add a vertex of a component with 2 or more vertices, or, if
+    # every component is a single vertex, any vertex (at least 2 are left).
+    # So the pair scan alone decides.
+    return next(G.separators(g, 2), None) is None
 
 
 @dataclass(frozen=True)

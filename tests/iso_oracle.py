@@ -4,9 +4,11 @@ in the tests so that they stay apart from the code they check.
 ``brute_force_isomorphic`` tries vertex bijections directly;
 ``count_labeled_dedup`` counts isomorphism classes by canonicalizing every
 labeled graph on n vertices, without canonical augmentation;
-``vertex_connectivity`` finds the smallest separator by size, the oracle
-for ``membership.is_3_connected``. These three are copied unchanged from the
-package. ``automorphisms`` tries every permutation, and
+``vertex_connectivity`` finds the smallest separator by size with its own
+breadth-first search over ``has_edge``, the oracle for
+``membership.is_3_connected``; it calls nothing of ``graphs`` that the
+package's connectivity code uses. The first two are copied unchanged from
+the package. ``automorphisms`` tries every permutation, and
 ``unpruned_falsification`` is the falsification layer of
 ``gadgets.verify_enforcer`` as it was before it attached once per
 automorphism orbit: an attachment at every (non)edge of every host.
@@ -67,16 +69,30 @@ def count_labeled_dedup(n: int) -> int:
     return len(seen)
 
 
+def _connected_inside(g: SmallGraph, keep: list[int]) -> bool:
+    """Breadth-first search over ``has_edge`` among the vertices ``keep``."""
+    seen = {keep[0]}
+    todo = [keep[0]]
+    while todo:
+        u = todo.pop()
+        for w in keep:
+            if w not in seen and g.has_edge(u, w):
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == len(keep)
+
+
 def vertex_connectivity(g: SmallGraph) -> int:
+    """n - 1 for a complete graph, else the size of the smallest vertex set
+    whose removal leaves a disconnected graph."""
     n = g.n
-    if G.is_complete(g):
+    if all(g.has_edge(u, v) for u, v in itertools.combinations(range(n), 2)):
         return n - 1
-    if not G.is_connected(g):
-        return 0
-    for size in range(1, n - 1):
-        if next(G.separators(g, size), None) is not None:
-            return size
-    return n - 1  # unreachable for non-complete graphs
+    for size in range(n - 1):  # removing all but two non-adjacent vertices
+        for drop in itertools.combinations(range(n), size):
+            if not _connected_inside(g, [v for v in range(n) if v not in drop]):
+                return size
+    raise AssertionError("a non-complete graph has a separating set")
 
 
 def automorphisms(g: SmallGraph) -> list[tuple[int, ...]]:

@@ -309,10 +309,10 @@ def test_separators_match_component_count():
 def test_connectivity_properties_exhaustive():
     from hfree import membership as M
 
-    for n in range(2, 8):
-        for g in E.graphs_on(n):
+    for n in range(1, 8):
+        for g in (h for p in E.graphs_on(n) for h in (p, G.complement(p))):
             c = vertex_connectivity(g)
-            assert (c >= 3) == M.is_3_connected(g)
+            assert (c >= 3) == M.is_3_connected(g), G.to_graph6(g)
             if not G.is_complete(g) and c >= 2:
                 for sub in itertools.combinations(range(n), c - 1):
                     assert G.is_connected(G.delete_vertices(g, sub))
