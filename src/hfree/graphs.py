@@ -159,16 +159,15 @@ def star_graph(t: int) -> SmallGraph:
 
 # -- elementary operations -------------------------------------------------
 
+# These build with ``SmallGraph._trusted``: rows derived from valid graphs
+# are valid. Vertex numbers taken from the caller (pairs, a vertex set, a
+# permutation) are checked first, at a cost proportional to them.
+
 
 def complement(g: SmallGraph) -> SmallGraph:
     full = (1 << g.n) - 1
     return SmallGraph._trusted(
         g.n, [full ^ r ^ (1 << v) for v, r in enumerate(g.rows)])
-
-
-# The operations below build with ``SmallGraph._trusted``: g is a valid
-# graph, and the vertex numbers they take from the caller are checked at a
-# cost proportional to those arguments.
 
 
 def delete_edge(g: SmallGraph, u: int, v: int) -> SmallGraph:
