@@ -13,8 +13,11 @@ from math import factorial, gcd
 import pytest
 
 from hfree import __version__, cli
+from hfree import catalogue as C
+from hfree import classify as CL
 from hfree import enumeration as E
 from hfree import graphs as G
+from hfree import membership as M
 from iso_oracle import count_labeled_dedup
 
 
@@ -262,6 +265,47 @@ def test_campaign_reports_pinned():
         "churn_totality": "4af307e5c25af65d22761364d79e0d3768f1b27e66d1dc078cc422165dbe7ac5",
         "W_closure": "1646b850ffe2cebae62deaff3f166d8496c3abbad822076bcc43e33b7c6ea994",
     }
+
+
+def test_case_lemmas_report_pinned_n8():
+    """The whole n_max = 8 ``case_lemmas`` report apart from its run time,
+    pinned as ``test_campaign_reports_pinned`` pins n_max = 7."""
+    rep = E.run_search_campaign(E.EnumConfig(n_max=8), "case_lemmas")
+    del rep["runtime_sec"]
+    blob = json.dumps(rep, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "e70943ab46e820098492ecd5fbbb83d4d9a74c60ea8c76e24eb2f5e3291e8c8e"
+    )
+
+
+def _witness_first_case_lemmas(g: G.SmallGraph):
+    """The case-lemma check with the X-witness search first: a graph in
+    Y_D or X is dropped before its peels are looked at."""
+    if M.in_y_d(g) or M.x_witness_for(g, "deletion") is not None:
+        return None
+    tl = CL.peel_types(G.peel_low(g))
+    th = CL.peel_types(G.peel_high(g))
+    if not tl or not th:
+        return None
+    member = C.membership_W(g)
+    return {
+        "g6": G.to_graph6(g),
+        "cells": [(a, b) for a in tl for b in th],
+        "in_W": member is not None,
+        "member": str(member) if member else None,
+    }
+
+
+def test_case_lemma_check_equals_witness_first():
+    """The campaign's check gives the witness-first check's result, dict
+    or None, on every graph with 5 <= n <= 8."""
+    hits = 0
+    for n in range(5, 9):
+        for g in E.graphs_on(n):
+            got = E._check_case_lemmas(g)
+            assert got == _witness_first_case_lemmas(g), G.to_graph6(g)
+            hits += got is not None
+    assert hits == 21 + 32 + 25 + 29
 
 
 @pytest.mark.parametrize("campaign", ["case_lemmas", "regular_tail", "churn_totality"])
