@@ -271,6 +271,11 @@ class Builder:
         return list(range(n, n + count))
 
     def connect(self, a: int, b: int) -> None:
+        # _check_pair's test written out: this is the hot call of the
+        # constructions
+        n = len(self.rows)
+        if a == b or not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"({a}, {b}) is not two distinct vertices of 0..{n - 1}")
         self.rows[a] |= 1 << b
         self.rows[b] |= 1 << a
 

@@ -1,8 +1,9 @@
 """Graphs are validated where they enter the package, and only there.
 
 ``SmallGraph(...)``, ``from_edges``, ``from_graph6``, ``Builder.graph`` and
-unpickling check rows in full. ``apply_flips``, ``delete_edge`` and
-``relabel`` check the vertex numbers the caller gives them. Every other
+unpickling check rows in full. ``apply_flips``, ``delete_edge``,
+``relabel`` and ``Builder.connect`` check the vertex numbers the caller
+gives them. Every other
 operation builds with the unchecked ``SmallGraph._trusted``, so its result
 must equal what the validating constructor makes of the same rows.
 """
@@ -30,11 +31,12 @@ def _built(rows):
     return b.graph()
 
 
-def _looped_builder():
-    b = G.Builder()
-    b.fresh(2)
-    b.connect(1, 1)
-    return b.graph()
+def _connect(a, b):
+    """Connects a and b in a 2-vertex builder; ``Builder.graph`` is not
+    called, so only ``connect`` can refuse."""
+    builder = G.Builder()
+    builder.fresh(2)
+    builder.connect(a, b)
 
 
 P3 = G.path_graph(3)
@@ -54,8 +56,11 @@ REFUSALS = [
     ("from_graph6 bad character", lambda: G.from_graph6("B\x10")),
     ("from_graph6 empty", lambda: G.from_graph6("")),
     ("Builder.graph asymmetric", lambda: _built([0b10, 0])),
-    ("Builder.graph self-loop", _looped_builder),
+    ("Builder.graph self-loop", lambda: _built([0b00, 0b10])),
     ("Builder.graph out of range", lambda: _built([0b100, 0b000])),
+    ("Builder.connect out of range", lambda: _connect(0, 5)),
+    ("Builder.connect negative", lambda: _connect(-1, 0)),
+    ("Builder.connect loop", lambda: _connect(1, 1)),
     ("pickle asymmetric", lambda: pickle.loads(pickle.dumps(_Forged()))),
     ("apply_flips loop", lambda: G.apply_flips(P3, [(1, 1)])),
     ("apply_flips out of range", lambda: G.apply_flips(P3, [(0, 5)])),

@@ -308,6 +308,16 @@ def test_case_lemma_check_equals_witness_first():
     assert hits == 21 + 32 + 25 + 29
 
 
+def test_case_lemma_check_searches_witnesses_only_past_both_peels(monkeypatch):
+    """The X-witness search runs only on graphs whose two peels are both
+    easy: 312 of the 13 580 graphs with 5 <= n <= 8."""
+    calls = []
+    search = M.x_witness_for
+    monkeypatch.setattr(M, "x_witness_for", lambda *a: calls.append(a) or search(*a))
+    rep = E.run_search_campaign(E.EnumConfig(n_max=8), "case_lemmas")
+    assert rep["ok"] and 0 < len(calls) <= 312
+
+
 @pytest.mark.parametrize("campaign", ["case_lemmas", "regular_tail", "churn_totality"])
 def test_campaign_worker_determinism(campaign, monkeypatch):
     """Two workers give the serial report. Level 6 is four check slices
