@@ -3,9 +3,9 @@
 ``SmallGraph(...)``, ``from_edges``, ``from_graph6``, ``Builder.graph`` and
 unpickling check rows in full. ``apply_flips``, ``delete_edge``,
 ``relabel`` and ``Builder.connect`` check the vertex numbers the caller
-gives them. Every other
-operation builds with the unchecked ``SmallGraph._trusted``, so its result
-must equal what the validating constructor makes of the same rows.
+gives them. Every other operation builds with the unchecked
+``SmallGraph._trusted``, so its result must equal what the validating
+constructor makes of the same rows.
 """
 
 import itertools
