@@ -36,6 +36,24 @@ def test_yprime_subset_of_easy_sets():
         assert sm.in_Yprime and sm.in_YE and sm.in_YD, name
 
 
+def test_yprime_name_by_degree_sequence():
+    """yprime_name keys Y' by degree sequence, which determines a graph on
+    3 or 4 vertices: every graph with n <= 4 gets the name a certificate
+    lookup gives it, and no two of them share a sequence."""
+    from hfree import catalogue as C
+
+    by_cert = {
+        G.canonical_cert(C.lookup(name).graph): name
+        for name in ("P3", "co-P3", "P4", "claw", "co-claw", "paw",
+                     "co-paw", "diamond", "co-diamond")
+    }
+    for n in range(1, 5):
+        level = E.graphs_on(n)
+        assert len({tuple(sorted(g.degrees())) for g in level}) == len(level)
+        for g in level:
+            assert M.yprime_name(g) == by_cert.get(G.canonical_cert(g)), G.to_graph6(g)
+
+
 def test_small_graphs_all_covered():
     """Every graph on at most four vertices lies in X u Y for both
     problems."""
