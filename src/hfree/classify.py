@@ -140,15 +140,17 @@ def _pipeline(g: SmallGraph, problem: str) -> Verdict:
     w = M.x_witness_for(g, problem)
     if w is not None:
         return Verdict(problem, "Incompressible", w)
-    key = (G.canonical_cert(g), problem)
-    hit = _memo.get(key)
+    cert = G.canonical_cert(g)
+    hit = _memo.get((cert, problem))
     if hit is None:
-        hit = _memo[key] = _chain_part(g, problem)
+        hit = _memo[cert, problem] = _chain_part(g, cert, problem)
     return hit
 
 
-def _chain_part(g: SmallGraph, problem: str) -> Verdict:
-    wr = C.membership_W(g)
+def _chain_part(g: SmallGraph, cert: bytes, problem: str) -> Verdict:
+    """Rules 6-8 for g, whose certificate is cert. Every step shrinks its
+    graph, so the walk ends within g.n steps."""
+    wr = C._w_on(g.n).get(cert)  # membership_W(g) without a second certificate
     if wr is not None:
         steps = R.w_steps(g, wr)
         if steps is not None:

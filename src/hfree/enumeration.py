@@ -337,7 +337,7 @@ _LEVEL_CAMPAIGNS: dict[str, tuple[int, Callable, Callable]] = {
     "regular_tail": (4, _check_regular_tail, _fold_regular_tail),
     "churn_totality": (5, _check_churn_totality, _fold_churn_totality),
 }
-CAMPAIGNS = (*_LEVEL_CAMPAIGNS, "W_closure")
+CAMPAIGNS = tuple(_LEVEL_CAMPAIGNS)
 
 
 def _check_shard(task: tuple[str, list[SmallGraph]]) -> list[dict]:
@@ -347,70 +347,40 @@ def _check_shard(task: tuple[str, list[SmallGraph]]) -> list[dict]:
     return [h for h in map(check, graphs) if h is not None]
 
 
-def _w_closure() -> tuple[int, list[dict]]:
-    """The number of non-small catalogue entries and family members (t up
-    to 8) checked, and those whose complement is not in W."""
-    failures = []
-    checked = 0
-    for name in C.all_ids():
-        entry = C.lookup(name)
-        if entry.source == "small":
-            continue
-        checked += 1
-        if C.membership_W(G.complement(entry.graph)) is None:
-            failures.append({"id": name})
-    for fam, tmin in C.FAMILY_CONSTRAINTS.items():
-        for t in range(tmin, 9):
-            g = C.generate_family(C.FamilyId(fam, t))
-            checked += 1
-            if C.membership_W(G.complement(g)) is None:
-                failures.append({"id": f"{fam}(t={t})"})
-    return checked, failures
-
-
 def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
     """Execute one named verification campaign; see CAMPAIGNS."""
     if campaign not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {campaign}; pick from {CAMPAIGNS}")
     t0 = time.time()
-    if campaign == "W_closure":  # enumerates nothing, so no n_max, workers, per_n
-        checked, found = _w_closure()
-        report: dict = {
-            "campaign": campaign,
-            "checked": checked,
-            "counterexamples": found,
-            "ok": not found,
-        }
-    else:
-        report = {
-            "campaign": campaign,
-            "n_max": cfg.n_max,
-            "workers": cfg.workers,
-            "per_n": {},
-            "counterexamples": [],
-        }
-        first_n, _, fold = _LEVEL_CAMPAIGNS[campaign]
-        hits: list[dict] = []
-        miscounted = []
-        checked = 0
-        for n in range(first_n, cfg.n_max + 1):
-            level = graphs_on(n, cfg.workers, cfg.checkpoint_path)
-            checked += len(level)
-            if n <= len(KNOWN_COUNTS) and len(level) != KNOWN_COUNTS[n - 1]:
-                miscounted.append(n)
-            tasks = [
-                (i, (campaign, level[start : start + _CHECK_CHUNK]))
-                for i, start in enumerate(range(0, len(level), _CHECK_CHUNK))
-            ]
-            out = dict(_shard_map(_check_shard, tasks, cfg.workers))
-            found = [h for i in range(len(tasks)) for h in out[i]]
-            report["per_n"][n] = {"graphs": len(level), "hits": len(found)}
-            hits += found
-        report.update(fold(hits, cfg.n_max))
-        if miscounted:
-            # a level of the wrong size makes every check above meaningless
-            report["miscounted_levels"] = miscounted
-            report["ok"] = False
-        report["checked"] = checked
+    report: dict = {
+        "campaign": campaign,
+        "n_max": cfg.n_max,
+        "workers": cfg.workers,
+        "per_n": {},
+        "counterexamples": [],
+    }
+    first_n, _, fold = _LEVEL_CAMPAIGNS[campaign]
+    hits: list[dict] = []
+    miscounted = []
+    checked = 0
+    for n in range(first_n, cfg.n_max + 1):
+        level = graphs_on(n, cfg.workers, cfg.checkpoint_path)
+        checked += len(level)
+        if n <= len(KNOWN_COUNTS) and len(level) != KNOWN_COUNTS[n - 1]:
+            miscounted.append(n)
+        tasks = [
+            (i, (campaign, level[start : start + _CHECK_CHUNK]))
+            for i, start in enumerate(range(0, len(level), _CHECK_CHUNK))
+        ]
+        out = dict(_shard_map(_check_shard, tasks, cfg.workers))
+        found = [h for i in range(len(tasks)) for h in out[i]]
+        report["per_n"][n] = {"graphs": len(level), "hits": len(found)}
+        hits += found
+    report.update(fold(hits, cfg.n_max))
+    if miscounted:
+        # a level of the wrong size makes every check above meaningless
+        report["miscounted_levels"] = miscounted
+        report["ok"] = False
+    report["checked"] = checked
     report["runtime_sec"] = round(time.time() - t0, 3)
     return report

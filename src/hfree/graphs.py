@@ -692,36 +692,32 @@ def is_free_of(g: SmallGraph, h: SmallGraph) -> bool:
     return not contains_induced(g, h)
 
 
-# -- degree partition --------------------------------------------------------
+# -- degree classes ----------------------------------------------------------
 
 
-class DegreePartition:
-    """Lowest/middle/highest degree vertex classes of a non-regular graph."""
-
-    __slots__ = ("ell", "h", "h_star", "v_low", "v_mid", "v_high")
-
-    def __init__(self, g: SmallGraph):
-        degs = g.degrees()
-        lo, hi = min(degs), max(degs)
-        if lo == hi:
-            raise ValueError("degree partition undefined for regular graphs")
-        self.ell = lo
-        self.h = hi
-        self.h_star = g.n - hi - 1
-        self.v_low = frozenset(v for v, d in enumerate(degs) if d == lo)
-        self.v_high = frozenset(v for v, d in enumerate(degs) if d == hi)
-        self.v_mid = frozenset(range(g.n)) - self.v_low - self.v_high
+def degree_classes(g: SmallGraph) -> tuple[int, int]:
+    """Bitmasks of the lowest- and highest-degree vertices of a non-regular
+    graph; the middle class is the rest."""
+    degs = [r.bit_count() for r in g.rows]
+    lo, hi = min(degs), max(degs)
+    if lo == hi:
+        raise ValueError("degree partition undefined for regular graphs")
+    low = high = 0
+    for v, d in enumerate(degs):
+        if d == lo:
+            low |= 1 << v
+        elif d == hi:
+            high |= 1 << v
+    return low, high
 
 
 def peel_low(g: SmallGraph) -> SmallGraph:
     """Remove all lowest-degree vertices (non-regular g only)."""
-    dp = DegreePartition(g)
-    return delete_vertices(g, dp.v_low)
+    return delete_vertices(g, _bits(degree_classes(g)[0]))
 
 
 def peel_high(g: SmallGraph) -> SmallGraph:
-    dp = DegreePartition(g)
-    return delete_vertices(g, dp.v_high)
+    return delete_vertices(g, _bits(degree_classes(g)[1]))
 
 
 # -- graph6 ------------------------------------------------------------------

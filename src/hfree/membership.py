@@ -20,10 +20,12 @@ from .graphs import SmallGraph
 
 
 @functools.cache
-def _yprime_index() -> dict[bytes, str]:
-    """Names of the nine Y' graphs, keyed by canonical cert."""
+def _yprime_index() -> dict[tuple[int, ...], str]:
+    """Names of the nine Y' graphs, keyed by sorted degree sequence. A graph
+    on 3 or 4 vertices is determined by its degree sequence (4 and 11
+    classes, all sequences distinct), so no certificate is needed."""
     return {
-        G.canonical_cert(catalogue.lookup(name).graph): name
+        tuple(sorted(catalogue.lookup(name).graph.degrees())): name
         for name in ("P3", "co-P3", "P4", "claw", "co-claw", "paw",
                      "co-paw", "diamond", "co-diamond")
     }
@@ -33,7 +35,7 @@ def yprime_name(g: SmallGraph) -> str | None:
     """Name of g within Y' = {P3, P4, claw, paw, diamond, complements}."""
     if g.n not in (3, 4):
         return None
-    return _yprime_index().get(G.canonical_cert(g))
+    return _yprime_index().get(tuple(sorted(g.degrees())))
 
 
 def is_3_connected(g: SmallGraph) -> bool:

@@ -493,24 +493,21 @@ def mod_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     independent class, a connected remainder every high vertex sees, and
     the middle-class degree condition.
     """
-    dp = G.DegreePartition(h)
-    if not (1 <= dp.ell <= 2 and h.n >= 5):
+    low, high = G.degree_classes(h)
+    vl = list(G._bits(low))
+    ell = h.rows[vl[0]].bit_count()
+    if not (1 <= ell <= 2 and h.n >= 5):
         raise PreconditionError("module-shrink needs ell in {1,2} and n >= 5")
-    vl = sorted(dp.v_low)
-    for u, v in itertools.combinations(vl, 2):
-        if h.has_edge(u, v):
-            raise PreconditionError("low-degree class must be independent")
-    lowmask = G._mask(vl)
-    rest = ((1 << h.n) - 1) ^ lowmask
+    if any(h.rows[v] & low for v in vl):
+        raise PreconditionError("low-degree class must be independent")
+    rest = ((1 << h.n) - 1) ^ low
     if G._reach(h.rows, rest & -rest, rest) != rest:
         raise PreconditionError("high+middle classes must induce a connected graph")
-    for v in sorted(dp.v_high):
-        if not h.rows[v] & lowmask:
-            raise PreconditionError("every high vertex needs a low neighbor")
-    vm = sorted(dp.v_mid)
-    cond_a = all(
-        (h.rows[v] & ~G._mask(vm)).bit_count() >= dp.ell + 1 for v in vm
-    )
+    if any(not h.rows[v] & low for v in G._bits(high)):
+        raise PreconditionError("every high vertex needs a low neighbor")
+    mid = rest ^ high
+    vm = list(G._bits(mid))
+    cond_a = all((h.rows[v] & ~mid).bit_count() >= ell + 1 for v in vm)
     cond_b = True
     for u, v in itertools.combinations(vm, 2):
         if h.has_edge(u, v):
@@ -525,13 +522,13 @@ def mod_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     groups: dict[int, int] = {}
     for v in vl:
         groups.setdefault(h.rows[v], v)
-    return list(groups.values()), {"ell": dp.ell}
+    return list(groups.values()), {"ell": ell}
 
 
 def near_uni_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     """Remove one highest-degree vertex (near-universal class shrink)."""
-    dp = G.DegreePartition(h)
-    vh = sorted(dp.v_high)
+    vh = list(G._bits(G.degree_classes(h)[1]))
+    hi = h.rows[vh[0]].bit_count()
     for u, v in itertools.combinations(vh, 2):
         if not h.has_edge(u, v):
             raise PreconditionError("high-degree class must be a clique")
@@ -543,13 +540,13 @@ def near_uni_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     degs = h.degrees()
     for size in range(2, h.n + 1):
         for sub in itertools.combinations(range(h.n), size):
-            if all(degs[v] >= dp.h - size + 1 for v in sub) and all(
+            if all(degs[v] >= hi - size + 1 for v in sub) and all(
                 not h.has_edge(a, b) for a, b in itertools.combinations(sub, 2)
             ):
                 raise PreconditionError(
                     "independent set with too-high degrees exists"
                 )
-    return vh[:1], {"t": dp.h_star}
+    return vh[:1], {"t": h.n - hi - 1}
 
 
 def unique_degree2_path(h: SmallGraph) -> tuple[int, frozenset[int]]:
@@ -634,13 +631,12 @@ def deg3_pair_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
 
 def jukt_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     """Drop one vertex of the low-degree clique component."""
-    dp = G.DegreePartition(h)
-    vl = sorted(dp.v_low)
-    lowmask = G._mask(vl)
+    low = G.degree_classes(h)[0]
+    vl = list(G._bits(low))
     for v in vl:
-        if h.rows[v] & ~lowmask:
+        if h.rows[v] & ~low:
             raise PreconditionError("low class must be a separate component")
-        if h.rows[v] & lowmask != lowmask ^ (1 << v):
+        if h.rows[v] & low != low ^ (1 << v):
             raise PreconditionError("low class must induce a clique")
     return vl[:1], {}
 
@@ -667,7 +663,7 @@ def biclique_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
     """The bespoke K_{2,3}-to-C4 shrink."""
     if not G.are_isomorphic(h, G.complete_bipartite(2, 3)):
         raise PreconditionError("rule applies to K_{2,3} only")
-    return [min(G.DegreePartition(h).v_low)], {"ell": 2}
+    return [next(G._bits(G.degree_classes(h)[0]))], {"ell": 2}
 
 
 def near_kt_euk1_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
@@ -682,8 +678,8 @@ def near_kt_euk1_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
 
 
 def peel_reduce(h: SmallGraph, side: str) -> tuple[Collection[int], dict]:
-    dp = G.DegreePartition(h)
-    return dp.v_low if side == "low" else dp.v_high, {}
+    low, high = G.degree_classes(h)
+    return list(G._bits(low if side == "low" else high)), {}
 
 
 _RULES = {
@@ -773,6 +769,9 @@ def make_step(rule: str, h: SmallGraph, complemented: bool) -> ReductionStep:
     raw = G.complement(h) if complemented else h
     drop, params = fn(raw)
     keep = [v for v in range(raw.n) if v not in drop]
+    if len(keep) == raw.n:
+        # so every step shrinks its graph, and no chain walk can revisit one
+        raise PreconditionError(f"{rule} drops no vertex")
     target = G.induced_subgraph(raw, keep)
     given = {"h": raw, "vprime": keep, **params}
     return ReductionStep(
@@ -814,10 +813,10 @@ def w_steps(h: SmallGraph, wr) -> list[ReductionStep] | None:
 
 def derive_chain(h: SmallGraph, problem: str = "deletion") -> list[ReductionStep]:
     """Full simulation chain from h down to the finite core or a known-hard
-    anchor, following the chain table."""
+    anchor, following the chain table. Every step shrinks its graph, so the
+    walk ends within h.n steps."""
     steps: list[ReductionStep] = []
     current = h
-    seen = {G.canonical_cert(current)}
     while M.x_witness_for(current, problem) is None:
         wr = C.membership_W(current)
         if wr is None:
@@ -829,8 +828,4 @@ def derive_chain(h: SmallGraph, problem: str = "deletion") -> list[ReductionStep
             break
         steps.extend(new)
         current = steps[-1].target_h
-        cert = G.canonical_cert(current)
-        if cert in seen:
-            raise RuntimeError("cycle detected in reduction chain")
-        seen.add(cert)
     return steps

@@ -51,9 +51,10 @@ def test_churn_trace_soundness():
             out = CL.churn(g)
             current = g
             for side, stage in out.trace:
-                dp = G.DegreePartition(current)
-                removed = dp.v_low if side == "low" else dp.v_high
-                expect = G.delete_vertices(current, removed)
+                low, high = G.degree_classes(current)
+                removed = low if side == "low" else high
+                expect = G.delete_vertices(
+                    current, [v for v in range(current.n) if removed >> v & 1])
                 assert stage == expect
                 current = stage
             assert current == out.result
@@ -184,6 +185,20 @@ def test_stored_b_and_d_graphs_pinned():
             v = CL.classify(C.lookup(gid).graph, problem)
             got = (v.status, v.reason, v.member, [s.rule for s in v.chain])
             assert got == expect, (gid, problem)
+
+
+def test_one_certificate_per_memo_miss(monkeypatch):
+    """Each graph whose verdict classify memoizes is certified once: the
+    memo key's certificate also looks the graph up in W."""
+    g = G.complete_bipartite(2, 8)
+    for n in range(1, g.n + 1):
+        C._w_on(n)  # the W indexes are built outside the count
+    monkeypatch.setattr(CL, "_memo", {})
+    certified = []
+    cert = G.canonical_cert
+    monkeypatch.setattr(G, "canonical_cert", lambda h: certified.append(h) or cert(h))
+    CL.classify(g, "deletion")
+    assert len(certified) == len(CL._memo) > 0
 
 
 def test_symmetric_regular_graph_needs_no_certificate():

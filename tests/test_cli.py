@@ -89,7 +89,7 @@ def test_solve(capsys):
 
 def test_verify_small(capsys):
     code, payload, _ = run(
-        capsys, "verify", "--campaign", "W_closure", "--n-max", "5"
+        capsys, "verify", "--campaign", "regular_tail", "--n-max", "5"
     )
     assert code == 0 and payload["ok"]
 

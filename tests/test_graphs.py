@@ -260,17 +260,11 @@ def test_symmetric_certificates_are_fast():
 
 def test_degree_partition():
     with pytest.raises(ValueError):
-        G.DegreePartition(G.cycle_graph(5))
-    star = G.star_graph(4)
-    dp = G.DegreePartition(star)
-    assert dp.ell == 1 and dp.h == 4
-    assert dp.v_low == frozenset({1, 2, 3, 4})
-    assert dp.v_high == frozenset({0})
-    assert dp.v_mid == frozenset()
-    assert dp.h_star == star.n - dp.h - 1
+        G.degree_classes(G.cycle_graph(5))
+    assert G.degree_classes(G.star_graph(4)) == (0b11110, 0b00001)
+    # the paw: vertex 3 has degree 1, vertices 1 and 2 are the middle class
     paw = G.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-    dpp = G.DegreePartition(paw)
-    assert len(dpp.v_low) == 1 and len(dpp.v_mid) == 2 and len(dpp.v_high) == 1
+    assert G.degree_classes(paw) == (0b1000, 0b0001)
 
 
 def test_degree_partition_complement_swap():
@@ -278,10 +272,9 @@ def test_degree_partition_complement_swap():
         for g in E.graphs_on(n):
             if G.is_regular(g):
                 continue
-            dp = G.DegreePartition(g)
-            dpc = G.DegreePartition(G.complement(g))
-            assert dpc.v_low == dp.v_high
-            assert dpc.v_high == dp.v_low
+            low, high = G.degree_classes(g)
+            assert G.degree_classes(G.complement(g)) == (high, low)
+            assert low and high and not low & high
 
 
 def test_vertex_connectivity():

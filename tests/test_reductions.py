@@ -475,6 +475,25 @@ def test_derive_chain_families_and_catalogue():
     assert G.are_isomorphic(chain[-1].target_h, C.lookup("H9").graph)
 
 
+def test_derive_chain_one_certificate_per_w_lookup(monkeypatch):
+    g = G.complete_bipartite(2, 8)
+    for n in range(1, g.n + 1):
+        C._w_on(n)  # the W indexes are built outside the count
+    certified, looked_up = [], []
+    cert, member = G.canonical_cert, C.membership_W
+    monkeypatch.setattr(G, "canonical_cert", lambda h: certified.append(h) or cert(h))
+    monkeypatch.setattr(C, "membership_W", lambda h: looked_up.append(h) or member(h))
+    assert len(R.derive_chain(g)) == 5
+    assert len(certified) == len(looked_up) > 0
+
+
+def test_make_step_refuses_a_rule_that_drops_nothing(monkeypatch):
+    """Every step must shrink its graph, so no chain walk can revisit one."""
+    monkeypatch.setitem(R._RULES, "keep-all", ("ConMain", lambda h: ((), {})))
+    with pytest.raises(R.PreconditionError, match="drops no vertex"):
+        R.make_step("keep-all", G.star_graph(4), False)
+
+
 def test_derive_chain_terminates_on_hard_anchors():
     assert R.derive_chain(G.cycle_graph(6)) == []
 
