@@ -9,6 +9,7 @@ from hfree import classify as CL
 from hfree import enumeration as E
 from hfree import graphs as G
 from hfree import membership as M
+import peel_oracle as PO
 
 
 def test_churn_regular_returns_input():
@@ -30,11 +31,10 @@ def _churn_reference(g, trace=()):
     graph churn stops at and the (side, stage) trace that reaches it."""
     if G.is_regular(g):
         return CL.ChurnResult(g, trace)
-    low = G.peel_low(g)
-    if not M.in_y_d(low):
+    low, high = PO.peels(g)
+    if not PO.peel_types(low):  # outside Y_D
         return _churn_reference(low, trace + (("low", low),))
-    high = G.peel_high(g)
-    if not M.in_y_d(high):
+    if not PO.peel_types(high):
         return _churn_reference(high, trace + (("high", high),))
     return CL.ChurnResult(g, trace)
 

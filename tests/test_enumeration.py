@@ -14,11 +14,11 @@ import pytest
 
 from hfree import __version__, cli
 from hfree import catalogue as C
-from hfree import classify as CL
 from hfree import enumeration as E
 from hfree import graphs as G
 from hfree import membership as M
 from iso_oracle import count_labeled_dedup
+import peel_oracle as PO
 
 
 def _cycle_types(n: int, largest: int | None = None):
@@ -275,8 +275,7 @@ def _witness_first_case_lemmas(g: G.SmallGraph):
     Y_D or X is dropped before its peels are looked at."""
     if M.in_y_d(g) or M.x_witness_for(g, "deletion") is not None:
         return None
-    tl = CL.peel_types(G.peel_low(g))
-    th = CL.peel_types(G.peel_high(g))
+    tl, th = map(PO.peel_types, PO.peels(g))
     if not tl or not th:
         return None
     member = C.membership_W(g)

@@ -6,6 +6,7 @@ from hfree import enumeration as E
 from hfree import graphs as G
 from hfree import membership as M
 from iso_oracle import vertex_connectivity
+import peel_oracle as PO
 
 
 def test_set_membership_examples():
@@ -52,6 +53,47 @@ def test_yprime_name_by_degree_sequence():
         assert len({tuple(sorted(g.degrees())) for g in level}) == len(level)
         for g in level:
             assert M.yprime_name(g) == by_cert.get(G.canonical_cert(g)), G.to_graph6(g)
+
+
+# sorted degree sequences of P3, co-P3, P4, claw, co-claw, paw, co-paw,
+# diamond and co-diamond
+_YPRIME_DEGREES = (
+    (1, 1, 2), (0, 1, 1), (1, 1, 2, 2), (1, 1, 1, 3), (0, 2, 2, 2),
+    (1, 2, 2, 3), (0, 1, 1, 2), (2, 2, 3, 3), (0, 0, 1, 1),
+)
+
+
+def _shapes_by_degrees(degs):
+    """The four easy-set shapes read off a degree sequence alone."""
+    n = len(degs)
+    out = []
+    if all(d == n - 1 for d in degs):
+        out.append("complete")
+    if not any(degs):
+        out.append("empty")
+    if sum(degs) == 2:
+        out.append("near-empty")
+    if tuple(sorted(degs)) in _YPRIME_DEGREES:
+        out.append("Y'")
+    return out
+
+
+def test_shapes_by_degree_sequence():
+    """The shapes of a graph and of both its peels follow from the degree
+    sequence: on every graph with n <= 8 and on its peels, the copy above
+    agrees with is_complete, is_empty, one edge and a Y' certificate
+    lookup, and Y_D (Y_E) is having a shape (one besides near-empty)."""
+    near, two_k2 = G.from_edges(5, [(0, 1)]), G.from_edges(4, [(0, 1), (2, 3)])
+    assert _shapes_by_degrees(near.degrees()) == PO.peel_types(near) == ["near-empty"]
+    assert _shapes_by_degrees(two_k2.degrees()) == PO.peel_types(two_k2) == []
+    for n in range(1, 9):
+        for g in E.graphs_on(n):
+            graphs = (g,) if G.is_regular(g) else (g, *PO.peels(g))
+            for h in graphs:
+                want = PO.peel_types(h)
+                assert _shapes_by_degrees(h.degrees()) == want, G.to_graph6(h)
+                assert M.in_y_d(h) == bool(want), G.to_graph6(h)
+                assert M.in_y_e(h) == bool(set(want) - {"near-empty"}), G.to_graph6(h)
 
 
 def test_small_graphs_all_covered():
