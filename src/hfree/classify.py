@@ -50,32 +50,22 @@ def churn(g: SmallGraph) -> ChurnResult:
     The trace records each side taken and the graph that remains.
     """
     trace = []
-    while not G.is_regular(g):
-        low = G.peel_low(g)
-        if not M.in_y_d(low):
-            g = low
-            trace.append(("low", g))
-            continue
-        high = G.peel_high(g)
-        if M.in_y_d(high):
-            break
-        g = high
-        trace.append(("high", g))
+    while (side := _peel_side(g, "deletion")) is not None:
+        g = R.make_step(f"peel-{side}", g, False).target_h
+        trace.append((side, g))
     return ChurnResult(g, tuple(trace))
 
 
-def peel_types(p: SmallGraph) -> list[str]:
-    """Which easy-set shapes the peel has (non-exclusive)."""
-    out = []
-    if G.is_complete(p):
-        out.append("complete")
-    if G.is_empty(p):
-        out.append("empty")
-    if G.is_near_empty(p):
-        out.append("near-empty")
-    if M.yprime_name(p) is not None:
-        out.append("Y'")
-    return out
+def _peel_side(g: SmallGraph, problem: str) -> Optional[str]:
+    """The side, "low" or "high", of the first peel of g outside the
+    problem's easy set (Y_D for deletion, Y_E for editing), judged by the
+    peels' degree sequences; None if g is regular or both peels are easy."""
+    if G.is_regular(g):
+        return None
+    for side, degs in zip(("low", "high"), G.peel_degrees(g)):
+        if not M.is_easy(M.shapes(degs), problem):
+            return side
+    return None
 
 
 def _complement_step(g: SmallGraph, co: SmallGraph) -> R.ReductionStep:
@@ -158,12 +148,10 @@ def _chain_part(g: SmallGraph, cert: bytes, problem: str) -> Verdict:
         v = _terminal(g, wr, problem)
         if v is not None:
             return v
-    if not G.is_regular(g):
-        easy = M.in_y_e if problem == "editing" else M.in_y_d
-        for rule in ("peel-low", "peel-high"):
-            step = R.make_step(rule, g, False)
-            if not easy(step.target_h):
-                return _prefixed((step,), _pipeline(step.target_h, problem))
+    side = _peel_side(g, problem)
+    if side is not None:
+        step = R.make_step(f"peel-{side}", g, False)
+        return _prefixed((step,), _pipeline(step.target_h, problem))
     return Verdict(problem, "Unclassified", "pipeline-exhausted")
 
 

@@ -259,10 +259,11 @@ def _check_case_lemmas(g: SmallGraph) -> Optional[dict]:
     # (312 of 13 580 with n <= 8), and only those reach the X-witness search.
     if G.is_regular(g):
         return None
-    tl = CL.peel_types(G.peel_low(g))
+    low, high = G.peel_degrees(g)
+    tl = M.shapes(low)
     if not tl:
         return None  # churn recurses; not a case-table graph
-    th = CL.peel_types(G.peel_high(g))
+    th = M.shapes(high)
     if not th:
         return None
     if M.in_y_d(g) or M.x_witness_for(g, "deletion") is not None:
@@ -351,6 +352,9 @@ def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
     """Execute one named verification campaign; see CAMPAIGNS."""
     if campaign not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {campaign}; pick from {CAMPAIGNS}")
+    first_n, _, fold = _LEVEL_CAMPAIGNS[campaign]
+    if cfg.n_max < first_n:  # it would check nothing and report ok
+        raise ValueError(f"{campaign} needs n_max >= {first_n}, its first level")
     t0 = time.time()
     report: dict = {
         "campaign": campaign,
@@ -359,7 +363,6 @@ def run_search_campaign(cfg: EnumConfig, campaign: str) -> dict:
         "per_n": {},
         "counterexamples": [],
     }
-    first_n, _, fold = _LEVEL_CAMPAIGNS[campaign]
     hits: list[dict] = []
     miscounted = []
     checked = 0

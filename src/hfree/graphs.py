@@ -204,12 +204,6 @@ def induced_subgraph(g: SmallGraph, vs: Iterable[int]) -> SmallGraph:
     return SmallGraph._trusted(len(keep), rows)
 
 
-def delete_vertices(g: SmallGraph, vs: Iterable[int]) -> SmallGraph:
-    drop = set(vs)
-    keep = [v for v in range(g.n) if v not in drop]
-    return induced_subgraph(g, keep)
-
-
 def disjoint_union(g1: SmallGraph, g2: SmallGraph) -> SmallGraph:
     rows = list(g1.rows) + [r << g1.n for r in g2.rows]
     return SmallGraph._trusted(g1.n + g2.n, rows)
@@ -306,11 +300,6 @@ def is_empty(g: SmallGraph) -> bool:
 
 def is_complete(g: SmallGraph) -> bool:
     return all(r.bit_count() == g.n - 1 for r in g.rows)
-
-
-def is_near_empty(g: SmallGraph) -> bool:
-    """Exactly one edge."""
-    return g.edge_count() == 1
 
 
 def is_regular(g: SmallGraph) -> bool:
@@ -711,13 +700,13 @@ def degree_classes(g: SmallGraph) -> tuple[int, int]:
     return low, high
 
 
-def peel_low(g: SmallGraph) -> SmallGraph:
-    """Remove all lowest-degree vertices (non-regular g only)."""
-    return delete_vertices(g, _bits(degree_classes(g)[0]))
-
-
-def peel_high(g: SmallGraph) -> SmallGraph:
-    return delete_vertices(g, _bits(degree_classes(g)[1]))
+def peel_degrees(g: SmallGraph) -> tuple[list[int], list[int]]:
+    """Degree sequences of the low and the high peel of a non-regular graph
+    (g without its lowest- or highest-degree vertices), in vertex order:
+    each kept row masked by the kept vertices, with no peel graph built."""
+    full = (1 << g.n) - 1
+    return tuple([(r & keep).bit_count() for v, r in enumerate(g.rows) if keep >> v & 1]
+                 for keep in (full & ~c for c in degree_classes(g)))
 
 
 # -- graph6 ------------------------------------------------------------------

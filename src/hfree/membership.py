@@ -38,6 +38,28 @@ def yprime_name(g: SmallGraph) -> str | None:
     return _yprime_index().get(tuple(sorted(g.degrees())))
 
 
+def shapes(degs: list[int]) -> list[str]:
+    """The easy-set shapes, in order and non-exclusive, of a graph with
+    degree sequence degs: complete, empty, near-empty (one edge), Y'."""
+    n = len(degs)
+    out = []
+    if all(d == n - 1 for d in degs):
+        out.append("complete")
+    if not any(degs):
+        out.append("empty")
+    if sum(degs) == 2:
+        out.append("near-empty")
+    if n in (3, 4) and tuple(sorted(degs)) in _yprime_index():
+        out.append("Y'")
+    return out
+
+
+def is_easy(found: list[str], problem: str) -> bool:
+    """Whether shapes ``found`` put a graph in Y_D (deletion: any shape) or
+    Y_E (editing: not near-empty alone; with n <= 4 that is K2 or in Y')."""
+    return bool(found) and (problem == "deletion" or found != ["near-empty"])
+
+
 def is_3_connected(g: SmallGraph) -> bool:
     """Vertex connectivity >= 3, with cheap degree short-circuits."""
     n = g.n
@@ -67,32 +89,26 @@ class SetMembership:
 
 def set_membership(g: SmallGraph) -> SetMembership:
     """All five set flags with a witness for the strongest applicable one."""
+    found = shapes(g.degrees())
     yname = yprime_name(g)
     xe = x_witness_for(g, "editing")
-    if G.is_complete(g):
-        witness = "complete"
-    elif G.is_empty(g):
-        witness = "empty"
-    elif yname is not None:
-        witness = yname
-    else:
-        witness = xe or "none"
+    trivial = found[0] if found and found[0] in ("complete", "empty") else None
     return SetMembership(
         in_XD=x_witness_for(g, "deletion") is not None,
         in_XE=xe is not None,
-        in_YE=in_y_e(g),
-        in_YD=in_y_d(g),
+        in_YE=is_easy(found, "editing"),
+        in_YD=is_easy(found, "deletion"),
         in_Yprime=yname is not None,
-        witness=witness,
+        witness=trivial or yname or xe or "none",
     )
 
 
 def in_y_d(g: SmallGraph) -> bool:
-    return in_y_e(g) or (g.edge_count() == 1 and g.n >= 5)
+    return is_easy(shapes(g.degrees()), "deletion")
 
 
 def in_y_e(g: SmallGraph) -> bool:
-    return G.is_complete(g) or G.is_empty(g) or yprime_name(g) is not None
+    return is_easy(shapes(g.degrees()), "editing")
 
 
 def x_witness_for(g: SmallGraph, problem: str) -> str | None:

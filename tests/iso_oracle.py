@@ -138,8 +138,8 @@ def structural_layer(h: SmallGraph, enf: GD.Gadget) -> dict:
         return {"condition": "no-matching-2-separator", "ok": True}
     all_have_common = True
     for u, v in seps:
-        rest = G.delete_vertices(h, [u, v])
         keep = [w for w in range(h.n) if w not in (u, v)]
+        rest = G.induced_subgraph(h, keep)
         common = h.rows[u] & h.rows[v]
         for comp in G.components(rest):
             comp_orig = {keep[i] for i in comp}

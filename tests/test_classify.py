@@ -8,7 +8,7 @@ from hfree import catalogue as C
 from hfree import classify as CL
 from hfree import enumeration as E
 from hfree import graphs as G
-from hfree import membership as M
+from hfree import reductions as R
 import peel_oracle as PO
 
 
@@ -23,7 +23,8 @@ def test_churn_star_stops_at_step_four():
     out = CL.churn(star)
     assert out.result == star and out.trace == ()
     # both peels are easy: a single vertex and an empty graph
-    assert M.in_y_d(G.peel_low(star)) and M.in_y_d(G.peel_high(star))
+    assert [PO.peel_types(p) for p in PO.peels(star)] == [
+        ["complete", "empty"], ["empty"]]
 
 
 def _churn_reference(g, trace=()):
@@ -53,15 +54,14 @@ def test_churn_trace_soundness():
             for side, stage in out.trace:
                 low, high = G.degree_classes(current)
                 removed = low if side == "low" else high
-                expect = G.delete_vertices(
-                    current, [v for v in range(current.n) if removed >> v & 1])
+                expect = G.induced_subgraph(
+                    current, [v for v in range(current.n) if not removed >> v & 1])
                 assert stage == expect
                 current = stage
             assert current == out.result
             final = out.result
             if not G.is_regular(final):
-                assert M.in_y_d(G.peel_low(final))
-                assert M.in_y_d(G.peel_high(final))
+                assert all(map(PO.peel_types, PO.peels(final)))
 
 
 def test_classify_easy_cases():
@@ -199,6 +199,21 @@ def test_one_certificate_per_memo_miss(monkeypatch):
     monkeypatch.setattr(G, "canonical_cert", lambda h: certified.append(h) or cert(h))
     CL.classify(g, "deletion")
     assert len(certified) == len(CL._memo) > 0
+
+
+def test_rule_7_builds_only_the_peel_it_takes(monkeypatch):
+    """D1 under editing reaches rule 7 with an easy low peel and takes its
+    high peel: one step is built, not one for each peel tried."""
+    d1 = C.lookup("D1").graph
+    for n in range(1, d1.n + 1):
+        C._w_on(n)
+    monkeypatch.setattr(CL, "_memo", {})
+    steps = []
+    make = R.make_step
+    monkeypatch.setattr(R, "make_step", lambda *a: steps.append(a) or make(*a))
+    v = CL.classify(d1, "editing")
+    assert [s[0] for s in steps] == ["peel-high"]
+    assert [st.rule for st in v.chain] == ["peel-high"]
 
 
 def test_symmetric_regular_graph_needs_no_certificate():

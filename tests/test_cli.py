@@ -94,6 +94,16 @@ def test_verify_small(capsys):
     assert code == 0 and payload["ok"]
 
 
+@pytest.mark.parametrize(
+    "campaign, n_max", [("case_lemmas", "3"), ("regular_tail", "-2")])
+def test_verify_below_the_first_level_is_a_usage_error(capsys, campaign, n_max):
+    """A campaign with no level to check exits 2 instead of reporting ok."""
+    code, payload, err = run(
+        capsys, "verify", "--campaign", campaign, "--n-max", n_max
+    )
+    assert code == 2 and payload is None and "first level" in err
+
+
 def test_verify_gadgets_single_row(capsys):
     code, payload, _ = run(
         capsys, "verify-gadgets", "--row", "co-A1", "--n-host", "3"

@@ -309,6 +309,36 @@ def test_case_lemma_check_searches_witnesses_only_past_both_peels(monkeypatch):
     assert rep["ok"] and 0 < len(calls) <= 312
 
 
+def test_case_lemma_check_builds_no_peel_graph(monkeypatch):
+    """The check judges both peels by their degree sequences: an n_max = 8
+    run builds no induced subgraph (one per low peel, 15 119, when each
+    peel was built as a graph)."""
+    for n in range(1, 9):
+        E.graphs_on(n)  # the levels are built outside the count
+    built = []
+    induced = G.induced_subgraph
+    monkeypatch.setattr(G, "induced_subgraph", lambda *a: built.append(a) or induced(*a))
+    rep = E.run_search_campaign(E.EnumConfig(n_max=8), "case_lemmas")
+    assert rep["ok"] and rep["checked"] == 13_580 and built == []
+
+
+@pytest.mark.parametrize(
+    "campaign, n_max", [("case_lemmas", 4), ("case_lemmas", 3),
+                        ("regular_tail", 3), ("regular_tail", -2),
+                        ("churn_totality", 4)])
+def test_campaign_below_its_first_level_refused(campaign, n_max):
+    """A campaign whose n_max is below its first level would check nothing
+    and still report ok, so it is refused."""
+    with pytest.raises(ValueError, match="first level"):
+        E.run_search_campaign(E.EnumConfig(n_max=n_max), campaign)
+
+
+def test_regular_tail_at_its_first_level():
+    """n_max = 4 checks level 4 alone; its exceptions are 2K2 and C4."""
+    rep = E.run_search_campaign(E.EnumConfig(n_max=4), "regular_tail")
+    assert rep["ok"] and rep["checked"] == 11 and len(rep["exceptions"]) == 2
+
+
 @pytest.mark.parametrize("campaign", ["case_lemmas", "regular_tail", "churn_totality"])
 def test_campaign_worker_determinism(campaign, monkeypatch):
     """Two workers give the serial report. Level 6 is four check slices

@@ -82,16 +82,21 @@ def test_shapes_by_degree_sequence():
     """The shapes of a graph and of both its peels follow from the degree
     sequence: on every graph with n <= 8 and on its peels, the copy above
     agrees with is_complete, is_empty, one edge and a Y' certificate
-    lookup, and Y_D (Y_E) is having a shape (one besides near-empty)."""
+    lookup, and Y_D (Y_E) is having a shape (one besides near-empty).
+    ``membership.shapes`` agrees with the copy, and ``graphs.peel_degrees``
+    gives the degree sequences of the peels."""
     near, two_k2 = G.from_edges(5, [(0, 1)]), G.from_edges(4, [(0, 1), (2, 3)])
     assert _shapes_by_degrees(near.degrees()) == PO.peel_types(near) == ["near-empty"]
     assert _shapes_by_degrees(two_k2.degrees()) == PO.peel_types(two_k2) == []
     for n in range(1, 9):
         for g in E.graphs_on(n):
             graphs = (g,) if G.is_regular(g) else (g, *PO.peels(g))
+            if len(graphs) == 3:
+                assert G.peel_degrees(g) == tuple(p.degrees() for p in graphs[1:])
             for h in graphs:
                 want = PO.peel_types(h)
                 assert _shapes_by_degrees(h.degrees()) == want, G.to_graph6(h)
+                assert M.shapes(h.degrees()) == want, G.to_graph6(h)
                 assert M.in_y_d(h) == bool(want), G.to_graph6(h)
                 assert M.in_y_e(h) == bool(set(want) - {"near-empty"}), G.to_graph6(h)
 
