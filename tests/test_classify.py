@@ -76,6 +76,40 @@ def test_classify_easy_cases():
     ).status == "ClawExcluded"
 
 
+def _rules_1_to_4_by_predicates(g, problem):
+    """Reference for rules 1-4 read off four graph predicates: complete,
+    empty, a Y' certificate lookup and (deletion only) at most one edge.
+    (status, reason), or None where the rules pass g on to rule 5."""
+    if G.is_complete(g):
+        return "PolyKernel", "complete"
+    if G.is_empty(g):
+        return "PolyKernel", "empty"
+    if g.n in (3, 4) and G.canonical_cert(g) in PO._yprime_certs():
+        name = next(y for y in PO.YPRIME
+                    if G.are_isomorphic(g, C.lookup(y).graph))
+        if name in ("claw", "co-claw"):
+            return "ClawExcluded", name
+        return "PolyKernel", f"small-kernel:{name}"
+    if problem == "deletion" and g.edge_count() <= 1:
+        return "PolyKernel", "at-most-one-edge"
+    return None
+
+
+def test_rules_1_to_4_match_graph_predicates(monkeypatch):
+    """On every graph with n <= 8, under editing and deletion, rules 1-4
+    fire exactly where the graph predicates say, with the same status and
+    reason, and pass every other graph on to rule 5."""
+    monkeypatch.setattr(CL, "_pipeline", lambda g, problem: None)
+    for n in range(1, 9):
+        for g in E.graphs_on(n):
+            for problem in ("editing", "deletion"):
+                v = CL._decide(g, problem)
+                got = None if v is None else (v.status, v.reason)
+                assert got == _rules_1_to_4_by_predicates(g, problem), (
+                    G.to_graph6(g), problem)
+                assert v is None or (v.problem, v.chain, v.member) == (problem, (), None)
+
+
 def test_classify_hard_cases():
     assert CL.classify(G.cycle_graph(4), "deletion").status == "Incompressible"
     two_k2 = G.from_edges(4, [(0, 1), (2, 3)])

@@ -338,6 +338,30 @@ def _subset_scan_cut_reduce(h):
     return cands[0] - cuts, {}  # the block without its cut vertex
 
 
+def _subset_scan_near_uni_reduce(h):
+    """Reference: ``near_uni_reduce`` with its independent-set condition
+    tested on every vertex subset of every size."""
+    vh = list(G._bits(G.degree_classes(h)[1]))
+    hi = h.rows[vh[0]].bit_count()
+    for u, v in itertools.combinations(vh, 2):
+        if not h.has_edge(u, v):
+            raise R.PreconditionError("high-degree class must be a clique")
+    certs = {G.canonical_cert(G.apply_flips(h, [(u, w) for w in h.neighbors(u)]))
+             for u in vh}
+    if len(certs) > 1:
+        raise R.PreconditionError("high-vertex deletions must all be isomorphic")
+    degs = h.degrees()
+    for size in range(2, h.n + 1):
+        for sub in itertools.combinations(range(h.n), size):
+            if all(degs[v] >= hi - size + 1 for v in sub) and all(
+                not h.has_edge(a, b) for a, b in itertools.combinations(sub, 2)
+            ):
+                raise R.PreconditionError(
+                    "independent set with too-high degrees exists"
+                )
+    return vh[:1], {"t": h.n - hi - 1}
+
+
 def _outcome(fn, h):
     try:
         return fn(h)
@@ -362,6 +386,9 @@ def test_rule_targets_match_subset_scans():
         assert got == _outcome(_subset_scan_degree2_path, h), G.to_graph6(h)
         got = _outcome(R.cut_reduce, h)
         assert got == _outcome(_subset_scan_cut_reduce, h), G.to_graph6(h)
+        if not G.is_regular(h):  # no degree classes
+            got = _outcome(R.near_uni_reduce, h)
+            assert got == _outcome(_subset_scan_near_uni_reduce, h), G.to_graph6(h)
 
 
 def _catalogue_chain_steps():
