@@ -50,22 +50,10 @@ def churn(g: SmallGraph) -> ChurnResult:
     The trace records each side taken and the graph that remains.
     """
     trace = []
-    while (side := _peel_side(g, "deletion")) is not None:
+    while (side := M.peel_side(g, "deletion")) is not None:
         g = R.make_step(f"peel-{side}", g, False).target_h
         trace.append((side, g))
     return ChurnResult(g, tuple(trace))
-
-
-def _peel_side(g: SmallGraph, problem: str) -> Optional[str]:
-    """The side, "low" or "high", of the first peel of g outside the
-    problem's easy set (Y_D for deletion, Y_E for editing), judged by the
-    peels' degree sequences; None if g is regular or both peels are easy."""
-    if G.is_regular(g):
-        return None
-    for side, degs in zip(("low", "high"), G.peel_degrees(g)):
-        if not M.is_easy(M.shapes(degs), problem):
-            return side
-    return None
 
 
 def _complement_step(g: SmallGraph, co: SmallGraph) -> R.ReductionStep:
@@ -103,7 +91,8 @@ def classify(g: SmallGraph, problem: str) -> Verdict:
 
 # -- the rule table ----------------------------------------------------------
 # 1 complete, 2 empty, 3 Y' (claw excluded, the rest small kernels),
-# 4 at most one edge (deletion): none needs a canonical certificate.
+# 4 at most one edge (deletion): one easy-set test of the degree sequence,
+# with no canonical certificate.
 # 5 X witness: peels and chain targets enter the table here.
 # 6 W member, 7 the low, else the high peel outside the problem's easy set
 # (Y_E for editing, Y_D for deletion), 8 exhausted: memoized by certificate.
@@ -111,18 +100,17 @@ def classify(g: SmallGraph, problem: str) -> Verdict:
 
 def _decide(g: SmallGraph, problem: str) -> Verdict:
     """Rules 1-8 for g, the first that fires decides."""
-    if G.is_complete(g):
-        return Verdict(problem, "PolyKernel", "complete")
-    if G.is_empty(g):
-        return Verdict(problem, "PolyKernel", "empty")
-    yname = M.yprime_name(g)
-    if yname in ("claw", "co-claw"):
-        return Verdict(problem, "ClawExcluded", yname)
-    if yname is not None:
+    found = M.shapes(g.degrees())
+    if not M.is_easy(found, problem):
+        return _pipeline(g, problem)
+    if found[0] in ("complete", "empty"):
+        return Verdict(problem, "PolyKernel", found[0])
+    if "Y'" in found:
+        yname = M.yprime_name(g)
+        if yname in ("claw", "co-claw"):
+            return Verdict(problem, "ClawExcluded", yname)
         return Verdict(problem, "PolyKernel", f"small-kernel:{yname}")
-    if problem == "deletion" and g.edge_count() <= 1:
-        return Verdict(problem, "PolyKernel", "at-most-one-edge")
-    return _pipeline(g, problem)
+    return Verdict(problem, "PolyKernel", "at-most-one-edge")
 
 
 def _pipeline(g: SmallGraph, problem: str) -> Verdict:
@@ -148,7 +136,7 @@ def _chain_part(g: SmallGraph, cert: bytes, problem: str) -> Verdict:
         v = _terminal(g, wr, problem)
         if v is not None:
             return v
-    side = _peel_side(g, problem)
+    side = M.peel_side(g, problem)
     if side is not None:
         step = R.make_step(f"peel-{side}", g, False)
         return _prefixed((step,), _pipeline(step.target_h, problem))

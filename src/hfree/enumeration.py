@@ -253,21 +253,18 @@ REGULAR_TAIL_EXCEPTIONS = ("C`", "Cl", "Dhc")
 
 
 def _check_case_lemmas(g: SmallGraph) -> Optional[dict]:
+    # A hit is a non-regular graph where churn stops, outside Y_D and X.
     # Cheapest test first; each is a pure predicate, so the order changes
-    # no hit. A regular graph is complete or empty (in Y_D) or nontrivial
-    # regular (in X), and has no peels. Few graphs have two easy peels
-    # (312 of 13 580 with n <= 8), and only those reach the X-witness search.
-    if G.is_regular(g):
+    # no hit. A regular graph has no peels, so no cells: it is complete or
+    # empty (in Y_D) or nontrivial regular (in X). Few graphs have two easy
+    # peels (312 of 13 580 with n <= 8), and only those reach the X-witness
+    # search.
+    if M.peel_side(g, "deletion") is not None:
+        return None  # churn goes on; not a case-table graph
+    peel_shapes = [M.shapes(degs) for degs in G.peel_degrees(g)]
+    if not peel_shapes or M.in_y_d(g) or M.x_witness_for(g, "deletion") is not None:
         return None
-    low, high = G.peel_degrees(g)
-    tl = M.shapes(low)
-    if not tl:
-        return None  # churn recurses; not a case-table graph
-    th = M.shapes(high)
-    if not th:
-        return None
-    if M.in_y_d(g) or M.x_witness_for(g, "deletion") is not None:
-        return None
+    tl, th = peel_shapes
     member = C.membership_W(g)
     return {
         "g6": G.to_graph6(g),
@@ -314,15 +311,13 @@ def _fold_regular_tail(hits: list[dict], n_max: int) -> dict:
 
 
 def _check_churn_totality(g: SmallGraph) -> Optional[dict]:
+    found = M.shapes(g.degrees())
     out = {}
-    if not M.in_y_d(g):
-        v = CL.classify(g, "deletion")
-        if v.status not in ("Incompressible", "OpenCatalogue"):
-            out["deletion"] = v.status
-    if not M.in_y_e(g):
-        v = CL.classify(g, "editing")
-        if v.status not in ("Incompressible", "OpenCatalogue"):
-            out["editing"] = v.status
+    for problem in ("deletion", "editing"):
+        if not M.is_easy(found, problem):
+            v = CL.classify(g, problem)
+            if v.status not in ("Incompressible", "OpenCatalogue"):
+                out[problem] = v.status
     return {"g6": G.to_graph6(g), **out} if out else None
 
 

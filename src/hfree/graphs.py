@@ -700,13 +700,19 @@ def degree_classes(g: SmallGraph) -> tuple[int, int]:
     return low, high
 
 
-def peel_degrees(g: SmallGraph) -> tuple[list[int], list[int]]:
-    """Degree sequences of the low and the high peel of a non-regular graph
-    (g without its lowest- or highest-degree vertices), in vertex order:
-    each kept row masked by the kept vertices, with no peel graph built."""
+def peel_degrees(g: SmallGraph) -> Iterator[list[int]]:
+    """Degree sequences of the low, then the high peel of g (g without its
+    lowest- or highest-degree vertices), in vertex order, each computed
+    only when the caller asks for it; none for a regular graph. Each kept
+    row is masked by the kept vertices, with no peel graph built."""
+    try:
+        classes = degree_classes(g)
+    except ValueError:  # regular: no peels
+        return
     full = (1 << g.n) - 1
-    return tuple([(r & keep).bit_count() for v, r in enumerate(g.rows) if keep >> v & 1]
-                 for keep in (full & ~c for c in degree_classes(g)))
+    for c in classes:
+        keep = full & ~c
+        yield [(r & keep).bit_count() for v, r in enumerate(g.rows) if keep >> v & 1]
 
 
 # -- graph6 ------------------------------------------------------------------

@@ -60,6 +60,17 @@ def is_easy(found: list[str], problem: str) -> bool:
     return bool(found) and (problem == "deletion" or found != ["near-empty"])
 
 
+def peel_side(g: SmallGraph, problem: str) -> str | None:
+    """The side, "low" or "high", of the first peel of g outside the
+    problem's easy set (Y_D for deletion, Y_E for editing), judged by the
+    peels' degree sequences; None if g is regular or both peels are easy.
+    Churning, rule 7 of classify and the case-lemma check all ask this."""
+    for side, degs in zip(("low", "high"), G.peel_degrees(g)):
+        if not is_easy(shapes(degs), problem):
+            return side
+    return None
+
+
 def is_3_connected(g: SmallGraph) -> bool:
     """Vertex connectivity >= 3, with cheap degree short-circuits."""
     n = g.n
@@ -105,10 +116,6 @@ def set_membership(g: SmallGraph) -> SetMembership:
 
 def in_y_d(g: SmallGraph) -> bool:
     return is_easy(shapes(g.degrees()), "deletion")
-
-
-def in_y_e(g: SmallGraph) -> bool:
-    return is_easy(shapes(g.degrees()), "editing")
 
 
 def x_witness_for(g: SmallGraph, problem: str) -> str | None:
