@@ -56,10 +56,6 @@ def churn(g: SmallGraph) -> ChurnResult:
     return ChurnResult(g, tuple(trace))
 
 
-def _complement_step(g: SmallGraph, co: SmallGraph) -> R.ReductionStep:
-    return R.ReductionStep("Complement", "complement-duality", g, co)
-
-
 def _prefixed(steps, sub: Verdict) -> Verdict:
     return Verdict(sub.problem, sub.status, sub.reason,
                    tuple(steps) + sub.chain, sub.member)
@@ -70,22 +66,22 @@ def classify(g: SmallGraph, problem: str) -> Verdict:
     if problem not in PROBLEMS:
         raise ValueError(f"problem must be one of {PROBLEMS}")
     if problem == "completion":
-        co = G.complement(g)
-        dual = classify(co, "deletion")
+        step = R.complement_step(g)
+        dual = classify(step.target_h, "deletion")
         return Verdict("completion", dual.status, f"dual:{dual.reason}",
-                       (_complement_step(g, co),) + dual.chain, dual.member)
+                       (step,) + dual.chain, dual.member)
     v = _decide(g, problem)
     if problem == "editing" and v.status in ("OpenCatalogue", "Unclassified"):
         # Editing is complement-invariant, but the churning paths of a graph
         # and its complement can end differently (one may reach a known-hard
         # anchor while the other stops at an open catalogue member): keep
         # the stronger verdict.
-        co = G.complement(g)
-        v2 = _decide(co, "editing")
+        step = R.complement_step(g)
+        v2 = _decide(step.target_h, "editing")
         if v2.status == "Incompressible" or (
             v.status != "OpenCatalogue" and v2.status == "OpenCatalogue"
         ):
-            return _prefixed((_complement_step(g, co),), v2)
+            return _prefixed((step,), v2)
     return v
 
 
@@ -156,7 +152,7 @@ def _terminal(g: SmallGraph, wr: C.WReason, problem: str) -> Optional[Verdict]:
                        member=member)
     if series == "H":
         # editing names the stored orientation via complement invariance
-        chain = (_complement_step(g, G.complement(g)),) if wr.complemented else ()
+        chain = (R.complement_step(g),) if wr.complemented else ()
         return Verdict(problem, "OpenCatalogue", f"catalogue:{wr.id}",
                        chain, member=wr.id)
     return None

@@ -124,8 +124,11 @@ def x_witness_for(g: SmallGraph, problem: str) -> str | None:
     The complement route through a 3-connected graph needs the complement
     to be non-complete for editing (at least one edge in g) but at least
     two nonedges for deletion (at least two edges in g). One-edge graphs
-    on five or more vertices are hard for editing only.
+    on five or more vertices are hard for editing only. Completion has no
+    X set of its own (it is deletion on the complement).
     """
+    if problem not in ("editing", "deletion"):
+        raise ValueError(f"no X set for problem {problem!r}")
     co = G.complement(g)
     if G.is_cycle(g) and g.n >= 4:
         return "cycle>=4"

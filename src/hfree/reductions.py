@@ -811,10 +811,20 @@ def w_steps(h: SmallGraph, wr) -> list[ReductionStep] | None:
     return steps_for(wr.id, h, wr.complemented)
 
 
+def complement_step(g: SmallGraph) -> ReductionStep:
+    """The step from g to its complement: completion for g is deletion for
+    the complement, and editing is the same problem for both."""
+    return ReductionStep("Complement", "complement-duality", g, G.complement(g))
+
+
 def derive_chain(h: SmallGraph, problem: str = "deletion") -> list[ReductionStep]:
     """Full simulation chain from h down to the finite core or a known-hard
     anchor, following the chain table. Every step shrinks its graph, so the
-    walk ends within h.n steps."""
+    walk ends within h.n steps. Completion is deletion on the complement,
+    behind a complement step."""
+    if problem == "completion":
+        step = complement_step(h)
+        return [step] + derive_chain(step.target_h, "deletion")
     steps: list[ReductionStep] = []
     current = h
     while M.x_witness_for(current, problem) is None:

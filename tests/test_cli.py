@@ -64,6 +64,16 @@ def test_chain(capsys):
     assert len(payload["chain"]) >= 2
 
 
+def test_chain_completion_is_deletion_on_the_complement(capsys):
+    code, payload, _ = run(capsys, "chain", "--graph", "S12", "--problem", "comp")
+    co = G.to_graph6(G.complement(C.lookup("S12").graph))
+    _, dual, _ = run(capsys, "chain", "--graph", co, "--problem", "del")
+    assert code == 0
+    assert payload["chain"][0]["citation"] == "complement-duality"
+    assert payload["chain"][0]["to"] == co
+    assert payload["chain"][1:] == dual["chain"]
+
+
 def test_reduce(capsys):
     g6 = G.to_graph6(G.path_graph(3))
     code, payload, _ = run(

@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from hfree import enumeration as E
 from hfree import graphs as G
 from hfree import membership as M
@@ -141,6 +143,9 @@ def test_x_witness_problem_asymmetry():
     co = G.complement(k5e)
     assert M.x_witness_for(co, "deletion") is None
     assert M.x_witness_for(co, "editing") is not None
+    # completion is deletion on the complement and has no X set of its own
+    with pytest.raises(ValueError, match="no X set"):
+        M.x_witness_for(co, "completion")
 
 
 def test_is_3_connected_matches_connectivity():

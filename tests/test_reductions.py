@@ -521,6 +521,16 @@ def test_make_step_refuses_a_rule_that_drops_nothing(monkeypatch):
         R.make_step("keep-all", G.star_graph(4), False)
 
 
+def test_derive_chain_completion_is_deletion_on_the_complement():
+    """Completion follows by complementation: the chain of S12 is the
+    complement step, then the deletion chain of its complement."""
+    g = C.lookup("S12").graph
+    co = G.complement(g)
+    chain = R.derive_chain(g, "completion")
+    assert chain[0] == R.ReductionStep("Complement", "complement-duality", g, co)
+    assert chain[1:] == R.derive_chain(co, "deletion") != R.derive_chain(g, "deletion")
+
+
 def test_derive_chain_terminates_on_hard_anchors():
     assert R.derive_chain(G.cycle_graph(6)) == []
 
