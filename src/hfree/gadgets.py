@@ -347,6 +347,8 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
     """
     if enf.role != "Enforcer":
         raise GadgetError("gadget role must be Enforcer")
+    if n_host < 2:  # layer (c) would try no host and pass
+        raise ValueError(f"n_host must be at least 2, got {n_host}")
     h = host_graph(enf.h)
     report: dict = {"h": enf.h, "mode": enf.mode, "layers": {}}
 

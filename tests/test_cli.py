@@ -124,6 +124,15 @@ def test_verify_gadgets_single_row(capsys):
     assert ("complete", "Enforcer") in roles
 
 
+@pytest.mark.parametrize("n_host", ["1", "-3"])
+def test_verify_gadgets_without_hosts_is_a_usage_error(capsys, n_host):
+    """An --n-host below 2 leaves layer (c) no host to try: exit 2, not ok."""
+    code, payload, err = run(
+        capsys, "verify-gadgets", "--row", "co-A1", "--n-host", n_host
+    )
+    assert code == 2 and payload is None and "n_host" in err
+
+
 def test_catalogue_show_and_list(capsys):
     code, payload, _ = run(capsys, "catalogue", "show", "H5")
     assert code == 0 and payload["n"] == 5 and payload["m"] == 4

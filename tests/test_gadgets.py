@@ -251,6 +251,15 @@ def test_enforcer_layers_small_host_bound():
             assert rep["ok"], (row, mode, rep)
 
 
+@pytest.mark.parametrize("n_host", [1, 0, -3])
+def test_enforcer_without_hosts_refused(n_host):
+    """Layer (c) tries hosts from two vertices up; below that it would try
+    none and pass."""
+    enf = GD.table_gadget("co-A1", "complete", "Enforcer")
+    with pytest.raises(ValueError, match="n_host must be at least 2"):
+        GD.verify_enforcer(enf, n_host=n_host)
+
+
 def test_enforcer_self_copy_fails_exact_layer():
     host = GD.host_graph("co-A1")
     bad = GD.Gadget(host, "Enforcer", "delete",
