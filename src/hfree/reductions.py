@@ -539,14 +539,26 @@ def near_uni_reduce(h: SmallGraph) -> tuple[Collection[int], dict]:
         raise PreconditionError("high-vertex deletions must all be isomorphic")
     degs = h.degrees()
     for size in range(2, h.n + 1):
-        for sub in itertools.combinations(range(h.n), size):
-            if all(degs[v] >= hi - size + 1 for v in sub) and all(
-                not h.has_edge(a, b) for a, b in itertools.combinations(sub, 2)
-            ):
-                raise PreconditionError(
-                    "independent set with too-high degrees exists"
-                )
+        cand = G._mask(v for v in range(h.n) if degs[v] >= hi - size + 1)
+        if _has_independent_set(h.rows, cand, size):
+            raise PreconditionError(
+                "independent set with too-high degrees exists"
+            )
     return vh[:1], {"t": h.n - hi - 1}
+
+
+def _has_independent_set(rows: Sequence[int], cand: int, size: int) -> bool:
+    """Whether the vertices of bitmask cand hold an independent set of the
+    given size: take or skip the lowest candidate, dropping its neighbors
+    when taken."""
+    if size <= 0:
+        return True
+    if cand.bit_count() < size:
+        return False
+    v = (cand & -cand).bit_length() - 1
+    rest = cand & (cand - 1)
+    return (_has_independent_set(rows, rest & ~rows[v], size - 1)
+            or _has_independent_set(rows, rest, size))
 
 
 def unique_degree2_path(h: SmallGraph) -> tuple[int, frozenset[int]]:
