@@ -63,8 +63,7 @@ def is_easy(found: list[str], problem: str) -> bool:
 def peel_side(g: SmallGraph, problem: str) -> str | None:
     """The side, "low" or "high", of the first peel of g outside the
     problem's easy set (Y_D for deletion, Y_E for editing), judged by the
-    peels' degree sequences; None if g is regular or both peels are easy.
-    Churning, rule 7 of classify and the case-lemma check all ask this."""
+    peels' degree sequences; None if g is regular or both peels are easy."""
     for side, degs in zip(("low", "high"), G.peel_degrees(g)):
         if not is_easy(shapes(degs), problem):
             return side

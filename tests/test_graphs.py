@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,24 @@ def test_degree_partition_complement_swap():
             low, high = G.degree_classes(g)
             assert G.degree_classes(G.complement(g)) == (high, low)
             assert low and high and not low & high
+
+
+def test_peel_degrees_reads_the_high_peel_only_when_asked():
+    """One pass over the rows finds the degree classes, one more builds
+    each peel's sequence, and the high peel's pass waits for the caller."""
+    passes = []
+
+    class Rows(tuple):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    star = G.star_graph(3)
+    probe = SimpleNamespace(n=star.n, rows=Rows(star.rows))
+    peels = G.peel_degrees(probe)
+    assert next(peels) == [0] and len(passes) == 2
+    assert next(peels) == [0, 0, 0] and len(passes) == 3
+    assert next(peels, None) is None
 
 
 def test_vertex_connectivity():
