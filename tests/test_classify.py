@@ -78,15 +78,16 @@ def test_classify_easy_cases():
 
 def _rules_1_to_4_by_predicates(g, problem):
     """Reference for rules 1-4 read off four graph predicates: complete,
-    empty, a Y' certificate lookup and (deletion only) at most one edge.
+    empty, isomorphic to one of the nine Y' graphs and (deletion only) at
+    most one edge.
     (status, reason), or None where the rules pass g on to rule 5."""
     if G.is_complete(g):
         return "PolyKernel", "complete"
     if G.is_empty(g):
         return "PolyKernel", "empty"
-    if g.n in (3, 4) and G.canonical_cert(g) in PO._yprime_certs():
-        name = next(y for y in PO.YPRIME
-                    if G.are_isomorphic(g, C.lookup(y).graph))
+    name = next((y for y in PO.YPRIME if g.n in (3, 4)
+                 and G.are_isomorphic(g, C.lookup(y).graph)), None)
+    if name is not None:
         if name in ("claw", "co-claw"):
             return "ClawExcluded", name
         return "PolyKernel", f"small-kernel:{name}"
