@@ -340,7 +340,9 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
     (c) falsification: attach to every host graph with at most n_host
         vertices at every (non)edge and look for a crossing induced copy;
         one attachment per Aut(host)-orbit of ordered pairs finds the same
-        first violation (see ``_first_crossing_copy``).
+        first violation (see ``_first_crossing_copy``). The pair's first
+        vertex goes on u, u < v, so a (non)edge that no automorphism of the
+        host reverses is tried in one orientation only.
 
     The result is evidence, not proof: (b) and (c) bound, but do not
     decide, the universally quantified attachment condition.

@@ -389,3 +389,24 @@ def test_falsification_attaches_at_first_pair_of_each_orbit(monkeypatch):
                         want.append((host, (u, v)))
     assert attached == want
     assert (len(want), pairs) == (1511, 2760)
+
+
+def test_table_enforcers_pass_with_the_pair_reversed():
+    """Layer (c) puts the distinguished pair's first vertex on u, u < v, so
+    a (non)edge that no automorphism of the host reverses is tried in one
+    orientation only. The other orientation, (v, u) for the first pair
+    (u, v) of each orbit, which reaches every reversed pair up to an
+    automorphism, gives no crossing copy either: for each of the 18 table
+    enforcers on every host with n <= 6."""
+    table = [GD.table_gadget(row, mode, "Enforcer")
+             for row in GD.table_rows() for mode in ("delete", "complete")]
+    enforcers = [e for e in table if e is not None]
+    assert len(enforcers) == 18
+    for enf in enforcers:
+        h = GD.host_graph(enf.h)
+        for n in range(2, 7):
+            for host in E.graphs_on(n):
+                for u, v in GD._orbit_firsts(host, enf.mode == "delete"):
+                    joined = GD.attach_enforcer(host, (v, u), enf, 1)
+                    assert all(max(hit) < n for hit in G.find_induced(joined, h)), (
+                        enf.h, enf.mode, G.to_graph6(host), (v, u))
