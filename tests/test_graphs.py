@@ -175,7 +175,16 @@ def test_certs_match_old_engine():
     """canonical_cert returns the bytes of the engine it replaced
     (tests/cert_oracle.py), and packing the rows in canonical_labeling's
     order gives those bytes: every graph with n <= 7, 3 000 seeded graphs
-    with n <= 14, the catalogue and K4 box K4."""
+    with n <= 14 and 2 000 with 15 <= n <= 24, the catalogue, the F1-F10
+    members that perfbench's classify_zoo classifies (t up to its minimum
+    plus 8) with a seeded relabeling of each, the complements of paths and
+    cycles with up to 20 vertices, and K4 box K4.
+
+    The larger seeded graphs have edge densities between 0.1 and 0.9. A
+    sparser or denser one can have a huge automorphism group (one drawn
+    with n = 18, the complement of 6K2 + P3 + 3K1, has 552 960), and the
+    old engine, which visits every leaf outside twin cells, then takes
+    seconds for it; the families and complements cover such groups."""
     from hfree import catalogue as C
 
     def same(g):
@@ -193,8 +202,24 @@ def test_certs_match_old_engine():
         g = _random_graph(rng, rng.randint(1, 14))
         rng.randrange(g.n)  # the draw that picked a root keeps the seeded sample
         same(g)
+    rng = random.Random(2014)
+    for _ in range(2000):
+        n, p = rng.randint(15, 24), 0.1 + 0.8 * rng.random()
+        same(G.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
     for name in C.all_ids():
         same(C.lookup(name).graph)
+    for fam, tmin in C.FAMILY_CONSTRAINTS.items():
+        for t in range(tmin, tmin + 9):
+            g = C.generate_family(C.FamilyId(fam, t))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            same(g)
+            same(G.relabel(g, perm))
+    for n in range(2, 21):
+        same(G.complement(G.path_graph(n)))
+        if n >= 3:
+            same(G.complement(G.cycle_graph(n)))
     same(_rook(4))
 
 
