@@ -377,32 +377,54 @@ def _refine(rows: Sequence[int], cells: list[int], active: list[int]) -> list[in
     by their neighbour counts in the cells of ``active``, in cell order,
     and the parts follow in descending key order. All vertices of a cell
     have the same degree, so this is the order of their sorted neighbour
-    colours in plain colour refinement.
+    colours in plain colour refinement. The sort is a run of splits by the
+    active cells' counts as bit planes (``rows[u]`` for a cell {u}), high
+    bit first, each putting the part with its bit set first.
 
     ``active`` holds the cells whose counts may still differ inside a cell:
-    every cell of a new partition, or the two parts an individualization
-    makes in an equitable one, and after that the parts made in the last
-    round. Counts in a cell that stayed whole are already equal across
-    each cell.
+    all degree cells but the last, {v} after individualizing v, then the
+    parts made in the last round but the last part of each split cell.
+    Counts into each cell the last round began with (at the root, into V:
+    the degree) are equal across each cell, so a split cell's last part
+    gets its count from those before it in the key; leaving it out changes
+    no part and no order, unlike leaving out the largest part.
     """
     n = len(rows)
     while active and len(cells) < n:
+        splits: list[int] = []
+        for a in active:
+            if a & (a - 1):
+                planes: list[int] = []
+                while a:
+                    b = a & -a
+                    a ^= b
+                    carry = rows[b.bit_length() - 1]
+                    for k, p in enumerate(planes):
+                        planes[k] = p ^ carry
+                        carry &= p
+                    if carry:
+                        planes.append(carry)
+                splits += reversed(planes)
+            else:
+                splits.append(rows[a.bit_length() - 1])
         out: list[int] = []
         made: list[int] = []
         for cell in cells:
             if cell & (cell - 1):
-                groups: dict[tuple[int, ...], int] = {}
-                m = cell
-                while m:
-                    b = m & -m
-                    m ^= b
-                    r = rows[b.bit_length() - 1]
-                    key = tuple([(r & a).bit_count() for a in active])
-                    groups[key] = groups.get(key, 0) | b
-                if len(groups) > 1:
-                    parts = [groups[k] for k in sorted(groups, reverse=True)]
+                parts = [cell]
+                for s in splits:
+                    if 0 != cell & s != cell:
+                        cut = []
+                        for p in parts:
+                            q = p & s
+                            if 0 != q != p:
+                                cut += (q, p ^ q)
+                            else:
+                                cut.append(p)
+                        parts = cut
+                if len(parts) > 1:
                     out += parts
-                    made += parts
+                    made += parts[:-1]
                     continue
             out.append(cell)
         cells = out
@@ -410,30 +432,14 @@ def _refine(rows: Sequence[int], cells: list[int], active: list[int]) -> list[in
     return cells
 
 
-def _is_twin_cell(rows: Sequence[int], cell: int) -> bool:
-    """True if all cell vertices are pairwise interchangeable twins."""
-    r0 = rows[(cell & -cell).bit_length() - 1]
-    out0 = r0 & ~cell
-    clique = r0 & cell != 0
-    m = cell
-    while m:
-        b = m & -m
-        m ^= b
-        r = rows[b.bit_length() - 1]
-        if r & ~cell != out0 or r & cell != (cell ^ b if clique else 0):
-            return False
-    return True
-
-
 def _pack(n: int, rows: Sequence[int], perm: Sequence[int]) -> bytes:
     """Upper-triangle adjacency bits of the relabeled graph, as bytes."""
     acc = 0
-    k = 0
-    for j in range(1, n):
-        rj = rows[perm[j]]
-        for i in range(j):
-            acc = acc << 1 | (rj >> perm[i] & 1)
-            k += 1
+    for j, v in enumerate(perm):
+        rv = rows[v]
+        for u in perm[:j]:
+            acc = acc << 1 | (rv >> u & 1)
+    k = n * (n - 1) // 2
     nbytes = (k + 7) // 8
     return bytes([n]) + (acc << (nbytes * 8 - k)).to_bytes(nbytes, "big")
 
@@ -467,7 +473,7 @@ def _leaf_search(rows: Sequence[int]) -> tuple[bytes, list[int], list[list[int]]
     bytes do not depend on what is skipped (McKay & Piperno, "Practical
     graph isomorphism, II", 2014):
     - in a twin cell (pairwise interchangeable vertices) only the lowest
-      vertex is tried;
+      vertex is tried, and the walk down the cell refines nothing;
     - at a node, a vertex in the orbit of an explored sibling under the
       found automorphisms that fix the node's individualized vertices is
       skipped, since an automorphism maps one subtree onto the other;
@@ -501,10 +507,7 @@ def _leaf_search(rows: Sequence[int]) -> tuple[bytes, list[int], list[list[int]]
         nonlocal best, first
         cells = _refine(rows, cells, active)
         depth = len(path)
-        for i, target in enumerate(cells):
-            if target & (target - 1):
-                break
-        else:
+        if len(cells) == n:
             perm = [c.bit_length() - 1 for c in cells]
             cert = _pack(n, rows, perm)
             if first is None:
@@ -516,43 +519,65 @@ def _leaf_search(rows: Sequence[int]) -> tuple[bytes, list[int], list[list[int]]
             fcert, fperm, fpath = first
             if cert != fcert or depth != len(fpath):
                 return depth
-            g = [0] * n
-            for u, w in zip(fperm, perm):
-                g[u] = w
-            gens.append(g)
+            gens.append([w for _, w in sorted(zip(fperm, perm))])
             k = 0
             while path[k] == fpath[k]:
                 k += 1
             return k
+        for i, target in enumerate(cells):
+            if target & (target - 1):
+                break
+        # a twin cell: its vertices share one row, or (adjacent twins) one
+        # row once each vertex's own bit is added
+        low = target & -target
+        r = rows[low.bit_length() - 1]
+        c = target if r & target else 0
+        m = target ^ low
+        while m:
+            b = m & -m
+            m ^= b
+            if rows[b.bit_length() - 1] | b & c != r | low & c:
+                break
+        else:
+            # only the lowest is tried; every other vertex sees all of the
+            # cell or none, so nothing splits and the rest is the next target
+            vs = list(_bits(target))
+            k = len(vs) - 1
+            if first is None:  # per node, a swap and a cycle generate its cell's swaps
+                for j in range(k):
+                    for cyc in (vs[j:j + 2], vs[j:]) if j < k - 1 else (vs[j:],):
+                        g = list(range(n))
+                        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                            g[a] = b
+                        gens.append(g)
+            path.extend(vs[:-1])
+            nxt = [1 << v for v in vs[-2::-1]] + cells
+            nxt[i + k] = 1 << vs[-1]
+            back = visit(nxt, [])
+            del path[depth:]
+            return min(back, depth)
         todo = target
-        if _is_twin_cell(rows, target):
-            todo = target & -target
-            if first is None:  # a swap and a cycle generate the cell's swaps
-                vs = list(_bits(target))
-                for cyc in (vs[:2], vs) if len(vs) > 2 else (vs,):
-                    g = list(range(n))
-                    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                        g[a] = b
-                    gens.append(g)
         explored = 0
+        fix, checked = [], 0  # those of gens[:checked] that fix path
         while todo:
             b = todo & -todo
             todo ^= b
             if explored:
-                fix = [g for g in gens if all(g[u] == u for u in path)]
+                fix += [g for g in gens[checked:] if all(g[u] == u for u in path)]
+                checked = len(gens)
                 if fix and _closure(explored, fix) & b:
                     continue
             path.append(b.bit_length() - 1)
             nxt = [b] + cells
             nxt[i + 1] = target ^ b
-            back = visit(nxt, [b, target ^ b])
+            back = visit(nxt, [b])
             path.pop()
             if back < depth:
                 return back
             explored |= b
         return depth
 
-    visit(cells, list(cells))
+    visit(cells, cells[:-1])
     return *best, gens
 
 
