@@ -50,7 +50,7 @@ def churn(g: SmallGraph) -> ChurnResult:
     The trace records each side taken and the graph that remains.
     """
     trace = []
-    while (side := M.peel_side(g, "deletion")) is not None:
+    while (side := M.peel_side(g, "deletion")[0]) is not None:
         g = R.make_step(f"peel-{side}", g, False).target_h
         trace.append((side, g))
     return ChurnResult(g, tuple(trace))
@@ -132,7 +132,7 @@ def _chain_part(g: SmallGraph, cert: bytes, problem: str) -> Verdict:
         v = _terminal(g, wr, problem)
         if v is not None:
             return v
-    side = M.peel_side(g, problem)
+    side = M.peel_side(g, problem)[0]
     if side is not None:
         step = R.make_step(f"peel-{side}", g, False)
         return _prefixed((step,), _pipeline(step.target_h, problem))

@@ -259,10 +259,10 @@ def _check_case_lemmas(g: SmallGraph) -> Optional[dict]:
     # empty (in Y_D) or nontrivial regular (in X). Few graphs have two easy
     # peels (312 of 13 580 with n <= 8), and only those reach the X-witness
     # search.
-    if M.peel_side(g, "deletion") is not None:
-        return None  # churn goes on; not a case-table graph
-    peel_shapes = [M.shapes(degs) for degs in G.peel_degrees(g)]
-    if not peel_shapes or M.in_y_d(g) or M.x_witness_for(g, "deletion") is not None:
+    side, peel_shapes = M.peel_side(g, "deletion")
+    if side is not None or not peel_shapes:
+        return None  # churn goes on, or g is regular: not a case-table graph
+    if M.in_y_d(g) or M.x_witness_for(g, "deletion") is not None:
         return None
     tl, th = peel_shapes
     member = C.membership_W(g)

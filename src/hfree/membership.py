@@ -60,14 +60,18 @@ def is_easy(found: list[str], problem: str) -> bool:
     return bool(found) and (problem == "deletion" or found != ["near-empty"])
 
 
-def peel_side(g: SmallGraph, problem: str) -> str | None:
+def peel_side(g: SmallGraph, problem: str) -> tuple[str | None, list[list[str]]]:
     """The side, "low" or "high", of the first peel of g outside the
     problem's easy set (Y_D for deletion, Y_E for editing), judged by the
-    peels' degree sequences; None if g is regular or both peels are easy."""
+    peels' degree sequences, or None if g is regular or both peels are
+    easy; and the shapes of the peels read to decide it, low first: none
+    for a regular graph, the high peel's only past an easy low peel."""
+    read = []
     for side, degs in zip(("low", "high"), G.peel_degrees(g)):
-        if not is_easy(shapes(degs), problem):
-            return side
-    return None
+        read.append(shapes(degs))
+        if not is_easy(read[-1], problem):
+            return side, read
+    return None, read
 
 
 def is_3_connected(g: SmallGraph) -> bool:

@@ -343,6 +343,36 @@ def test_case_lemma_check_reads_a_high_peel_only_past_an_easy_low_peel(monkeypat
     assert len(set(high)) == 1_578
 
 
+def test_case_lemma_check_reads_each_peel_once(monkeypatch):
+    """The check takes the peels' shapes from churn's stop test, so an
+    n_max = 8 run finds each graph's degree classes once (13 580, where
+    the 39 regular graphs and the 312 with two easy peels read theirs
+    twice) and reads each peel's degree sequence once: 13 541 low and
+    1 578 high peels (15 743 when the 312 read both again)."""
+    for n in range(1, 9):
+        E.graphs_on(n)  # the levels are built outside the count
+    classes, peels = [], []
+    degree_classes = G.degree_classes
+
+    def counted(g):
+        classes.append(g)
+        return degree_classes(g)
+
+    peel_degrees = G.peel_degrees
+
+    def counted_peels(g):
+        for degs in peel_degrees(g):
+            peels.append(g)
+            yield degs
+
+    monkeypatch.setattr(G, "degree_classes", counted)
+    monkeypatch.setattr(G, "peel_degrees", counted_peels)
+    rep = E.run_search_campaign(E.EnumConfig(n_max=8), "case_lemmas")
+    assert rep["ok"] and rep["checked"] == 13_580
+    assert len(classes) == len(set(classes)) == 13_580
+    assert len(peels) == 13_541 + 1_578
+
+
 @pytest.mark.parametrize(
     "campaign, n_max", [("case_lemmas", 4), ("case_lemmas", 3),
                         ("regular_tail", 3), ("regular_tail", -2),
