@@ -170,6 +170,36 @@ def test_classify_families_terminate():
                     fam, t, problem, v.status)
 
 
+# Verdicts of every graph with 5 <= n <= 7, by problem, n and status:
+# (Incompressible, OpenCatalogue, PolyKernel).
+_CENSUS = {
+    "editing": {5: (15, 17, 2), 6: (110, 44, 2), 7: (912, 130, 2)},
+    "deletion": {5: (14, 17, 3), 6: (99, 54, 3), 7: (789, 252, 3)},
+    "completion": {5: (14, 17, 3), 6: (99, 54, 3), 7: (789, 252, 3)},
+}
+
+
+def test_verdict_census_n5_to_7(monkeypatch):
+    """Every graph with 5 <= n <= 7 under all three problems: the counts by
+    status, and each OpenCatalogue member is one of criterion 4's 19
+    graphs (H1-H9 alone under editing). A cold memo keeps the counts
+    independent of earlier tests."""
+    monkeypatch.setattr(CL, "_memo", {})
+    hs = [f"H{i}" for i in range(1, 10)]
+    allowed = {"editing": set(hs)}
+    allowed["deletion"] = allowed["completion"] = (
+        set(hs) | {f"co-H{i}" for i in range(1, 9)} | {"D1", "D2"})
+    assert len(allowed["deletion"]) == 19
+    for problem, by_n in _CENSUS.items():
+        for n, want in by_n.items():
+            verdicts = [CL.classify(g, problem) for g in E.graphs_on(n)]
+            got = [sum(v.status == s for v in verdicts)
+                   for s in ("Incompressible", "OpenCatalogue", "PolyKernel")]
+            assert tuple(got) == want and sum(got) == len(verdicts), (problem, n)
+            members = {v.member for v in verdicts if v.status == "OpenCatalogue"}
+            assert members <= allowed[problem], (problem, n, members)
+
+
 def test_editing_complement_invariance_small():
     for n in range(1, 7):
         for g in E.graphs_on(n):
