@@ -480,9 +480,11 @@ def _leaf_search(rows: Sequence[int]) -> tuple[bytes, list[int], list[list[int]]
     - a leaf that packs like the first leaf at the same depth gives an
       automorphism that maps the explored subtree on the first path onto
       the current one, so the search returns to where the two paths part.
-    The found automorphisms, with the twin-cell swaps on the first path,
-    generate the whole group: each first-path node gets one for every
-    explored sibling in the orbit of the first-path child.
+    The found automorphisms generate the whole group: each first-path
+    node gets one for every explored sibling in the orbit of the
+    first-path child, and each twin cell walked on the first path adds
+    the swap of its two lowest vertices and the cycle through the cell
+    (the swap alone for two twins), which generate all its permutations.
 
     Every order that packs to the least bytes maps the graph onto one
     canonical graph, so the orders returned for isomorphic graphs differ
@@ -543,13 +545,12 @@ def _leaf_search(rows: Sequence[int]) -> tuple[bytes, list[int], list[list[int]]
             # cell or none, so nothing splits and the rest is the next target
             vs = list(_bits(target))
             k = len(vs) - 1
-            if first is None:  # per node, a swap and a cycle generate its cell's swaps
-                for j in range(k):
-                    for cyc in (vs[j:j + 2], vs[j:]) if j < k - 1 else (vs[j:],):
-                        g = list(range(n))
-                        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                            g[a] = b
-                        gens.append(g)
+            if first is None:  # a swap and a cycle generate the cell's symmetric group
+                for cyc in (vs[:2], vs) if k > 1 else (vs,):
+                    g = list(range(n))
+                    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                        g[a] = b
+                    gens.append(g)
             path.extend(vs[:-1])
             nxt = [1 << v for v in vs[-2::-1]] + cells
             nxt[i + k] = 1 << vs[-1]
@@ -558,13 +559,11 @@ def _leaf_search(rows: Sequence[int]) -> tuple[bytes, list[int], list[list[int]]
             return min(back, depth)
         todo = target
         explored = 0
-        fix, checked = [], 0  # those of gens[:checked] that fix path
         while todo:
             b = todo & -todo
             todo ^= b
             if explored:
-                fix += [g for g in gens[checked:] if all(g[u] == u for u in path)]
-                checked = len(gens)
+                fix = [g for g in gens if all(g[u] == u for u in path)]
                 if fix and _closure(explored, fix) & b:
                     continue
             path.append(b.bit_length() - 1)

@@ -224,33 +224,52 @@ def test_certs_match_old_engine():
 
 
 def test_automorphism_generators_generate_the_group():
-    """For every graph with n <= 6 the generators give exactly the
-    automorphisms a search over all permutations finds, and ``_closure``
-    over the generators lifted to vertex sets gives each vertex set's
-    orbit: enumeration keeps the least vertex set of each orbit."""
-    for n in range(1, 7):
-        for g in E.graphs_on(n):
-            autos = {
-                p for p in itertools.permutations(range(n))
-                if all(g.rows[p[v]] == G._mask(p[u] for u in G._bits(g.rows[v]))
-                       for v in range(n))
-            }
-            gens = G.canonical_labeling(g.rows)[1]
-            group = {tuple(range(n))}
-            todo = list(group)
-            while todo:
-                p = todo.pop()
-                for s in gens:
-                    q = tuple(s[p[v]] for v in range(n))
-                    if q not in group:
-                        group.add(q)
-                        todo.append(q)
-            assert group == autos, G.to_graph6(g)
-            tables = [[G._mask(p[v] for v in G._bits(m)) for m in range(1 << n)]
-                      for p in gens]
-            for mask in range(1 << n):
-                orbit = {G._mask(p[v] for v in G._bits(mask)) for p in autos}
-                assert G._closure(1 << mask, tables) == G._mask(orbit)
+    """For every graph with n <= 6, and for 7-vertex graphs made of twin
+    cells (K7, its complement, K_{1,6}, K_{2,5}, K_{3,4}), the generators
+    give exactly the automorphisms a search over all permutations finds,
+    and ``_closure`` over the generators lifted to vertex sets gives each
+    vertex set's orbit: enumeration keeps the least vertex set of each
+    orbit."""
+    twin_cells = [G.complete_graph(7), G.empty_graph(7), G.complete_bipartite(1, 6),
+                  G.complete_bipartite(2, 5), G.complete_bipartite(3, 4)]
+    for g in [g for n in range(1, 7) for g in E.graphs_on(n)] + twin_cells:
+        n = g.n
+        autos = {
+            p for p in itertools.permutations(range(n))
+            if all(g.rows[p[v]] == G._mask(p[u] for u in G._bits(g.rows[v]))
+                   for v in range(n))
+        }
+        gens = G.canonical_labeling(g.rows)[1]
+        group = {tuple(range(n))}
+        todo = list(group)
+        while todo:
+            p = todo.pop()
+            for s in gens:
+                q = tuple(s[p[v]] for v in range(n))
+                if q not in group:
+                    group.add(q)
+                    todo.append(q)
+        assert group == autos, G.to_graph6(g)
+        tables = [[G._mask(p[v] for v in G._bits(m)) for m in range(1 << n)]
+                  for p in gens]
+        orbits = {}  # vertex set -> its orbit, found once for each orbit
+        for mask in range(1 << n):
+            if mask not in orbits:
+                orbit = G._mask({G._mask(p[v] for v in G._bits(mask)) for p in autos})
+                orbits.update(dict.fromkeys(G._bits(orbit), orbit))
+            assert G._closure(1 << mask, tables) == orbits[mask]
+
+
+def test_a_twin_cell_adds_one_swap_and_one_cycle():
+    """A twin cell on the first path adds the swap of its two lowest
+    vertices and the cycle through it, or the swap alone for two twins:
+    0, 1 and 2 generators for K_n and its complement with n = 1, 2 and
+    n >= 3, and 2 for the star K_{1,t} with t >= 3."""
+    for n in range(1, 11):
+        for g in (G.complete_graph(n), G.empty_graph(n)):
+            assert len(G.canonical_labeling(g.rows)[1]) == min(n - 1, 2), g
+    for t in range(3, 10):
+        assert len(G.canonical_labeling(G.star_graph(t).rows)[1]) == 2, t
 
 
 def test_symmetric_certificates_are_fast():
