@@ -442,7 +442,8 @@ def _orbit_firsts(host: SmallGraph, want_edge: bool) -> tuple[tuple[int, int], .
 
 
 def verify_row(row: str, mode: str, role: str, n_host: int = 6) -> Optional[dict]:
-    """Check one cell of the gadget table; None for an empty cell.
+    """Check one cell of the gadget table; None for an empty cell, and
+    ValueError for a row the table lacks, whose cells would all be empty.
 
     The entry records the outcome under "ok", plus the toggle table (or the
     error) of an S-component, the method of a basic unit and the layers of an
@@ -450,6 +451,9 @@ def verify_row(row: str, mode: str, role: str, n_host: int = 6) -> Optional[dict
     most ``EXHAUSTIVE_PAIRS`` allowed pairs and 50 vertices, else by the
     weak forcing check.
     """
+    if row not in GADGET_TABLE:
+        raise ValueError(
+            f"no gadget-table row {row!r}; rows: {', '.join(table_rows())}")
     gadget = table_gadget(row, mode, role)
     if gadget is None:
         return None

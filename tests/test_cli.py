@@ -133,6 +133,15 @@ def test_verify_gadgets_without_hosts_is_a_usage_error(capsys, n_host):
     assert code == 2 and payload is None and "n_host" in err
 
 
+@pytest.mark.parametrize("row", ["NOPE", "H1"])
+def test_verify_gadgets_unknown_row_is_a_usage_error(capsys, row):
+    """A --row with no gadget-table row (a typo, or a catalogue id the
+    table lacks) would check no cell: exit 2 naming the rows, not ok."""
+    code, payload, err = run(capsys, "verify-gadgets", "--row", row)
+    assert code == 2 and payload is None
+    assert repr(row) in err and "co-A1" in err
+
+
 def test_catalogue_show_and_list(capsys):
     code, payload, _ = run(capsys, "catalogue", "show", "H5")
     assert code == 0 and payload["n"] == 5 and payload["m"] == 4
