@@ -19,6 +19,14 @@ from .graphs import SmallGraph
 
 PROBLEMS = ("editing", "deletion", "completion")
 
+# The members an OpenCatalogue verdict may name: H1-H9 under editing, and
+# criterion 4's 19 graphs under deletion (completion names its dual's).
+_H = [f"H{i}" for i in range(1, 10)]
+OPEN_MEMBERS = {
+    "editing": frozenset(_H),
+    "deletion": frozenset(_H + [f"co-{h}" for h in _H[:8]] + ["D1", "D2"]),
+}
+
 
 @dataclass(frozen=True)
 class Verdict:

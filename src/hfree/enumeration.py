@@ -316,8 +316,9 @@ def _check_churn_totality(g: SmallGraph) -> Optional[dict]:
     for problem in ("deletion", "editing"):
         if not M.is_easy(found, problem):
             v = CL.classify(g, problem)
-            if v.status not in ("Incompressible", "OpenCatalogue"):
-                out[problem] = v.status
+            if v.status == "Incompressible" or v.member in CL.OPEN_MEMBERS[problem]:
+                continue  # only OpenCatalogue verdicts name a member
+            out[problem] = v.status if v.member is None else f"{v.status}:{v.member}"
     return {"g6": G.to_graph6(g), **out} if out else None
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from hfree import __version__, cli
 from hfree import catalogue as C
+from hfree import classify as CL
 from hfree import enumeration as E
 from hfree import graphs as G
 from hfree import membership as M
@@ -234,6 +235,19 @@ def test_campaign_case_lemmas_small():
 def test_campaign_churn_totality_small():
     rep = E.run_search_campaign(E.EnumConfig(n_max=6), "churn_totality")
     assert rep["ok"], rep["counterexamples"][:3]
+
+
+def test_churn_totality_fails_on_a_member_outside_the_open_set(monkeypatch):
+    """An OpenCatalogue verdict naming a member outside the problem's open
+    set (here S36) is a counterexample. A fresh memo keeps the stubbed
+    verdicts out of other tests."""
+    monkeypatch.setattr(CL, "_memo", {})
+    monkeypatch.setattr(CL, "_terminal", lambda g, wr, problem: CL.Verdict(
+        problem, "OpenCatalogue", "catalogue:S36", member="S36"))
+    rep = E.run_search_campaign(E.EnumConfig(n_max=5), "churn_totality")
+    assert not rep["ok"]
+    assert {v for h in rep["counterexamples"] for k, v in h.items() if k != "g6"} == {
+        "OpenCatalogue:S36"}
 
 
 def test_campaign_unknown():
