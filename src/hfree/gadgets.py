@@ -395,26 +395,137 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
 
 def _first_crossing_copy(enf: Gadget, h: SmallGraph, n_host: int) -> Optional[dict]:
     """The first violation of layer (c): hosts by size, in enumeration
-    order, then their (non)edges (u, v), u < v, in row order. The enforcer
-    is attached only at the first pair of each Aut(host)-orbit
-    (``_orbit_firsts``): an automorphism mapping (u, v) onto (u', v') maps
-    one joined graph onto the other and fixes the enforcer's own vertices,
-    so both have a crossing copy or neither has. The first violating pair
-    is therefore the first of its orbit, and the search that reports it is
-    the one an attachment at every pair would make."""
+    order, then their (non)edges (u, v), u < v, in row order.
+
+    Each pair is decided by ``_crosses`` on the host alone, against the
+    enforcer's residual patterns (``_residual_patterns``), and only at the
+    first pair that crosses is the enforcer attached and searched for the
+    copy to report. Pairs are tried only at the first pair of each
+    Aut(host)-orbit (``_orbit_firsts``): an automorphism mapping (u, v)
+    onto (u', v') maps one joined graph onto the other and fixes the
+    enforcer's own vertices, so both have a crossing copy or neither has.
+    The first violating pair is therefore the first of its orbit, and the
+    search that reports it is the one an attachment at every pair would
+    make."""
     # imported here: gadgets -> enumeration -> classify -> reductions -> gadgets
     from . import enumeration
 
     want_edge = enf.mode == "delete"
+    patterns = _residual_patterns(enf, h)
     for n in range(2, n_host + 1):
         for host in enumeration.graphs_on(n):
             for pair in _orbit_firsts(host, want_edge):
+                if not _crosses(host, pair, patterns):
+                    continue
                 joined = attach_enforcer(host, pair, enf, 1)
                 for hit in G.find_induced(joined, h):
                     if any(w >= n for w in hit):
                         return {"host": G.to_graph6(host), "pair": pair,
                                 "copy": sorted(hit)}
+                raise RuntimeError(
+                    f"a residual pattern of the {enf.h} {enf.mode} enforcer "
+                    f"embeds in {G.to_graph6(host)} at {pair}, but attaching "
+                    "it there gives no crossing copy")
     return None
+
+
+def _residual_patterns(enf: Gadget, h: SmallGraph) -> tuple[tuple, ...]:
+    """What a host must hold for one attachment of ``enf`` to give an
+    induced copy of h through the enforcer's own vertices N.
+
+    In the joined graph N is adjacent only to itself and to the pair
+    (u, v) that the distinguished pair (ex, ey) lands on. A copy meeting N
+    thus maps at most one vertex a of h onto u and one b onto v, the rest
+    X of its enforcer side into N, and the rest Y into the host minus the
+    pair, with no edge of h between X and Y: X is a nonempty union of
+    components of h - {a, b}. The enforcer side is an induced embedding of
+    h[X + {a, b}] into the enforcer with a on ex, b on ey and X in N; the
+    host side is h[Y] with each vertex's adjacency to a and b. The pair's
+    own adjacency always agrees, as the mode fixes it on both sides.
+
+    One pattern per distinct host side: a tuple of its vertices, each
+    ``(to_u, to_v, up)`` with ``to_u`` 0 when a is unused, else 1 for
+    adjacent to a and 2 for not (``to_v`` the same for b), and ``up`` the
+    earlier vertices it is adjacent to, as a bitmask. The empty pattern ()
+    means the enforcer holds a crossing copy by itself. An empty set means
+    that no host of any size gives a crossing copy with one attachment.
+    """
+    e = enf.graph
+    ex, ey = enf.allowed[0]
+    inner = (1 << e.n) - 1 & ~(1 << ex | 1 << ey)
+    ends = [None, *range(h.n)]
+    patterns = set()
+    for a, b in itertools.product(ends, ends):
+        if a is not None and a == b:
+            continue
+        pinned = [(x, 1 << w) for x, w in ((a, ex), (b, ey)) if x is not None]
+        rest = (1 << h.n) - 1 & ~G._mask(x for x, _ in pinned)
+        comps = list(G._component_masks(h.rows, rest))
+        for pick in range(1, 1 << len(comps)):
+            xs = 0
+            for i, comp in enumerate(comps):
+                if pick >> i & 1:
+                    xs |= comp
+            order = [x for x, _ in pinned] + list(G._bits(xs))
+            starts = [w for _, w in pinned] + [inner] * xs.bit_count()
+            if not _embeds(e.rows, starts, _ups(h, order)):
+                continue
+            ys = list(G._bits(rest & ~xs))
+            patterns.add(tuple(
+                (_side(h, y, a), _side(h, y, b), up)
+                for y, up in zip(ys, _ups(h, ys))))
+    return tuple(sorted(patterns))
+
+
+def _side(h: SmallGraph, y: int, end: Optional[int]) -> int:
+    return 0 if end is None else 1 if h.has_edge(y, end) else 2
+
+
+def _ups(h: SmallGraph, order: list[int]) -> list[int]:
+    """For each vertex of ``order``, the earlier positions it is adjacent
+    to in h."""
+    return [sum(1 << j for j in range(i) if h.has_edge(x, order[j]))
+            for i, x in enumerate(order)]
+
+
+def _embeds(rows, starts: list[int], ups: list[int]) -> bool:
+    """Whether the graph with adjacency ``rows`` has an induced copy of a
+    pattern whose i-th vertex goes into ``starts[i]`` and is adjacent to
+    exactly the earlier ones in ``ups[i]``."""
+    k = len(starts)
+    assign = [0] * k
+
+    def rec(i: int, used: int) -> bool:
+        if i == k:
+            return True
+        cand = starts[i] & ~used
+        for j in range(i):
+            cand &= rows[assign[j]] if ups[i] >> j & 1 else ~rows[assign[j]]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            assign[i] = bit.bit_length() - 1
+            if rec(i + 1, used | bit):
+                return True
+        return False
+
+    return rec(0, 0)
+
+
+def _crosses(host: SmallGraph, pair: tuple[int, int], patterns) -> bool:
+    """Whether attaching the enforcer with ``patterns`` at ``pair`` of
+    host, its distinguished pair's first vertex on pair[0], gives a
+    crossing induced copy: whether host minus the pair embeds a pattern."""
+    u, v = pair
+    rows = host.rows
+    full = (1 << host.n) - 1
+    base = full & ~(1 << u | 1 << v)
+    to_u = (base, base & rows[u], base & ~rows[u])
+    to_v = (full, rows[v], ~rows[v])
+    return any(
+        _embeds(rows, [to_u[cu] & to_v[cv] for cu, cv, _ in pat],
+                [up for _, _, up in pat])
+        for pat in patterns)
 
 
 @functools.lru_cache(maxsize=512)

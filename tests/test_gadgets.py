@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -359,20 +362,20 @@ def test_crossing_copy_constant_on_ordered_pair_orbits():
 
 
 def test_falsification_attaches_at_first_pair_of_each_orbit(monkeypatch):
-    """On every host with n <= 6, layer (c) attaches exactly at the
+    """On every host with n <= 6, layer (c) decides exactly the
     (non)edges (u, v), u < v, that come first in row order among their
     orbit under Aut(host) acting on ordered pairs: 1 511 of the 2 760
     pairs. A pair and its reverse are not merged, though merging them
     changes no report of the table or of the broken candidates, so this
     is the test that sees it."""
     attached = []
-    attach = GD.attach_enforcer
+    crosses = GD._crosses
 
-    def spy(host, pair, enf, copies):
+    def spy(host, pair, patterns):
         attached.append((host, pair))
-        return attach(host, pair, enf, copies)
+        return crosses(host, pair, patterns)
 
-    monkeypatch.setattr(GD, "attach_enforcer", spy)
+    monkeypatch.setattr(GD, "_crosses", spy)
     for mode in ("delete", "complete"):
         assert GD.verify_enforcer(GD.table_gadget("co-A1", mode, "Enforcer"))["ok"]
     want = []
@@ -410,3 +413,108 @@ def test_table_enforcers_pass_with_the_pair_reversed():
                     joined = GD.attach_enforcer(host, (v, u), enf, 1)
                     assert all(max(hit) < n for hit in G.find_induced(joined, h)), (
                         enf.h, enf.mode, G.to_graph6(host), (v, u))
+
+
+def _broken_delete_candidates(h_id):
+    """The host graph with one nonedge added, that pair distinguished,
+    delete mode."""
+    host = GD.host_graph(h_id)
+    return [
+        GD.Gadget(G.apply_flips(host, [(u, v)]), "Enforcer", "delete",
+                  ((u, v),), h_id)
+        for u, v in itertools.combinations(range(host.n), 2)
+        if not host.has_edge(u, v)
+    ]
+
+
+def _toggled_small_enforcers():
+    """(enforcer, h) for every graph h on 3 or 4 vertices and each of its
+    pairs: h with that pair toggled and distinguished. Unlike the table's
+    hosts, some of these h give crossing copies that avoid one vertex of
+    the pair."""
+    out = []
+    for k in (3, 4):
+        for h in E.graphs_on(k):
+            for pair in itertools.combinations(range(k), 2):
+                g = G.apply_flips(h, [pair])
+                mode = "delete" if g.has_edge(*pair) else "complete"
+                out.append((GD.Gadget(g, "Enforcer", mode, (pair,), "h"), h))
+    return out
+
+
+def test_crossing_decision_matches_attachment():
+    """Layer (c)'s per-pair decision on the host alone equals attaching the
+    enforcer and finding an induced copy with a vertex outside the host,
+    on every host with n <= 5 at every (non)edge in both orientations: for
+    the 18 table enforcers, the broken co-A1 candidates, the A3 and co-A2
+    graphs with one edge added as delete-mode candidates, and the toggled
+    graphs on 3 or 4 vertices."""
+    table = [GD.table_gadget(row, mode, "Enforcer")
+             for row in GD.table_rows() for mode in ("delete", "complete")]
+    enforcers = [(e, GD.host_graph(e.h)) for e in (
+        [e for e in table if e is not None] + _broken_co_a1_candidates()
+        + _broken_delete_candidates("A3") + _broken_delete_candidates("co-A2"))]
+    enforcers += _toggled_small_enforcers()
+    assert len(enforcers) == 39 + 78
+    decisions = Counter()
+    for enf, h in enforcers:
+        patterns = GD._residual_patterns(enf, h)
+        for n in range(2, 6):
+            for host in E.graphs_on(n):
+                for u, v in itertools.combinations(range(n), 2):
+                    if host.has_edge(u, v) != (enf.mode == "delete"):
+                        continue
+                    for pair in ((u, v), (v, u)):
+                        joined = GD.attach_enforcer(host, pair, enf, 1)
+                        want = any(max(hit) >= n for hit in G.find_induced(joined, h))
+                        assert GD._crosses(host, pair, patterns) == want, (
+                            enf.graph, enf.allowed, G.to_graph6(host), pair)
+                        decisions[enf.mode, want] += 1
+    assert decisions == {("delete", False): 11890, ("delete", True): 12890,
+                         ("complete", False): 18304, ("complete", True): 6056}
+
+
+def test_table_enforcers_have_no_residual_pattern():
+    """No table enforcer has a residual pattern: with one attachment, no
+    host of any size, not only those layer (c) tries, gives a crossing
+    copy, at any (non)edge and in either orientation. The control: most
+    broken candidates have some."""
+    table = [GD.table_gadget(row, mode, "Enforcer")
+             for row in GD.table_rows() for mode in ("delete", "complete")]
+    enforcers = [e for e in table if e is not None]
+    assert len(enforcers) == 18
+    for enf in enforcers:
+        assert GD._residual_patterns(enf, GD.host_graph(enf.h)) == (), (enf.h, enf.mode)
+    broken = _broken_co_a1_candidates() + _broken_delete_candidates("A3")
+    assert [len(GD._residual_patterns(enf, GD.host_graph(enf.h))) for enf in broken] == [
+        0, 0, 1, 1, 1, 1, 1, 3, 0, 3, 2, 2, 2, 2, 2]
+
+
+_PATTERN_WITHOUT_COPY = """
+from hfree import gadgets as GD
+GD._residual_patterns = lambda enf, h: ((),)
+try:
+    GD.verify_enforcer(GD.table_gadget("co-A1", "delete", "Enforcer"), n_host=3)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_pattern_without_crossing_copy_raises(monkeypatch):
+    """A pattern that embeds where the attachment shows no crossing copy is
+    an internal contradiction, raised, not asserted: also under
+    ``python -O``. The empty pattern embeds in every host, and the co-A1
+    enforcer has no crossing copy at K2's edge."""
+    monkeypatch.setattr(GD, "_residual_patterns", lambda enf, h: ((),))
+    enf = GD.table_gadget("co-A1", "delete", "Enforcer")
+    with pytest.raises(RuntimeError, match=r"embeds in A_ at \(0, 1\)"):
+        GD.verify_enforcer(enf, n_host=3)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _PATTERN_WITHOUT_COPY],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert "embeds in A_ at (0, 1)" in out.stdout, out.stderr
