@@ -337,12 +337,15 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
         creates an induced host copy;
     (b) structural: the sufficient separator condition behind the gadget's
         correctness argument, checked exactly on the host graph;
-    (c) falsification: attach to every host graph with at most n_host
-        vertices at every (non)edge and look for a crossing induced copy;
-        one attachment per Aut(host)-orbit of ordered pairs finds the same
-        first violation (see ``_first_crossing_copy``). The pair's first
-        vertex goes on u, u < v, so a (non)edge that no automorphism of the
-        host reverses is tried in one orientation only.
+    (c) falsification: whether attaching to a host graph with at most
+        n_host vertices at a (non)edge gives a crossing induced copy, for
+        every host and (non)edge; one decision per Aut(host)-orbit of
+        ordered pairs finds the same first violation, and each is made on
+        the host alone from the enforcer's residual patterns, attaching
+        only at the reported pair (see ``_first_crossing_copy``). The
+        pair's first vertex goes on u, u < v, so a (non)edge that no
+        automorphism of the host reverses is tried in one orientation
+        only.
 
     The result is evidence, not proof: (b) and (c) bound, but do not
     decide, the universally quantified attachment condition.
@@ -513,17 +516,18 @@ def _embeds(rows, starts: list[int], ups: list[int]) -> bool:
 
 
 def _crosses(host: SmallGraph, pair: tuple[int, int], patterns) -> bool:
-    """Whether attaching the enforcer with ``patterns`` at ``pair`` of
-    host, its distinguished pair's first vertex on pair[0], gives a
-    crossing induced copy: whether host minus the pair embeds a pattern."""
+    """Whether attaching the enforcer whose residual patterns are
+    ``patterns`` at ``pair`` of host, its distinguished pair's first vertex
+    on pair[0], gives a crossing induced copy: whether host minus the pair
+    embeds one of them."""
     u, v = pair
     rows = host.rows
     full = (1 << host.n) - 1
     base = full & ~(1 << u | 1 << v)
-    to_u = (base, base & rows[u], base & ~rows[u])
+    to_u = (full, rows[u], ~rows[u])
     to_v = (full, rows[v], ~rows[v])
     return any(
-        _embeds(rows, [to_u[cu] & to_v[cv] for cu, cv, _ in pat],
+        _embeds(rows, [base & to_u[cu] & to_v[cv] for cu, cv, _ in pat],
                 [up for _, _, up in pat])
         for pat in patterns)
 
