@@ -1,5 +1,6 @@
 """CLI surface tests: JSON schema, exit codes, subcommands."""
 
+import hashlib
 import json
 
 import pytest
@@ -122,6 +123,16 @@ def test_verify_gadgets_single_row(capsys):
     roles = {(r["mode"], r["role"]) for r in payload["rows"]}
     assert ("delete", "SComponent") in roles
     assert ("complete", "Enforcer") in roles
+
+
+def test_verify_gadgets_n_host_7_pinned(capsys):
+    """The whole table's report at --n-host 7, byte for byte: layer (c)
+    over every host with at most 7 vertices for all 18 enforcers."""
+    code = cli.main(["verify-gadgets", "--n-host", "7"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "254a410432ed43caa0c84083750794bf70ba4b2eeddb1a9145fbd4e45dc45ae8")
 
 
 @pytest.mark.parametrize("n_host", ["1", "-3"])
