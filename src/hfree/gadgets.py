@@ -11,12 +11,12 @@ attachment boundary.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from . import catalogue
+from . import enumeration
 from . import graphs as G
 from ._gadget_table import GADGET_TABLE
 from .graphs import SmallGraph
@@ -276,31 +276,18 @@ def verify_truth_setting(tc: TruthSetting, h: SmallGraph, mode: str) -> bool:
 def verify_truth_setting_weak(tc: TruthSetting, h: SmallGraph) -> bool:
     """Weaker property for large complexes: the two designated sets leave
     the complex h-free, and toggling any single allowed pair creates an
-    induced copy that contains a further allowed pair (forcing the chain).
+    induced copy.
 
-    The last test is implied by the all-toggled check before it: a copy
-    free of other allowed pairs would survive toggling them all. It stays
-    as a direct statement of the forcing property.
+    That copy contains a further allowed pair, which forces the chain: a
+    copy free of other allowed pairs would survive toggling them all,
+    which the all-toggled check rules out.
     """
     if G.contains_induced(tc.graph, h):
         return False
-    all_toggled = G.apply_flips(tc.graph, tc.allowed)
-    if G.contains_induced(all_toggled, h):
+    if G.contains_induced(G.apply_flips(tc.graph, tc.allowed), h):
         return False
-    allowed = set(tc.allowed)
-    for p in tc.allowed:
-        created = G.apply_flips(tc.graph, [p])
-        hit = G.first_induced(created, h)
-        if hit is None:
-            return False
-        inside = {
-            q
-            for q in itertools.combinations(sorted(hit), 2)
-            if q in allowed and q != p
-        }
-        if not inside:
-            return False
-    return True
+    return not any(G.is_free_of(G.apply_flips(tc.graph, [p]), h)
+                   for p in tc.allowed)
 
 
 # -- enforcers ----------------------------------------------------------------
@@ -339,13 +326,10 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
         correctness argument, checked exactly on the host graph;
     (c) falsification: whether attaching to a host graph with at most
         n_host vertices at a (non)edge gives a crossing induced copy, for
-        every host and (non)edge; one decision per Aut(host)-orbit of
-        ordered pairs finds the same first violation, and each is made on
-        the host alone from the enforcer's residual patterns, attaching
-        only at the reported pair (see ``_first_crossing_copy``). The
-        pair's first vertex goes on u, u < v, so a (non)edge that no
-        automorphism of the host reverses is tried in one orientation
-        only.
+        every host and (non)edge (u, v), u < v, with the distinguished
+        pair's first vertex on u. Each pair is decided on the host alone
+        from the enforcer's residual patterns, attaching only at the
+        reported pair (see ``_first_crossing_copy``).
 
     The result is evidence, not proof: (b) and (c) bound, but do not
     decide, the universally quantified attachment condition.
@@ -354,6 +338,9 @@ def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
         raise GadgetError("gadget role must be Enforcer")
     if n_host < 2:  # layer (c) would try no host and pass
         raise ValueError(f"n_host must be at least 2, got {n_host}")
+    if n_host > enumeration.N_LIMIT:  # refused before any level is built
+        raise ValueError(
+            f"n_host must be at most {enumeration.N_LIMIT}, got {n_host}")
     h = host_graph(enf.h)
     report: dict = {"h": enf.h, "mode": enf.mode, "layers": {}}
 
@@ -403,22 +390,18 @@ def _first_crossing_copy(enf: Gadget, h: SmallGraph, n_host: int) -> Optional[di
     Each pair is decided by ``_crosses`` on the host alone, against the
     enforcer's residual patterns (``_residual_patterns``), and only at the
     first pair that crosses is the enforcer attached and searched for the
-    copy to report. Pairs are tried only at the first pair of each
-    Aut(host)-orbit (``_orbit_firsts``): an automorphism mapping (u, v)
-    onto (u', v') maps one joined graph onto the other and fixes the
-    enforcer's own vertices, so both have a crossing copy or neither has.
-    The first violating pair is therefore the first of its orbit, and the
-    search that reports it is the one an attachment at every pair would
-    make."""
-    # imported here: gadgets -> enumeration -> classify -> reductions -> gadgets
-    from . import enumeration
-
-    want_edge = enf.mode == "delete"
+    copy to report. A host on n vertices embeds no pattern of more than
+    n - 2 vertices, so sizes below the smallest pattern's plus two are
+    skipped, and an enforcer with no pattern walks no host at all."""
     patterns = _residual_patterns(enf, h)
-    for n in range(2, n_host + 1):
+    if not patterns:
+        return None
+    want_edge = enf.mode == "delete"
+    for n in range(min(len(sides) for sides, _, _ in patterns) + 2, n_host + 1):
         for host in enumeration.graphs_on(n):
-            for pair in _orbit_firsts(host, want_edge):
-                if not _crosses(host, pair, patterns):
+            for pair in itertools.combinations(range(n), 2):
+                if (host.has_edge(*pair) != want_edge
+                        or not _crosses(host, pair, patterns)):
                     continue
                 joined = attach_enforcer(host, pair, enf, 1)
                 for hit in G.find_induced(joined, h):
@@ -446,12 +429,13 @@ def _residual_patterns(enf: Gadget, h: SmallGraph) -> tuple[tuple, ...]:
     host side is h[Y] with each vertex's adjacency to a and b. The pair's
     own adjacency always agrees, as the mode fixes it on both sides.
 
-    One pattern per distinct host side: a tuple of its vertices, each
-    ``(to_u, to_v, up)`` with ``to_u`` 0 when a is unused, else 1 for
-    adjacent to a and 2 for not (``to_v`` the same for b), and ``up`` the
-    earlier vertices it is adjacent to, as a bitmask. The empty pattern ()
-    means the enforcer holds a crossing copy by itself. An empty set means
-    that no host of any size gives a crossing copy with one attachment.
+    One pattern per distinct host side, as ``(sides, adj, non)``: for each
+    vertex of Y, ``(to_u, to_v)`` with ``to_u`` 0 when a is unused, else 1
+    for adjacent to a and 2 for not (``to_v`` the same for b), and the
+    earlier vertices it is adjacent and non-adjacent to (``graphs._plan``).
+    The empty pattern means the enforcer holds a crossing copy by itself.
+    An empty set means that no host of any size gives a crossing copy with
+    one attachment.
     """
     e = enf.graph
     ex, ey = enf.allowed[0]
@@ -471,48 +455,16 @@ def _residual_patterns(enf: Gadget, h: SmallGraph) -> tuple[tuple, ...]:
                     xs |= comp
             order = [x for x, _ in pinned] + list(G._bits(xs))
             starts = [w for _, w in pinned] + [inner] * xs.bit_count()
-            if not _embeds(e.rows, starts, _ups(h, order)):
+            if not G._embed(e.rows, e.rows, starts, *G._plan(h, order), True):
                 continue
             ys = list(G._bits(rest & ~xs))
-            patterns.add(tuple(
-                (_side(h, y, a), _side(h, y, b), up)
-                for y, up in zip(ys, _ups(h, ys))))
+            sides = tuple((_side(h, y, a), _side(h, y, b)) for y in ys)
+            patterns.add((sides, *G._plan(h, ys)))
     return tuple(sorted(patterns))
 
 
 def _side(h: SmallGraph, y: int, end: Optional[int]) -> int:
     return 0 if end is None else 1 if h.has_edge(y, end) else 2
-
-
-def _ups(h: SmallGraph, order: list[int]) -> list[int]:
-    """For each vertex of ``order``, the earlier positions it is adjacent
-    to in h."""
-    return [sum(1 << j for j in range(i) if h.has_edge(x, order[j]))
-            for i, x in enumerate(order)]
-
-
-def _embeds(rows, starts: list[int], ups: list[int]) -> bool:
-    """Whether the graph with adjacency ``rows`` has an induced copy of a
-    pattern whose i-th vertex goes into ``starts[i]`` and is adjacent to
-    exactly the earlier ones in ``ups[i]``."""
-    k = len(starts)
-    assign = [0] * k
-
-    def rec(i: int, used: int) -> bool:
-        if i == k:
-            return True
-        cand = starts[i] & ~used
-        for j in range(i):
-            cand &= rows[assign[j]] if ups[i] >> j & 1 else ~rows[assign[j]]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            assign[i] = bit.bit_length() - 1
-            if rec(i + 1, used | bit):
-                return True
-        return False
-
-    return rec(0, 0)
 
 
 def _crosses(host: SmallGraph, pair: tuple[int, int], patterns) -> bool:
@@ -527,30 +479,9 @@ def _crosses(host: SmallGraph, pair: tuple[int, int], patterns) -> bool:
     to_u = (full, rows[u], ~rows[u])
     to_v = (full, rows[v], ~rows[v])
     return any(
-        _embeds(rows, [base & to_u[cu] & to_v[cv] for cu, cv, _ in pat],
-                [up for _, _, up in pat])
-        for pat in patterns)
-
-
-@functools.lru_cache(maxsize=512)
-def _orbit_firsts(host: SmallGraph, want_edge: bool) -> tuple[tuple[int, int], ...]:
-    """The edges (want_edge) or nonedges (u, v), u < v, of host that come
-    first in row order within their orbit under Aut(host) acting on
-    ordered pairs. It depends on the host and the mode alone, so the 18
-    table enforcers share one labeling per host; the bound holds every
-    host with n <= 6 (207 of them) in both modes."""
-    n = host.n
-    # Aut(host) acting on ordered pairs, point u * n + v
-    gens = [[g[u] * n + g[v] for u in range(n) for v in range(n)]
-            for g in G.canonical_labeling(host.rows)[1]]
-    firsts = []
-    done = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if host.has_edge(u, v) == want_edge and not done >> (u * n + v) & 1:
-                done |= G._closure(1 << (u * n + v), gens)
-                firsts.append((u, v))
-    return tuple(firsts)
+        G._embed(rows, rows, [base & to_u[cu] & to_v[cv] for cu, cv in sides],
+                 adj, non, True)
+        for sides, adj, non in patterns)
 
 
 # -- the table ----------------------------------------------------------------

@@ -446,8 +446,7 @@ def _pack(n: int, rows: Sequence[int], perm: Sequence[int]) -> bytes:
 
 def _closure(mask: int, gens: list[list[int]]) -> int:
     """The union of the orbits of the points in ``mask`` under ``gens``,
-    permutations of the points: vertices, vertex sets (as bitmasks), or
-    ordered vertex pairs."""
+    permutations of the points: vertices or vertex sets (as bitmasks)."""
     frontier = mask
     while frontier:
         new = 0
@@ -603,39 +602,79 @@ def are_isomorphic(g1: SmallGraph, g2: SmallGraph) -> bool:
 # -- induced subgraph search ------------------------------------------------
 
 
+def _plan(h: SmallGraph, order: Sequence[int]) -> tuple[tuple, tuple]:
+    """``_embed``'s ``adj`` and ``non`` for h's vertices taken in ``order``."""
+    adj, non = [], []
+    for i, x in enumerate(order):
+        row = h.rows[x]
+        adj.append(tuple(j for j in range(i) if row >> order[j] & 1))
+        non.append(tuple(j for j in range(i) if not row >> order[j] & 1))
+    return tuple(adj), tuple(non)
+
+
 @functools.lru_cache(maxsize=256)
 def _search_plan(h: SmallGraph) -> tuple[tuple[int, ...], tuple, tuple]:
     """The part of ``_induced_search`` that depends on h alone. h's vertices
     are mapped by descending degree; for the i-th one, its degree and the
     earlier positions it is adjacent and non-adjacent to."""
-    hn = h.n
-    horder = sorted(range(hn), key=lambda v: -h.degree(v))
-    hdeg = tuple(h.degree(v) for v in horder)
-    hadj = tuple(tuple(j for j in range(i) if h.has_edge(horder[i], horder[j]))
-                 for i in range(hn))
-    hnon = tuple(tuple(j for j in range(i) if not h.has_edge(horder[i], horder[j]))
-                 for i in range(hn))
-    return hdeg, hadj, hnon
+    horder = sorted(range(h.n), key=lambda v: -h.degree(v))
+    return (tuple(h.degree(v) for v in horder), *_plan(h, horder))
+
+
+def _embed(
+    yes: Sequence[int], hard: Sequence[int], starts: Sequence[int],
+    adj: Sequence[Sequence[int]], non: Sequence[Sequence[int]], first_only: bool,
+) -> list[frozenset[int]]:
+    """The vertex sets of the induced embeddings of a pattern, each once,
+    in the order first found; at most one with ``first_only``.
+
+    The pattern's i-th vertex goes into ``starts[i]``, adjacent to the
+    vertices at the earlier positions ``adj[i]`` and not to those at
+    ``non[i]``. Its candidates form one bitmask (Ullmann's bit-vector
+    refinement): ``starts[i]`` minus the vertices used, ANDed with the row
+    ``yes`` of each vertex it must be adjacent to and with the complement
+    of the row ``hard`` of each it must not be (``yes`` is ``hard`` for a
+    plain match). Candidates are tried in ascending order.
+    """
+    k = len(starts)
+    found: dict[int, frozenset[int]] = {}  # by vertex bitmask
+    assign = [0] * k
+
+    def rec(i: int, used: int) -> bool:
+        if i == k:
+            if used not in found:
+                found[used] = frozenset(assign)
+            return first_only
+        cand = starts[i] & ~used
+        for j in adj[i]:
+            cand &= yes[assign[j]]
+        for j in non[i]:
+            cand &= ~hard[assign[j]]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            assign[i] = bit.bit_length() - 1
+            if rec(i + 1, used | bit):
+                return True
+        return False
+
+    rec(0, 0)
+    return list(found.values())
 
 
 def _induced_search(
     g: SmallGraph, h: SmallGraph, first_only: bool, free: Sequence[int] | None = None
-):
-    """Backtracking enumeration of vertex sets of g inducing h.
+) -> list[frozenset[int]]:
+    """The vertex sets of g inducing h, each once, in the order first found.
 
-    Maps h's vertices one at a time, by descending degree. The candidates
-    for the next one form one bitmask (Ullmann's bit-vector refinement): the
-    vertices of g with a high enough degree, minus those used, ANDed with
-    each mapped vertex's row where h has the edge and with its complement
-    where it has not. Candidates are tried in ascending order; each set is
-    reported once, in the order first found.
+    h's vertices are mapped one at a time, by descending degree, each into
+    the vertices of g with a high enough degree (``_embed``).
 
     ``free`` (per-vertex rows of a symmetric pair set) relaxes the match:
     a free pair may be an edge or a nonedge whatever h has there, and
     degrees count free pairs as edges.
     """
-    n, hn = g.n, h.n
-    if hn > n:
+    if h.n > g.n:
         return []
     if free is None:
         yes = hard = g.rows
@@ -651,32 +690,8 @@ def _induced_search(
         atleast[d] |= atleast[d + 1]
     hdeg, hadj, hnon = _search_plan(h)
     top = len(atleast) - 1
-    fit = [atleast[min(d, top)] for d in hdeg]
-    found = []
-    seen_sets = set()
-    assign = [0] * hn
-
-    def rec(i: int, used: int) -> bool:
-        if i == hn:
-            if used not in seen_sets:
-                seen_sets.add(used)
-                found.append(frozenset(assign))
-            return first_only
-        cand = fit[i] & ~used
-        for j in hadj[i]:
-            cand &= yes[assign[j]]
-        for j in hnon[i]:
-            cand &= ~hard[assign[j]]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            assign[i] = bit.bit_length() - 1
-            if rec(i + 1, used | bit):
-                return True
-        return False
-
-    rec(0, 0)
-    return found
+    starts = [atleast[min(d, top)] for d in hdeg]
+    return _embed(yes, hard, starts, hadj, hnon, first_only)
 
 
 def find_induced(

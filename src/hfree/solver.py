@@ -20,6 +20,8 @@ MODES = ("edit", "delete", "complete")
 
 # the most pair sets solve_exhaustive may try
 EXHAUSTIVE_MAX_WORK = 10_000_000
+# the largest budget solve branches on
+SOLVE_MAX_K = 4
 
 
 def _norm_pair(p) -> tuple[int, int]:
@@ -98,7 +100,6 @@ def solve(
     inst: EditInstance,
     h: SmallGraph,
     max_n: int = 20,
-    max_k: int = 4,
 ) -> Solution:
     """Bounded-depth branching search, deterministic branch order.
 
@@ -109,8 +110,8 @@ def solve(
     """
     if inst.g.n > max_n:
         raise GuardrailError(f"solve guardrail: n={inst.g.n} > {max_n}")
-    if inst.k > max_k:
-        raise GuardrailError(f"solve guardrail: k={inst.k} > {max_k}")
+    if inst.k > SOLVE_MAX_K:
+        raise GuardrailError(f"solve guardrail: k={inst.k} > {SOLVE_MAX_K}")
     # an unflipped pair keeps inst.g's adjacency, so the mode test on
     # inst.g holds on every branch
     allowed = set(inst.permissible_pairs())

@@ -7,6 +7,7 @@ import pytest
 
 from hfree import catalogue as C
 from hfree import cli
+from hfree import enumeration as E
 from hfree import graphs as G
 from hfree import solver as S
 
@@ -140,6 +141,19 @@ def test_verify_gadgets_without_hosts_is_a_usage_error(capsys, n_host):
     """An --n-host below 2 leaves layer (c) no host to try: exit 2, not ok."""
     code, payload, err = run(
         capsys, "verify-gadgets", "--row", "co-A1", "--n-host", n_host
+    )
+    assert code == 2 and payload is None and "n_host" in err
+
+
+def test_verify_gadgets_n_host_above_the_limit_is_a_usage_error(capsys, monkeypatch):
+    """--n-host 11 exits 2 before any level is built, instead of building
+    levels 9 and 10 and then refusing."""
+    def no_levels(n, *args, **kwargs):
+        raise AssertionError(f"graphs_on({n}) called")
+
+    monkeypatch.setattr(E, "graphs_on", no_levels)
+    code, payload, err = run(
+        capsys, "verify-gadgets", "--row", "co-A1", "--n-host", "11"
     )
     assert code == 2 and payload is None and "n_host" in err
 

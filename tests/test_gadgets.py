@@ -230,6 +230,22 @@ def test_truth_setting_weak_property():
         assert GD.verify_truth_setting_weak(tc, GD.host_graph(row)), (row, mode)
 
 
+def test_truth_setting_weak_rejects_a_pair_that_forces_nothing():
+    """The weak check's single-toggle loop alone rejects this: the co-A1
+    complex and one more allowed pair, a separate edge. The complex stays
+    h-free with no pair or every pair deleted, but deleting the new edge
+    alone creates no copy, so nothing forces it."""
+    unit = GD.table_gadget("co-A1", "delete", "BasicUnit")
+    h = GD.host_graph("co-A1")
+    tc = GD.build_truth_setting(unit)
+    n = tc.graph.n
+    bad = GD.TruthSetting(G.disjoint_union(tc.graph, G.complete_graph(2)), "delete",
+                          tc.allowed + ((n, n + 1),), tc.variable_pairs, tc.h)
+    assert G.is_free_of(bad.graph, h)
+    assert G.is_free_of(G.apply_flips(bad.graph, bad.allowed), h)
+    assert not GD.verify_truth_setting_weak(bad, h)
+
+
 def test_truth_setting_sabotage():
     unit = GD.table_gadget("co-A1", "delete", "BasicUnit")
     graph = unit.graph
@@ -261,6 +277,42 @@ def test_enforcer_without_hosts_refused(n_host):
     enf = GD.table_gadget("co-A1", "complete", "Enforcer")
     with pytest.raises(ValueError, match="n_host must be at least 2"):
         GD.verify_enforcer(enf, n_host=n_host)
+
+
+def _no_levels(n, *args, **kwargs):
+    raise AssertionError(f"graphs_on({n}) called")
+
+
+def test_enforcer_n_host_above_the_enumeration_limit_refused(monkeypatch):
+    """An n_host above ``enumeration.N_LIMIT`` is refused before any level
+    is built (level 10 alone holds 12 005 168 classes)."""
+    monkeypatch.setattr(E, "graphs_on", _no_levels)
+    enf = GD.table_gadget("co-A1", "complete", "Enforcer")
+    with pytest.raises(ValueError, match=f"n_host must be at most {E.N_LIMIT}"):
+        GD.verify_enforcer(enf, n_host=E.N_LIMIT + 1)
+
+
+def test_falsification_walks_only_host_sizes_a_pattern_fits(monkeypatch):
+    """A host on n vertices embeds no residual pattern of more than n - 2
+    vertices, so layer (c) starts at the smallest pattern's size plus two,
+    and the table enforcers, which have no pattern, walk no host even at
+    n_host = N_LIMIT."""
+    graphs_on = E.graphs_on
+    monkeypatch.setattr(E, "graphs_on", _no_levels)
+    table = [GD.table_gadget(row, mode, "Enforcer")
+             for row in GD.table_rows() for mode in ("delete", "complete")]
+    for enf in [e for e in table if e is not None]:
+        assert GD.verify_enforcer(enf, n_host=E.N_LIMIT)["ok"], (enf.h, enf.mode)
+    starts = Counter()
+    for enf in _broken_co_a1_candidates() + _broken_delete_candidates("A3"):
+        asked = []
+        monkeypatch.setattr(E, "graphs_on", lambda n: asked.append(n) or graphs_on(n))
+        GD.verify_enforcer(enf, n_host=6)
+        patterns = GD._residual_patterns(enf, GD.host_graph(enf.h))
+        smallest = min((len(sides) for sides, _, _ in patterns), default=None)
+        assert asked[:1] == ([] if smallest is None else [smallest + 2]), enf
+        starts[asked[0] if asked else None] += 1
+    assert starts == {None: 3, 3: 2, 4: 5, 5: 5}
 
 
 def test_enforcer_self_copy_fails_exact_layer():
@@ -337,82 +389,48 @@ def test_structural_layer_matches_oracle(monkeypatch):
     assert outcomes["no-induced-P5-between-separator", False] == 6
 
 
-def test_crossing_copy_constant_on_ordered_pair_orbits():
-    """The premise of attaching once per orbit, checked by attaching at
-    every pair: on hosts with n <= 5, whether a crossing copy exists is
-    the same for (u, v) and (s(u), s(v)) for every automorphism s with
-    s(u) < s(v). Layer (c) then reports what the unpruned scan reports
-    first."""
+def test_falsification_matches_unpruned_scan():
+    """Layer (c) reports, on hosts with n <= 5, what attaching at every
+    (non)edge in row order finds first, although it decides each pair on
+    the host alone and skips host sizes that no residual pattern fits."""
     table = [GD.table_gadget(row, mode, "Enforcer")
              for row in GD.table_rows() for mode in ("delete", "complete")]
-    autos = {}
     for enf in [e for e in table if e is not None] + _broken_co_a1_candidates():
-        scan = unpruned_falsification(enf, 5)
-        crossing = {(host, pair): copy is not None for host, pair, copy in scan}
-        for host, (u, v), copy in scan:
-            for s in autos.setdefault(host, automorphisms(host)):
-                if s[u] < s[v]:
-                    assert crossing[host, (s[u], s[v])] == (copy is not None), (
-                        enf.h, enf.allowed, G.to_graph6(host), (u, v), s)
         first = next(
             ([{"host": G.to_graph6(host), "pair": pair, "copy": copy}]
-             for host, pair, copy in scan if copy is not None), [])
+             for host, pair, copy in unpruned_falsification(enf, 5)
+             if copy is not None), [])
         rep = GD.verify_enforcer(enf, n_host=5)
         assert rep["layers"]["falsification"]["violations"] == first, enf
-
-
-def test_falsification_attaches_at_first_pair_of_each_orbit(monkeypatch):
-    """On every host with n <= 6, layer (c) decides exactly the
-    (non)edges (u, v), u < v, that come first in row order among their
-    orbit under Aut(host) acting on ordered pairs: 1 511 of the 2 760
-    pairs. A pair and its reverse are not merged, though merging them
-    changes no report of the table or of the broken candidates, so this
-    is the test that sees it."""
-    attached = []
-    crosses = GD._crosses
-
-    def spy(host, pair, patterns):
-        attached.append((host, pair))
-        return crosses(host, pair, patterns)
-
-    monkeypatch.setattr(GD, "_crosses", spy)
-    for mode in ("delete", "complete"):
-        assert GD.verify_enforcer(GD.table_gadget("co-A1", mode, "Enforcer"))["ok"]
-    want = []
-    pairs = 0
-    for mode in ("delete", "complete"):
-        for n in range(2, 7):
-            for host in E.graphs_on(n):
-                autos = automorphisms(host)
-                for u, v in itertools.combinations(range(n), 2):
-                    if host.has_edge(u, v) != (mode == "delete"):
-                        continue
-                    pairs += 1
-                    if min((s[u], s[v]) for s in autos if s[u] < s[v]) == (u, v):
-                        want.append((host, (u, v)))
-    assert attached == want
-    assert (len(want), pairs) == (1511, 2760)
 
 
 def test_table_enforcers_pass_with_the_pair_reversed():
     """Layer (c) puts the distinguished pair's first vertex on u, u < v, so
     a (non)edge that no automorphism of the host reverses is tried in one
     orientation only. The other orientation, (v, u) for the first pair
-    (u, v) of each orbit, which reaches every reversed pair up to an
-    automorphism, gives no crossing copy either: for each of the 18 table
-    enforcers on every host with n <= 6."""
+    (u, v) in row order of each orbit of ordered pairs under Aut(host),
+    which reaches every reversed pair up to an automorphism, gives no
+    crossing copy either: for each of the 18 table enforcers on every host
+    with n <= 6."""
     table = [GD.table_gadget(row, mode, "Enforcer")
              for row in GD.table_rows() for mode in ("delete", "complete")]
     enforcers = [e for e in table if e is not None]
     assert len(enforcers) == 18
+    firsts = []
+    for n in range(2, 7):
+        for host in E.graphs_on(n):
+            autos = automorphisms(host)
+            firsts += [(host, (u, v)) for u, v in itertools.combinations(range(n), 2)
+                       if min((s[u], s[v]) for s in autos if s[u] < s[v]) == (u, v)]
+    assert len(firsts) == 1511
     for enf in enforcers:
         h = GD.host_graph(enf.h)
-        for n in range(2, 7):
-            for host in E.graphs_on(n):
-                for u, v in GD._orbit_firsts(host, enf.mode == "delete"):
-                    joined = GD.attach_enforcer(host, (v, u), enf, 1)
-                    assert all(max(hit) < n for hit in G.find_induced(joined, h)), (
-                        enf.h, enf.mode, G.to_graph6(host), (v, u))
+        for host, (u, v) in firsts:
+            if host.has_edge(u, v) != (enf.mode == "delete"):
+                continue
+            joined = GD.attach_enforcer(host, (v, u), enf, 1)
+            assert all(max(hit) < host.n for hit in G.find_induced(joined, h)), (
+                enf.h, enf.mode, G.to_graph6(host), (v, u))
 
 
 def _broken_delete_candidates(h_id):
@@ -492,7 +510,7 @@ def test_table_enforcers_have_no_residual_pattern():
 
 _PATTERN_WITHOUT_COPY = """
 from hfree import gadgets as GD
-GD._residual_patterns = lambda enf, h: ((),)
+GD._residual_patterns = lambda enf, h: (((), (), ()),)
 try:
     GD.verify_enforcer(GD.table_gadget("co-A1", "delete", "Enforcer"), n_host=3)
 except RuntimeError as exc:
@@ -505,7 +523,7 @@ def test_pattern_without_crossing_copy_raises(monkeypatch):
     an internal contradiction, raised, not asserted: also under
     ``python -O``. The empty pattern embeds in every host, and the co-A1
     enforcer has no crossing copy at K2's edge."""
-    monkeypatch.setattr(GD, "_residual_patterns", lambda enf, h: ((),))
+    monkeypatch.setattr(GD, "_residual_patterns", lambda enf, h: (((), (), ()),))
     enf = GD.table_gadget("co-A1", "delete", "Enforcer")
     with pytest.raises(RuntimeError, match=r"embeds in A_ at \(0, 1\)"):
         GD.verify_enforcer(enf, n_host=3)

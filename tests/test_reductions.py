@@ -793,7 +793,7 @@ def test_con_cai_degenerate_formula():
     phi = R.PropFormula(0, ())
     inst, _ = R.con_cai(phi, 2, h, sc, bu, "delete")
     assert inst.g.n == 1
-    assert S.solve(inst, h, max_n=40, max_k=inst.k).feasible
+    assert S.solve_exhaustive(inst, h).feasible
 
 
 # one 3-regular formula per shape: three copies of one clause, a cycle of
