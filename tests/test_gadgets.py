@@ -87,6 +87,50 @@ def test_s_component_sabotage_fails():
         GD.verify_s_component(mutated)
 
 
+def _single_pair_mutants(gadget):
+    """``gadget`` with one pair other than its allowed pairs toggled, for
+    each such pair in row order."""
+    return [((u, v), GD.Gadget(G.apply_flips(gadget.graph, [(u, v)]), gadget.role,
+                               gadget.mode, gadget.allowed, gadget.h))
+            for u, v in itertools.combinations(range(gadget.graph.n), 2)
+            if (u, v) not in gadget.allowed]
+
+
+def test_failing_outcomes_pinned():
+    """What the checks say about broken gadgets: the toggle table or the
+    error of each single-pair mutant of the co-A1 and A3 delete
+    S-components, their single-edge deletions among them, and the weak
+    check on each single-pair mutant of the A3 delete unit, chained at
+    full p."""
+    def outcome(gadget):
+        try:
+            return GD.verify_s_component(gadget).values
+        except GD.GadgetError as exc:
+            return str(exc)
+
+    mutants = {
+        row: {pair: outcome(m) for pair, m in
+              _single_pair_mutants(GD.table_gadget(row, "delete", "SComponent"))}
+        for row in ("co-A1", "A3")}
+    free = "table not propagational: " + repr((True,) * 8)
+    assert mutants == {
+        "co-A1": {(0, 1): "table not propagational: (True, True, True, True, "
+                          "True, False, False, True)",
+                  (0, 2): free, (0, 3): free, (1, 4): "S-component is not host-free",
+                  (2, 3): free, (2, 4): "S-component is not host-free",
+                  (3, 4): "S-component is not host-free"},
+        "A3": {(0, 1): free, (0, 2): "table not propagational: (True, True, "
+                                     "True, True, True, True, False, True)",
+               **{p: free for p in ((0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 4),
+                                    (2, 5), (3, 4), (3, 5), (4, 5))}},
+    }
+    h = GD.host_graph("A3")
+    weak = {pair: GD.verify_truth_setting_weak(GD.build_truth_setting(m), h)
+            for pair, m in _single_pair_mutants(GD.table_gadget("A3", "delete", "BasicUnit"))}
+    assert [pair for pair, ok in weak.items() if ok] == [(1, 3)]
+    assert len(weak) == 13
+
+
 def test_generic_construction_first_entry_always_zero():
     """Deleting only the added pair restores the host, so f(1,0,0)=0 for
     every choice (connected non-complete hosts on 4..6 vertices, sampled)."""
