@@ -122,19 +122,18 @@ def verify_s_component(gadget: Gadget) -> PropTable:
     """Check the S-component definition; return the induced table.
 
     Raises GadgetError if the gadget graph contains the host or the table
-    of toggle outcomes is not propagational.
+    of toggle outcomes is not propagational. The eight toggles of
+    (x, y, z), x as bit 0, are read from one search (``_toggle_copies``);
+    mask 0 is host-freeness.
     """
     if gadget.role != "SComponent":
         raise GadgetError("gadget role must be SComponent")
-    h = host_graph(gadget.h)
-    if G.contains_induced(gadget.graph, h):
+    copies = _toggle_copies(gadget.graph, gadget.allowed, host_graph(gadget.h))
+    free = _free_masks(copies, range(8))
+    if 0 not in free:
         raise GadgetError("S-component is not host-free")
-    x, y, z = gadget.allowed
-    vals = []
-    for bx, by, bz in itertools.product((0, 1), repeat=3):
-        toggled = [p for p, b in ((x, bx), (y, by), (z, bz)) if b]
-        vals.append(G.is_free_of(G.apply_flips(gadget.graph, toggled), h))
-    table = PropTable(tuple(vals))
+    table = PropTable(tuple(bx | by << 1 | bz << 2 in free
+                            for bx, by, bz in itertools.product((0, 1), repeat=3)))
     if not check_propagational(table):
         raise GadgetError(f"table not propagational: {table.values}")
     return table
@@ -194,74 +193,60 @@ def build_truth_setting(unit: Gadget, p: Optional[int] = None) -> TruthSetting:
                         variable_pairs, unit.h)
 
 
-def modification_sets(tc: TruthSetting, h: SmallGraph) -> list[int]:
-    """All subsets of allowed pairs whose toggle leaves the complex h-free.
+def _toggle_copies(graph: SmallGraph, pairs, h: SmallGraph) -> list[tuple[int, set[int]]]:
+    """Which toggles of ``pairs`` give graph an induced copy of h.
 
-    Returned as bitmasks over tc.allowed. The candidate vertex sets are
-    those that induce h for some toggle of the allowed pairs inside them,
-    found by one relaxed search (``find_induced`` with the allowed pairs
-    free); each is then checked pattern by pattern. The final scan over
-    all masks is exhaustive, guarded at 2**EXHAUSTIVE_PAIRS subsets.
+    One relaxed search (``find_induced`` with the pairs free) finds each
+    vertex set that induces h for some toggle of the pairs inside it; each
+    is then checked pattern by pattern. Returned as ``(varmask, patterns)``
+    bitmasks over ``pairs`` (each taken as u < v), merged by varmask: the
+    pairs inside a copy, and the toggles of those pairs that make it h.
+    Toggling the pairs in a mask leaves graph h-free exactly when no entry
+    has ``mask & varmask`` in its patterns (``_free_masks``).
     """
-    pairs = list(tc.allowed)
-    np_ = len(pairs)
-    if np_ > EXHAUSTIVE_PAIRS:
-        raise GadgetError(
-            f"{np_} allowed pairs exceed exhaustive guard {EXHAUSTIVE_PAIRS}")
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    base = tc.graph
+    pair_index = {(min(p), max(p)): i for i, p in enumerate(pairs)}
+    free = [0] * graph.n
+    for a, b in pair_index:
+        free[a] |= 1 << b
+        free[b] |= 1 << a
     hm = h.edge_count()
     hcert = G.canonical_cert(h)
-    # Constraints: for each candidate set T, which local toggle patterns make
-    # T induce h. A global mask is bad iff its projection hits a bad pattern.
-    constraints: dict[int, set[int]] = {}
-    allowed_rows = [0] * base.n
-    for a, b in pairs:
-        allowed_rows[a] |= 1 << b
-        allowed_rows[b] |= 1 << a
-    for hit in G.find_induced(base, h, free=allowed_rows):
+    copies: dict[int, set[int]] = {}
+    for hit in G.find_induced(graph, h, free=free):
         T = sorted(hit)
-        var = [
-            (a, b)
-            for a, b in itertools.combinations(T, 2)
-            if allowed_rows[a] >> b & 1
-        ]
-        varmask = 0
-        for p in var:
-            varmask |= 1 << pair_index[p]
-        sub = G.induced_subgraph(base, T)
+        var = [(a, b) for a, b in itertools.combinations(T, 2) if free[a] >> b & 1]
+        bits = [1 << pair_index[p] for p in var]
+        sub = G.induced_subgraph(graph, T)
         pos = {v: i for i, v in enumerate(T)}
-        bad: set[int] = set()
         for sel in range(1 << len(var)):
-            toggled = [
-                (pos[var[i][0]], pos[var[i][1]])
-                for i in range(len(var))
-                if sel >> i & 1
-            ]
-            cand = G.apply_flips(sub, toggled)
-            if cand.edge_count() != hm:
-                continue
-            if G.canonical_cert(cand) == hcert:
-                # the copy appears exactly when the global mask projects
-                # onto these toggled pairs
-                patt = 0
-                for i in range(len(var)):
-                    if sel >> i & 1:
-                        patt |= 1 << pair_index[var[i]]
-                bad.add(patt)
-        if bad:
-            constraints.setdefault(varmask, set()).update(bad)
-    cons = list(constraints.items())
+            picked = [i for i in range(len(var)) if sel >> i & 1]
+            cand = G.apply_flips(sub, [(pos[var[i][0]], pos[var[i][1]]) for i in picked])
+            if cand.edge_count() == hm and G.canonical_cert(cand) == hcert:
+                copies.setdefault(sum(bits), set()).add(sum(bits[i] for i in picked))
+    return list(copies.items())
+
+
+def _free_masks(copies, masks) -> list[int]:
+    """The masks, in order, whose toggle leaves the graph h-free, read from
+    its ``_toggle_copies``."""
     good = []
-    for mask in range(1 << np_):
-        ok = True
-        for varmask, bad in cons:
-            if mask & varmask in bad:
-                ok = False
+    for mask in masks:
+        for varmask, patterns in copies:
+            if mask & varmask in patterns:
                 break
-        if ok:
+        else:
             good.append(mask)
     return good
+
+
+def modification_sets(tc: TruthSetting, h: SmallGraph) -> list[int]:
+    """All subsets of allowed pairs whose toggle leaves the complex h-free,
+    as bitmasks over tc.allowed: every mask, read from one search
+    (``_toggle_copies``), guarded at 2**EXHAUSTIVE_PAIRS subsets."""
+    if len(tc.allowed) > EXHAUSTIVE_PAIRS:
+        raise GadgetError(
+            f"{len(tc.allowed)} allowed pairs exceed exhaustive guard {EXHAUSTIVE_PAIRS}")
+    return _free_masks(_toggle_copies(tc.graph, tc.allowed, h), range(1 << len(tc.allowed)))
 
 
 def verify_truth_setting(tc: TruthSetting, h: SmallGraph, mode: str) -> bool:
@@ -276,18 +261,17 @@ def verify_truth_setting(tc: TruthSetting, h: SmallGraph, mode: str) -> bool:
 def verify_truth_setting_weak(tc: TruthSetting, h: SmallGraph) -> bool:
     """Weaker property for large complexes: the two designated sets leave
     the complex h-free, and toggling any single allowed pair creates an
-    induced copy.
+    induced copy. Of mask 0, the full mask and the single-pair masks, read
+    from one search (``_toggle_copies``), exactly the first two must leave
+    it h-free.
 
     That copy contains a further allowed pair, which forces the chain: a
     copy free of other allowed pairs would survive toggling them all,
-    which the all-toggled check rules out.
+    which the all-toggled check rules out, so it needs no test of its own.
     """
-    if G.contains_induced(tc.graph, h):
-        return False
-    if G.contains_induced(G.apply_flips(tc.graph, tc.allowed), h):
-        return False
-    return not any(G.is_free_of(G.apply_flips(tc.graph, [p]), h)
-                   for p in tc.allowed)
+    n = len(tc.allowed)
+    masks = [0, (1 << n) - 1] + [1 << i for i in range(n)]
+    return _free_masks(_toggle_copies(tc.graph, tc.allowed, h), masks) == masks[:2]
 
 
 # -- enforcers ----------------------------------------------------------------
@@ -309,12 +293,9 @@ def attach_enforcer(
 def enforcer_exact(enf: Gadget) -> dict:
     """Layer (a) of ``verify_enforcer``: whether the gadget is host-free
     and whether toggling its distinguished pair creates an induced host
-    copy."""
-    h = host_graph(enf.h)
-    free = not G.contains_induced(enf.graph, h)
-    toggled = G.apply_flips(enf.graph, [enf.allowed[0]])
-    creates = G.contains_induced(toggled, h)
-    return {"host_free": free, "toggle_creates": creates, "ok": free and creates}
+    copy, masks 0 and 1 of one search (``_toggle_copies``)."""
+    free = _free_masks(_toggle_copies(enf.graph, enf.allowed, host_graph(enf.h)), (0, 1))
+    return {"host_free": 0 in free, "toggle_creates": 1 not in free, "ok": free == [0]}
 
 
 def verify_enforcer(enf: Gadget, n_host: int = 6) -> dict:
@@ -392,12 +373,21 @@ def _first_crossing_copy(enf: Gadget, h: SmallGraph, n_host: int) -> Optional[di
     first pair that crosses is the enforcer attached and searched for the
     copy to report. A host on n vertices embeds no pattern of more than
     n - 2 vertices, so sizes below the smallest pattern's plus two are
-    skipped, and an enforcer with no pattern walks no host at all."""
+    skipped, and an enforcer with no pattern walks no host at all.
+
+    A walk that reaches hosts above the levels with known counts (9)
+    raises ValueError before it builds one: level 10 alone is about
+    5.7 GB in-process."""
     patterns = _residual_patterns(enf, h)
     if not patterns:
         return None
     want_edge = enf.mode == "delete"
     for n in range(min(len(sides) for sides, _, _ in patterns) + 2, n_host + 1):
+        if n > len(enumeration.KNOWN_COUNTS):
+            raise ValueError(
+                f"layer (c) of the {enf.h} {enf.mode} enforcer found no violation "
+                f"on hosts with at most {n - 1} vertices and would need level {n}; "
+                f"use n_host <= {len(enumeration.KNOWN_COUNTS)}")
         for host in enumeration.graphs_on(n):
             for pair in itertools.combinations(range(n), 2):
                 if (host.has_edge(*pair) != want_edge

@@ -8,6 +8,7 @@ import pytest
 from hfree import catalogue as C
 from hfree import cli
 from hfree import enumeration as E
+from hfree import gadgets as GD
 from hfree import graphs as G
 from hfree import solver as S
 
@@ -156,6 +157,23 @@ def test_verify_gadgets_n_host_above_the_limit_is_a_usage_error(capsys, monkeypa
         capsys, "verify-gadgets", "--row", "co-A1", "--n-host", "11"
     )
     assert code == 2 and payload is None and "n_host" in err
+
+
+def test_verify_gadgets_above_the_known_levels_is_a_usage_error(capsys, monkeypatch):
+    """An enforcer whose layer (c) finds nothing below level 10 and would
+    walk it exits 2 instead of building it. The empty residual pattern
+    fits every host; the levels below 10 are stubbed empty."""
+    def below_ten(n):
+        if n >= 10:
+            raise AssertionError(f"graphs_on({n}) called")
+        return []
+
+    monkeypatch.setattr(GD, "_residual_patterns", lambda enf, h: (((), (), ()),))
+    monkeypatch.setattr(E, "graphs_on", below_ten)
+    code, payload, err = run(
+        capsys, "verify-gadgets", "--row", "co-A1", "--n-host", "10"
+    )
+    assert code == 2 and payload is None and "would need level 10" in err
 
 
 @pytest.mark.parametrize("row", ["NOPE", "H1"])

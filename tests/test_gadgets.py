@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -266,6 +267,52 @@ def test_modification_sets_match_all_subsets():
     assert {1, 2, 18, 64} <= counts  # the mutants change the answer
 
 
+def _toggled_free(graph, pairs, mask, h):
+    """Reference: toggle the pairs in ``mask`` and search the result."""
+    return G.is_free_of(G.apply_flips(graph, [p for i, p in enumerate(pairs) if mask >> i & 1]), h)
+
+
+def test_toggle_copies_match_toggled_searches():
+    """Reading a mask from one ``_toggle_copies`` search equals toggling
+    it and searching: for every table S-component (all 8 masks), every
+    table enforcer with its pair in both orientations (masks 0 and 1) and
+    every table unit's complex at full p (mask 0, the full mask, each
+    single pair and 20 seeded random masks), and for the single-pair
+    mutants of the co-A1 and A3 delete S-components, the co-A1 delete
+    enforcer and the A3 delete unit."""
+    def cells(role):
+        return [g for row in GD.table_rows() for mode in ("delete", "complete")
+                if (g := GD.table_gadget(row, mode, role)) is not None]
+
+    def mutants(row, role):
+        return [m for _, m in _single_pair_mutants(GD.table_gadget(row, "delete", role))]
+
+    rng = random.Random(25)
+    cases = []  # (kind, graph, pairs, h, masks)
+    for sc in cells("SComponent") + mutants("co-A1", "SComponent") + mutants("A3", "SComponent"):
+        cases.append(("s", sc.graph, sc.allowed, GD.host_graph(sc.h), range(8)))
+    for enf in cells("Enforcer") + mutants("co-A1", "Enforcer"):
+        (u, v), = enf.allowed
+        for pair in ((u, v), (v, u)):
+            cases.append(("enforcer", enf.graph, (pair,), GD.host_graph(enf.h), (0, 1)))
+    for unit in cells("BasicUnit") + mutants("A3", "BasicUnit"):
+        tc = GD.build_truth_setting(unit)
+        n = len(tc.allowed)
+        masks = [0, (1 << n) - 1] + [1 << i for i in range(n)]
+        masks += [rng.getrandbits(n) for _ in range(20)]
+        cases.append(("complex", tc.graph, tc.allowed, GD.host_graph(unit.h), masks))
+    answers = Counter()
+    for kind, graph, pairs, h, masks in cases:
+        free = GD._free_masks(GD._toggle_copies(graph, pairs, h), masks)
+        for mask in masks:
+            want = _toggled_free(graph, pairs, mask, h)
+            assert (mask in free) == want, (kind, graph, pairs, mask)
+            answers[kind, want] += 1
+    assert answers == {("s", True): 250, ("s", False): 22,
+                       ("enforcer", True): 72, ("enforcer", False): 36,
+                       ("complex", True): 355, ("complex", False): 792}
+
+
 def test_truth_setting_weak_property():
     for row, mode in (("co-A1", "delete"), ("co-A2", "complete"),
                       ("A3", "delete")):
@@ -334,6 +381,27 @@ def test_enforcer_n_host_above_the_enumeration_limit_refused(monkeypatch):
     enf = GD.table_gadget("co-A1", "complete", "Enforcer")
     with pytest.raises(ValueError, match=f"n_host must be at most {E.N_LIMIT}"):
         GD.verify_enforcer(enf, n_host=E.N_LIMIT + 1)
+
+
+def test_falsification_above_the_known_levels_refused(monkeypatch):
+    """An enforcer with a residual pattern and no violation on smaller hosts
+    would walk level 10 (about 5.7 GB) at n_host = N_LIMIT: layer (c)
+    raises ValueError before it asks for that level, while violations
+    found below it are still reported."""
+    enf = next(e for e in _broken_co_a1_candidates()
+               if GD._residual_patterns(e, GD.host_graph(e.h)))
+    assert len(E.KNOWN_COUNTS) == E.N_LIMIT - 1
+
+    def below_ten(n):
+        if n > len(E.KNOWN_COUNTS):
+            raise AssertionError(f"graphs_on({n}) called")
+        return []
+
+    monkeypatch.setattr(E, "graphs_on", below_ten)
+    with pytest.raises(ValueError, match="would need level 10"):
+        GD.verify_enforcer(enf, n_host=E.N_LIMIT)
+    monkeypatch.undo()
+    assert not GD.verify_enforcer(enf, n_host=E.N_LIMIT)["layers"]["falsification"]["ok"]
 
 
 def test_falsification_walks_only_host_sizes_a_pattern_fits(monkeypatch):
