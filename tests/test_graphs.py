@@ -1,5 +1,6 @@
 """Core graph value tests: constructions, predicates, certificates, graph6."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -429,6 +430,70 @@ def test_induced_search_matches_brute_force():
         relaxed = G.find_induced(g, h, free=free)
         assert len(relaxed) == len(set(relaxed)), (g6, h6, free_pairs)
         assert set(relaxed) == _reference_induced(g, h, free_pairs), (g6, h6, free_pairs)
+
+
+def _petersen() -> G.SmallGraph:
+    return G.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                        + [(i, i + 5) for i in range(5)])
+
+
+def _random_free(rng: random.Random, n: int, q: float) -> list[int]:
+    free = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < q:
+            free[a] |= 1 << b
+            free[b] |= 1 << a
+    return free
+
+
+def _order_pin_cases():
+    """(g, h, free) for the full-order pin: the 300 cases of
+    first_induced_n10.txt, then symmetric patterns in seeded hosts of up
+    to 12 vertices, random ones and ones with a planted relabeled copy of
+    the pattern."""
+    rng = random.Random(2607)
+    path = os.path.join(os.path.dirname(__file__), "data", "first_induced_n10.txt")
+    with open(path) as f:
+        for line in f:
+            g6, h6, _ = line.split()
+            g = G.from_graph6(g6)
+            yield g, G.from_graph6(h6), _random_free(rng, g.n, rng.choice((0.1, 0.3)))
+    patterns = [
+        G.disjoint_union(G.complete_graph(5), G.empty_graph(1)),
+        G.complete_bipartite(2, 3), G.cycle_graph(5), G.complete_graph(4),
+        G.empty_graph(4), _petersen(),
+    ]
+    for h in patterns:
+        for k in range(12):
+            n = rng.randint(max(h.n, 8), 12)
+            rows = [0] * n
+            planted = k % 3 == 2
+            if planted:
+                rows[:h.n] = h.rows
+            p = rng.choice((0.2, 0.5, 0.8))
+            for a, b in itertools.combinations(range(n), 2):
+                if not (planted and b < h.n) and rng.random() < p:
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = G.relabel(G.SmallGraph(n, rows), perm)
+            yield g, h, _random_free(rng, n, rng.choice((0.05, 0.15)))
+
+
+def test_induced_search_full_order_pinned():
+    """Every list find_induced returns, in order, plain and relaxed, over
+    the cases of ``_order_pin_cases``, pinned by one digest computed before
+    the search broke the pattern's symmetry: pruning embeddings keeps each
+    vertex set and the order in which the sets are first found."""
+    digest = hashlib.sha256()
+    for g, h, free in _order_pin_cases():
+        for hits in (G.find_induced(g, h), G.find_induced(g, h, free=free)):
+            digest.update(";".join(",".join(map(str, sorted(s))) for s in hits).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "18669c564ddb6d936b870ee3862f3908eba1630d05824b0800e223609aa3dc21")
 
 
 def test_induced_search_plan_is_keyed_by_h():
