@@ -198,7 +198,8 @@ def _toggle_copies(graph: SmallGraph, pairs, h: SmallGraph) -> list[tuple[int, s
 
     One relaxed search (``find_induced`` with the pairs free) finds each
     vertex set that induces h for some toggle of the pairs inside it; each
-    is then checked pattern by pattern. Returned as ``(varmask, patterns)``
+    toggle of those pairs that leaves h's edge count is then checked by one
+    embedding of h into the toggled copy. Returned as ``(varmask, patterns)``
     bitmasks over ``pairs`` (each taken as u < v), merged by varmask: the
     pairs inside a copy, and the toggles of those pairs that make it h.
     Toggling the pairs in a mask leaves graph h-free exactly when no entry
@@ -210,7 +211,6 @@ def _toggle_copies(graph: SmallGraph, pairs, h: SmallGraph) -> list[tuple[int, s
         free[a] |= 1 << b
         free[b] |= 1 << a
     hm = h.edge_count()
-    hcert = G.canonical_cert(h)
     copies: dict[int, set[int]] = {}
     for hit in G.find_induced(graph, h, free=free):
         T = sorted(hit)
@@ -221,7 +221,8 @@ def _toggle_copies(graph: SmallGraph, pairs, h: SmallGraph) -> list[tuple[int, s
         for sel in range(1 << len(var)):
             picked = [i for i in range(len(var)) if sel >> i & 1]
             cand = G.apply_flips(sub, [(pos[var[i][0]], pos[var[i][1]]) for i in picked])
-            if cand.edge_count() == hm and G.canonical_cert(cand) == hcert:
+            # an embedding of h into a graph of its size is an isomorphism
+            if cand.edge_count() == hm and G.contains_induced(cand, h):
                 copies.setdefault(sum(bits), set()).add(sum(bits[i] for i in picked))
     return list(copies.items())
 
