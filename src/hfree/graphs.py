@@ -613,17 +613,81 @@ def _plan(h: SmallGraph, order: Sequence[int]) -> tuple[tuple, tuple]:
 
 
 @functools.lru_cache(maxsize=256)
-def _search_plan(h: SmallGraph) -> tuple[tuple[int, ...], tuple, tuple]:
+def _search_plan(h: SmallGraph) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
     """The part of ``_induced_search`` that depends on h alone. h's vertices
-    are mapped by descending degree; for the i-th one, its degree and the
-    earlier positions it is adjacent and non-adjacent to."""
+    are mapped by descending degree, ties by vertex number; for the i-th
+    one, its degree, the earlier positions it is adjacent and non-adjacent
+    to, and the earlier position (at most one) whose image its own image
+    must exceed, so that only the least embedding onto each vertex set is
+    tried (``_symmetry_breaks``)."""
     horder = sorted(range(h.n), key=lambda v: -h.degree(v))
-    return (tuple(h.degree(v) for v in horder), *_plan(h, horder))
+    adj, non = _plan(h, horder)
+    return (tuple(h.degree(v) for v in horder), adj, non,
+            _symmetry_breaks(h, horder, adj, non))
+
+
+def _symmetry_breaks(
+    h: SmallGraph, order: Sequence[int], adj: Sequence[Sequence[int]],
+    non: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], ...]:
+    """``_embed``'s ``below`` for h's vertices taken in ``order``.
+
+    Position j > i is bound by i when order[j] is in the orbit of order[i]
+    under the automorphisms of h that fix order[0..i-1]: an embedding ψ is
+    the least (position by position) of the embeddings ψ∘σ, σ ∈ Aut(h),
+    exactly when ψ(order[j]) > ψ(order[i]) for all such pairs (for σ ≠ id
+    moving order[i] first, ψ∘σ first differs from ψ at i). Of the positions
+    binding j only the largest is kept: if i1 < i2 both bind j, then i1
+    binds i2 (order[i2] is an image of order[j], hence of order[i1], under
+    the automorphisms fixing order[0..i1-1]), so the one bound implies the
+    other.
+
+    The orbit of order[i] under all the generators of Aut(h) that
+    ``canonical_labeling`` returns holds its orbit under this stabilizer,
+    and its closure under the generators that fix the earlier positions
+    lies in the stabilizer's orbit. Each vertex between the two is decided
+    by one embedding of h into itself (an automorphism) that fixes the
+    earlier positions and maps order[i] to it; the answer holds for its
+    closure under those generators too. A rigid h costs one labeling and
+    no embedding.
+    """
+    below: list[tuple[int, ...]] = [()] * len(order)
+    gens = canonical_labeling(h.rows)[1]
+    if not gens:
+        return tuple(below)
+    pos = {v: p for p, v in enumerate(order)}
+    orbit_of = [0] * h.n  # under the whole group
+    for v in range(h.n):
+        if not orbit_of[v]:
+            c = _closure(1 << v, gens)
+            for u in _bits(c):
+                orbit_of[u] = c
+    full = (1 << h.n) - 1
+    fix = gens  # those fixing the earlier positions
+    prefix = 0
+    for i, v in enumerate(order):
+        todo = orbit_of[v] & ~prefix
+        if todo != 1 << v:
+            orbit = _closure(1 << v, fix)
+            todo &= ~orbit
+            while todo:
+                w = todo.bit_length() - 1
+                starts = [1 << u for u in order[:i]] + [1 << w] + [full] * (h.n - i - 1)
+                part = _closure(1 << w, fix)
+                if _embed(h.rows, h.rows, starts, adj, non, True):
+                    orbit |= part
+                todo &= ~part
+            for w in _bits(orbit ^ 1 << v):
+                below[pos[w]] = (i,)
+        prefix |= 1 << v
+        fix = [g for g in fix if g[v] == v]
+    return tuple(below)
 
 
 def _embed(
     yes: Sequence[int], hard: Sequence[int], starts: Sequence[int],
     adj: Sequence[Sequence[int]], non: Sequence[Sequence[int]], first_only: bool,
+    below: Sequence[Sequence[int]] | None = None,
 ) -> list[frozenset[int]]:
     """The vertex sets of the induced embeddings of a pattern, each once,
     in the order first found; at most one with ``first_only``.
@@ -634,11 +698,23 @@ def _embed(
     refinement): ``starts[i]`` minus the vertices used, ANDed with the row
     ``yes`` of each vertex it must be adjacent to and with the complement
     of the row ``hard`` of each it must not be (``yes`` is ``hard`` for a
-    plain match). Candidates are tried in ascending order.
+    plain match), and with the vertices above the image of each earlier
+    position in ``below[i]``. Candidates are tried in ascending order, so
+    embeddings come in lexicographic order of their images by position.
+
+    ``below`` breaks the pattern's symmetry (``_symmetry_breaks``): it
+    keeps, of each set of embeddings that differ by an automorphism, only
+    the least. That is sound when ``starts``, ``yes`` and ``hard`` treat
+    automorphic embeddings alike, as they do when ``starts[i]`` depends on
+    the degree of the i-th vertex alone. Every vertex set is still found,
+    first by the same embedding: the least embedding onto a set is the
+    least of its own class.
     """
     k = len(starts)
     found: dict[int, frozenset[int]] = {}  # by vertex bitmask
     assign = [0] * k
+    if below is None:
+        below = ((),) * k
 
     def rec(i: int, used: int) -> bool:
         if i == k:
@@ -650,6 +726,8 @@ def _embed(
             cand &= yes[assign[j]]
         for j in non[i]:
             cand &= ~hard[assign[j]]
+        for j in below[i]:
+            cand &= -(2 << assign[j])
         while cand:
             bit = cand & -cand
             cand ^= bit
@@ -668,11 +746,20 @@ def _induced_search(
     """The vertex sets of g inducing h, each once, in the order first found.
 
     h's vertices are mapped one at a time, by descending degree, each into
-    the vertices of g with a high enough degree (``_embed``).
+    the vertices of g with a high enough degree (``_embed``). Only the
+    least embedding of each class under Aut(h) is tried (``_search_plan``).
+    The search meets embeddings in lexicographic order, so the first one it
+    meets on a vertex set S is the least onto S; it is the least of its own
+    class too, since all of them map onto S, and it is kept. So the sets,
+    and the order they are first found in, are those of the unpruned
+    search.
 
     ``free`` (per-vertex rows of a symmetric pair set) relaxes the match:
     a free pair may be an edge or a nonedge whatever h has there, and
-    degrees count free pairs as edges.
+    degrees count free pairs as edges. ``free`` marks pairs of g, not of
+    h, so an automorphism of h still maps relaxed embeddings to relaxed
+    embeddings and the same pruning holds; a set may then carry more than
+    one class of embeddings, and is still kept once.
     """
     if h.n > g.n:
         return []
@@ -688,10 +775,10 @@ def _induced_search(
         atleast[d] |= 1 << w
     for d in range(len(atleast) - 2, -1, -1):
         atleast[d] |= atleast[d + 1]
-    hdeg, hadj, hnon = _search_plan(h)
+    hdeg, hadj, hnon, below = _search_plan(h)
     top = len(atleast) - 1
     starts = [atleast[min(d, top)] for d in hdeg]
-    return _embed(yes, hard, starts, hadj, hnon, first_only)
+    return _embed(yes, hard, starts, hadj, hnon, first_only, below)
 
 
 def find_induced(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import cert_oracle
 from hfree import enumeration as E
 from hfree import graphs as G
-from iso_oracle import brute_force_isomorphic, vertex_connectivity
+from iso_oracle import automorphisms, brute_force_isomorphic, vertex_connectivity
 
 
 def random_graph_strategy(max_n: int = 10):
@@ -542,6 +542,58 @@ def test_induced_search_plan_is_keyed_by_h():
             assert G.first_induced(g, x) == (want_plain[0] if want_plain else None)
             assert set(want_plain) == plain and set(want_relaxed) == relaxed
     assert order_sensitive >= 3
+
+
+def _random_regular(n: int, d: int, seed: int) -> G.SmallGraph:
+    """The first simple graph of the pairing model that a Random(seed)
+    draws: n vertices of degree d."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        rows = [0] * n
+        for a, b in zip(points[::2], points[1::2]):
+            if a == b or rows[a] >> b & 1:
+                break
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        else:
+            return G.SmallGraph(n, rows)
+
+
+def test_search_plan_bounds_follow_the_stabilizer_chain():
+    """For every graph on up to 6 vertices and one seeded relabeling of
+    each, the plan bounds position j by i exactly when i is the last
+    position whose vertex has order[j] in its orbit under the
+    automorphisms fixing the earlier positions, found by trying every
+    permutation (``iso_oracle.automorphisms``)."""
+    rng = random.Random(26)
+    for n in range(1, 7):
+        for g in E.graphs_on(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, G.relabel(g, perm)):
+                order = sorted(range(n), key=lambda v: -h.degree(v))
+                want = [()] * n
+                stab = automorphisms(h)
+                for i, v in enumerate(order):
+                    for w in {p[v] for p in stab} - {v}:
+                        want[order.index(w)] = (i,)
+                    stab = [p for p in stab if p[v] == v]
+                assert G._search_plan(h)[3] == tuple(want), G.to_graph6(h)
+
+
+def test_search_plan_of_a_rigid_graph_embeds_nothing(monkeypatch):
+    """A seeded rigid 3-regular graph on 24 vertices costs its plan one
+    canonical labeling and no embedding of h into itself."""
+    h = _random_regular(24, 3, 7)
+    assert G.canonical_labeling(h.rows)[1] == []
+    calls = []
+    embed = G._embed
+    monkeypatch.setattr(G, "_embed", lambda *a: calls.append(a) or embed(*a))
+    G._search_plan.cache_clear()
+    assert G._search_plan(h)[3] == ((),) * 24
+    assert calls == []
 
 
 def test_partition_ab_complement_three_connected():
