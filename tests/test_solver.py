@@ -1,5 +1,6 @@
 """Solver tests: examples, oracle agreement, monotonicity, duality."""
 
+import collections
 import itertools
 import random
 
@@ -157,3 +158,54 @@ def test_solver_oracle_agreement_seeded_random():
             inst = S.EditInstance(g, k, mode)
             assert S.solve(inst, h).feasible == S.solve_exhaustive(inst, h).feasible, (
                 G.to_graph6(g), G.to_graph6(h), k, mode)
+
+
+def _plain_exhaustive(inst, h):
+    """The brute force in its plainest form: every permissible pair set,
+    by size then in combinations order, each flipped graph searched."""
+    pairs = inst.permissible_pairs()
+    for size in range(min(inst.k, len(pairs)) + 1):
+        for sel in itertools.combinations(pairs, size):
+            if G.is_free_of(G.apply_flips(inst.g, sel), h):
+                return S.Solution(True, frozenset(sel))
+    return S.Solution(False)
+
+
+def _witness_pin_instances():
+    """Seeded instances: graphs on 1-7 vertices, h on 2-5, k <= 3, every
+    mode, and restricted delete/complete instances with forbidden pairs;
+    then C4 with every edge forbidden, a copy no flip set can touch."""
+    rng = random.Random(27)
+    hs = {n: E.graphs_on(n) for n in range(2, 6)}
+    for _ in range(400):
+        h = rng.choice(hs[rng.randint(2, 5)])
+        n = rng.randint(h.n - 1, 7)
+        p = rng.random()
+        g = G.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        )
+        k = rng.randint(0, 3)
+        for mode in S.MODES:
+            yield S.EditInstance(g, k, mode), h
+        edges = sorted(g.edges())
+        nonedges = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+        for mode, pool in (("delete", edges), ("complete", nonedges)):
+            forbidden = frozenset(e for e in pool if rng.random() < 0.4)
+            yield S.EditInstance(g, k, mode, forbidden), h
+    c4 = G.cycle_graph(4)
+    yield S.EditInstance(c4, 2, "delete", frozenset(c4.edges())), c4
+
+
+def test_exhaustive_witness_matches_plain_loop():
+    """solve_exhaustive returns the very Solution, witness included, of
+    the plain loop over combinations: its first h-free flip set."""
+    shapes = collections.Counter()
+    for inst, h in _witness_pin_instances():
+        sol = S.solve_exhaustive(inst, h)
+        assert sol == _plain_exhaustive(inst, h), (
+            G.to_graph6(inst.g), G.to_graph6(h), inst.k, inst.mode,
+            sorted(inst.forbidden))
+        shapes[sol.feasible, len(sol.witness)] += 1
+    # no-instances, and witnesses of every size, are well represented
+    assert shapes == {(False, 0): 573, (True, 0): 1225, (True, 1): 137,
+                      (True, 2): 52, (True, 3): 14}
