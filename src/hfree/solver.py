@@ -141,15 +141,39 @@ def solve(
 
 
 def solve_exhaustive(inst: EditInstance, h: SmallGraph) -> Solution:
-    """Brute force over all permissible pair sets of size at most k."""
+    """Brute force over all permissible pair sets of size at most k.
+
+    Sets are tried by size, then in ``itertools.combinations`` order over
+    ``permissible_pairs()``; the first whose flips leave g h-free is the
+    witness. A set that flips no pair inside some induced copy of h in g
+    leaves that copy as it is, so it is skipped with no graph built and
+    no search: with each copy held as the bitmask of the pairs inside it
+    (by index), that is a set whose mask misses some copy's mask. Every
+    other set is searched as before, so the first free set, and the
+    witness, are those of the plain loop. The guardrail counts every set.
+    """
     pairs = inst.permissible_pairs()
     total = sum(comb(len(pairs), i) for i in range(min(inst.k, len(pairs)) + 1))
     if total > EXHAUSTIVE_MAX_WORK:
         raise GuardrailError(f"exhaustive guardrail: {total} > {EXHAUSTIVE_MAX_WORK}")
-    for size in range(min(inst.k, len(pairs)) + 1):
-        for sel in itertools.combinations(pairs, size):
-            if G.is_free_of(G.apply_flips(inst.g, sel), h):
-                witness = frozenset(sel)
+    bits = [1 << i for i in range(len(pairs))]
+    copies = {
+        sum(b for b, (u, v) in zip(bits, pairs) if u in vs and v in vs)
+        for vs in G.find_induced(inst.g, h)
+    }
+    if not copies:  # g is h-free: the empty set comes first
+        _check_witness(inst, h, frozenset())
+        return Solution(True)
+    if 0 in copies:  # a copy no permissible pair touches
+        return Solution(False)
+    for size in range(1, min(inst.k, len(pairs)) + 1):
+        for sel in itertools.combinations(bits, size):
+            fm = sum(sel)
+            if any(not c & fm for c in copies):
+                continue
+            flips = [p for b, p in zip(bits, pairs) if b & fm]
+            if G.is_free_of(G.apply_flips(inst.g, flips), h):
+                witness = frozenset(flips)
                 _check_witness(inst, h, witness)
                 return Solution(True, witness)
     return Solution(False)

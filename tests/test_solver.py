@@ -209,3 +209,62 @@ def test_exhaustive_witness_matches_plain_loop():
     # no-instances, and witnesses of every size, are well represented
     assert shapes == {(False, 0): 573, (True, 0): 1225, (True, 1): 137,
                       (True, 2): 52, (True, 3): 14}
+
+
+def test_exhaustive_searches_only_sets_that_hit_every_copy(monkeypatch):
+    """A flip set that misses some induced copy of h in g leaves it, so
+    solve_exhaustive searches only the sets that meet every copy."""
+    calls = []
+    is_free_of = G.is_free_of
+    monkeypatch.setattr(G, "is_free_of", lambda g, h: calls.append(g) or is_free_of(g, h))
+    c4 = G.cycle_graph(4)
+    inst = S.EditInstance(c4, 2, "delete", frozenset(c4.edges()))
+    assert S.solve_exhaustive(inst, c4) == S.Solution(False)
+    assert calls == []
+
+    rng = random.Random(8)
+    hs = [g for n in range(3, 6) for g in E.graphs_on(n) if g.edge_count()]
+    checked = searched = 0
+    for _ in range(2000):
+        n = rng.randint(6, 7)
+        p = rng.random()
+        g = G.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        )
+        inst = S.EditInstance(g, 3, rng.choice(S.MODES))
+        h = rng.choice(hs)
+        calls.clear()
+        if S.solve_exhaustive(inst, h).feasible:
+            continue
+        copies = G.find_induced(g, h)
+        hitting = sum(
+            all(any(u in vs and v in vs for u, v in sel) for vs in copies)
+            for size in range(inst.k + 1)
+            for sel in itertools.combinations(inst.permissible_pairs(), size)
+        )
+        assert len(calls) == hitting, (G.to_graph6(g), G.to_graph6(h), inst.k, inst.mode)
+        checked += 1
+        searched += hitting
+    assert (checked, searched) == (94, 441)
+
+
+def test_solver_oracle_agreement_seeded_n8():
+    """solve against solve_exhaustive on random 8-vertex graphs, budgets up
+    to three, in every mode."""
+    rng = random.Random(2020)
+    hs = [g for n in range(3, 6) for g in E.graphs_on(n) if g.edge_count()]
+    feasible = 0
+    for _ in range(300):
+        p = rng.random()
+        g = G.from_edges(
+            8, [e for e in itertools.combinations(range(8), 2) if rng.random() < p]
+        )
+        h = rng.choice(hs)
+        k = rng.randint(0, 3)
+        for mode in S.MODES:
+            inst = S.EditInstance(g, k, mode)
+            sol = S.solve(inst, h)
+            assert sol.feasible == S.solve_exhaustive(inst, h).feasible, (
+                G.to_graph6(g), G.to_graph6(h), k, mode)
+            feasible += sol.feasible
+    assert feasible == 736  # of 900: both answers are well represented
