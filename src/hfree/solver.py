@@ -1,9 +1,15 @@
 """Exact decision procedures for (restricted) H-free edge modification.
 
-Two independent routes to the same answer: a bounded-depth branching
-search (``solve``) and brute-force enumeration of all small modification
-sets (``solve_exhaustive``). The test suite keeps them in agreement; the
-reduction equivalence checks lean on them as oracles.
+Two routes to the same answer: a bounded-depth branching search
+(``solve``) and brute-force enumeration of all small modification sets
+(``solve_exhaustive``). The test suite keeps them in agreement; the
+reduction equivalence checks lean on them as oracles. Both rest on one
+fact: a solution flips a pair inside every induced copy of h in g.
+``solve`` branches on the pairs of one copy; ``solve_exhaustive`` uses it
+only to skip sets it already knows fail, and searches every other set in
+full, in the order of the plain loop, so its witness is the plain loop's.
+They are not independent all the way down: both find copies through
+``graphs._induced_search``, and every witness is checked by a full search.
 """
 
 from __future__ import annotations
@@ -145,12 +151,15 @@ def solve_exhaustive(inst: EditInstance, h: SmallGraph) -> Solution:
 
     Sets are tried by size, then in ``itertools.combinations`` order over
     ``permissible_pairs()``; the first whose flips leave g h-free is the
-    witness. A set that flips no pair inside some induced copy of h in g
-    leaves that copy as it is, so it is skipped with no graph built and
-    no search: with each copy held as the bitmask of the pairs inside it
-    (by index), that is a set whose mask misses some copy's mask. Every
-    other set is searched as before, so the first free set, and the
-    witness, are those of the plain loop. The guardrail counts every set.
+    witness. The induced copies of h in g are found once, each held as the
+    bitmask of the permissible pairs inside it (bit i for pair i). A set
+    whose mask misses some copy's mask leaves that copy as it is, so the
+    flipped graph still holds h: it is skipped with no graph built and no
+    search. Every other set is searched in full, as in the plain loop, so
+    the first free set, and the witness, are the plain loop's. The empty
+    set is the first set, and it is free exactly when g has no copy; a
+    copy with no permissible pair inside survives every set. The guardrail
+    counts every set, skipped or not.
     """
     pairs = inst.permissible_pairs()
     total = sum(comb(len(pairs), i) for i in range(min(inst.k, len(pairs)) + 1))
