@@ -635,18 +635,17 @@ def test_tricky_gadget_digest():
         "4fca6d90989879c218b6a5730202ba752a6f754ce8aa3153efb7e56780b0e36b")
 
 
+def _nonedges(g):
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+
+
 def _restricted_completion_instances(n_max, ks):
     """Every instance on at most n_max vertices that forbids all nonedges
     but at most two and passes the completion gadgets' precondition. (With
     one forbidden nonedge the precondition refuses every instance on five
     or more vertices.)"""
     for gp in small_graphs(n_max):
-        nonedges = [
-            (u, v)
-            for u in range(gp.n)
-            for v in range(u + 1, gp.n)
-            if not gp.has_edge(u, v)
-        ]
+        nonedges = _nonedges(gp)
         for size in range(3):
             for allowed in itertools.combinations(nonedges, size):
                 for k in ks:
@@ -673,6 +672,57 @@ def test_tricky_completion_equivalences():
         assert a == S.solve(b2, a6, max_n=40).feasible, where
         count += 1
     assert count == 1914
+
+
+def _completion_pre_outcome(inst):
+    """"ok", or the exact refusal of ``_completion_pre``."""
+    try:
+        R._completion_pre(inst)
+    except R.PreconditionError as e:
+        return str(e)
+    return "ok"
+
+
+def _completion_pre_pin_instances():
+    """Every graph with n <= 6 and, for 0-4 allowed nonedges, the first 20
+    combinations of its nonedges; then 300 seeded sparse graphs on 7-9
+    vertices with up to 12 allowed. All other nonedges forbidden, k = 1."""
+    for gp in small_graphs(6):
+        nonedges = _nonedges(gp)
+        for size in range(5):
+            for allowed in itertools.islice(itertools.combinations(nonedges, size), 20):
+                yield S.EditInstance(
+                    gp, 1, "complete", frozenset(nonedges) - frozenset(allowed))
+    rng = random.Random(28)
+    for _ in range(300):
+        n = rng.randint(7, 9)
+        p = rng.uniform(0.1, 0.3)
+        gp = G.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        nonedges = _nonedges(gp)
+        allowed = rng.sample(nonedges, min(len(nonedges), rng.randint(0, 12)))
+        yield S.EditInstance(gp, 1, "complete", frozenset(nonedges) - frozenset(allowed))
+
+
+def test_completion_pre_outcome_pin():
+    """The outcome of the completion precondition, refusal message
+    included, on 10 684 instances: each of its four refusals and "ok"
+    occurs, and one sha256 pins them all in order."""
+    digest = hashlib.sha256()
+    counts = {}
+    for inst in _completion_pre_pin_instances():
+        out = _completion_pre_outcome(inst)
+        counts[out] = counts.get(out, 0) + 1
+        digest.update(out.encode() + b"\n")
+    assert counts == {
+        "ok": 4462,
+        "forbidden nonedge with more than two common neighbors": 4949,
+        "4-cycle with two adjacent added edges": 689,
+        "4-cycle with at most one allowed edge but no forbidden diagonal": 319,
+        "every 4-cycle uses two allowed nonedges": 265,
+    }
+    assert digest.hexdigest() == (
+        "b5572dfd7695638b72475a8a56ebb524bbdc5df5db3acfb23c5936a446727b77")
 
 
 # -- enforcer attachment ----------------------------------------------------------
