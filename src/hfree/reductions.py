@@ -336,8 +336,13 @@ _COMPLETION_MAX_ALLOWED = 18
 
 def _completion_pre(inst: EditInstance) -> None:
     """Check the structured-completion conditions on a restricted C4
-    completion instance (common-neighbor bound and the per-subset
-    4-cycle conditions), exhaustively over allowed subsets."""
+    completion instance: the common-neighbor bound, then the 4-cycle
+    conditions on each subset of allowed nonedges, all read from one
+    search (``gadgets._toggle_copies``). A copy with allowed pairs ``var``
+    is a 4-cycle after adding ``p = mask & var`` when p is one of its
+    patterns. Every nonedge of g is allowed or forbidden, and a 4-cycle has
+    exactly two nonedges, so it lacks a forbidden diagonal exactly when two
+    allowed pairs of the copy are left unadded."""
     if inst.mode != "complete":
         raise PreconditionError("source must be a restricted completion instance")
     g = inst.g
@@ -350,34 +355,19 @@ def _completion_pre(inst: EditInstance) -> None:
             )
     if len(allowed) > _COMPLETION_MAX_ALLOWED:
         raise PreconditionError("too many allowed nonedges to certify")
-    c4 = G.cycle_graph(4)
-    for bits in range(1 << len(allowed)):
-        sel = {allowed[i] for i in range(len(allowed)) if bits >> i & 1}
-        gs = G.apply_flips(g, sel)
-        witnesses = []
-        for hit in G.find_induced(gs, c4):
-            pairs = list(itertools.combinations(sorted(hit), 2))
-            # an allowed nonedge of g is an edge of gs only when added
-            added = [e for e in pairs if e in sel]
-            # adjacent added pairs are banned
-            for e1, e2 in itertools.combinations(added, 2):
-                if set(e1) & set(e2):
-                    raise PreconditionError(
-                        "4-cycle with two adjacent added edges"
-                    )
-            non = [e for e in pairs if not gs.has_edge(*e)]
-            witnesses.append((len(added), non))
-        for n_allowed_edges, non in witnesses:
-            if n_allowed_edges <= 1:
-                if not any(e in inst.forbidden for e in non):
-                    raise PreconditionError(
-                        "4-cycle with at most one allowed edge but no "
-                        "forbidden diagonal"
-                    )
-        if witnesses and all(w[0] >= 2 for w in witnesses):
+    copies = GD._toggle_copies(g, allowed, G.cycle_graph(4))
+    for mask in range(1 << len(allowed)):
+        hits = [(var, mask & var) for var, patterns in copies if mask & var in patterns]
+        for _, p in hits:
+            ends = [v for i, e in enumerate(allowed) if p >> i & 1 for v in e]
+            if len(set(ends)) < len(ends):
+                raise PreconditionError("4-cycle with two adjacent added edges")
+        if any(p.bit_count() <= 1 and (var ^ p).bit_count() == 2 for var, p in hits):
             raise PreconditionError(
-                "every 4-cycle uses two allowed nonedges"
+                "4-cycle with at most one allowed edge but no forbidden diagonal"
             )
+        if hits and all(p.bit_count() >= 2 for _, p in hits):
+            raise PreconditionError("every 4-cycle uses two allowed nonedges")
 
 
 def _completion_gadget(inst: EditInstance, tail: bool) -> EditInstance:
@@ -391,7 +381,7 @@ def _completion_gadget(inst: EditInstance, tail: bool) -> EditInstance:
     new: list[int] = []
     for (x, y) in sorted(inst.forbidden):
         common = g.rows[x] & g.rows[y]
-        if g.has_edge(x, y) or not common:
+        if not common:
             continue  # no induced P3 x-z-y
         mid = (common & -common).bit_length() - 1
         (v,) = grow.fresh(1)

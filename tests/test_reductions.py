@@ -674,6 +674,42 @@ def test_tricky_completion_equivalences():
     assert count == 1914
 
 
+def test_tricky_completion_equivalences_three_allowed():
+    """solve agrees on both sides of both completion gadgets on 400 seeded
+    accepted instances on 5-6 vertices with three allowed nonedges and
+    k <= 2, some of them no-instances."""
+    c4 = G.cycle_graph(4)
+    a1 = GD.host_graph("co-A1")
+    a6 = GD.host_graph("co-A6")
+    candidates = [
+        (gp, allowed, k)
+        for n in (5, 6)
+        for gp in E.graphs_on(n)
+        for allowed in itertools.combinations(_nonedges(gp), 3)
+        for k in (0, 1, 2)
+    ]
+    random.Random(28).shuffle(candidates)
+    count = no = 0
+    for gp, allowed, k in candidates:
+        inst = S.EditInstance(
+            gp, k, "complete", frozenset(_nonedges(gp)) - frozenset(allowed))
+        try:
+            b1 = R.tricky_a1c_com(inst)
+        except R.PreconditionError:
+            continue
+        b2 = R.tricky_a6c_com(inst)
+        a = S.solve(inst, c4).feasible
+        where = (G.to_graph6(gp), allowed, k)
+        assert a == S.solve(b1, a1, max_n=40).feasible, where
+        assert a == S.solve(b2, a6, max_n=40).feasible, where
+        count += 1
+        no += not a
+        if count == 400:
+            break
+    assert count == 400
+    assert no > 0
+
+
 def _completion_pre_outcome(inst):
     """"ok", or the exact refusal of ``_completion_pre``."""
     try:
@@ -723,6 +759,32 @@ def test_completion_pre_outcome_pin():
     }
     assert digest.hexdigest() == (
         "b5572dfd7695638b72475a8a56ebb524bbdc5df5db3acfb23c5936a446727b77")
+
+
+def test_completion_pre_one_search_and_guard(monkeypatch):
+    """On the empty graph with a path of allowed nonedges (every other
+    nonedge forbidden), 18 allowed pass with one induced search; 19 are
+    refused before any search."""
+    calls = []
+    real = G.find_induced
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(G, "find_induced", counting)
+
+    def path_allowed(n):
+        g = G.empty_graph(n)
+        path = {(i, i + 1) for i in range(n - 1)}
+        return S.EditInstance(g, 1, "complete", frozenset(_nonedges(g)) - path)
+
+    R._completion_pre(path_allowed(19))
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(R.PreconditionError, match="too many allowed nonedges to certify"):
+        R._completion_pre(path_allowed(20))
+    assert not calls
 
 
 # -- enforcer attachment ----------------------------------------------------------
