@@ -711,7 +711,7 @@ def test_tricky_completion_equivalences_three_allowed():
 
 
 def _completion_pre_outcome(inst):
-    """"ok", or the exact refusal of ``_completion_pre``."""
+    """The string "ok", or the exact refusal of ``_completion_pre``."""
     try:
         R._completion_pre(inst)
     except R.PreconditionError as e:
