@@ -313,6 +313,61 @@ def test_toggle_copies_match_toggled_searches():
                        ("complex", True): 355, ("complex", False): 792}
 
 
+def _table_toggle_cases():
+    """(graph, pairs, h) for every gadget-table cell: its gadget with its
+    allowed pairs, and for a basic unit its truth-setting complex too."""
+    for row in GD.table_rows():
+        h = GD.host_graph(row)
+        for mode in ("delete", "complete"):
+            for role in GD.ROLES:
+                gadget = GD.table_gadget(row, mode, role)
+                if gadget is None:
+                    continue
+                yield gadget.graph, gadget.allowed, h
+                if role == "BasicUnit":
+                    tc = GD.build_truth_setting(gadget)
+                    yield tc.graph, tc.allowed, h
+
+
+def _toggle_copy_pin_cases():
+    """The table cases, then 3 000 seeded graphs on 3-9 vertices with 0-8
+    random pairs, each in a random orientation, and h drawn from every
+    graph on 3-5 vertices that fits."""
+    yield from _table_toggle_cases()
+    rng = random.Random(2915)
+    hs = [h for n in (3, 4, 5) for h in E.graphs_on(n)]
+    for _ in range(3000):
+        n = rng.randint(3, 9)
+        p = rng.choice((0.3, 0.5, 0.7))
+        g = G.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                             if rng.random() < p])
+        all_pairs = list(itertools.combinations(range(n), 2))
+        pairs = rng.sample(all_pairs, min(rng.randint(0, 8), len(all_pairs)))
+        pairs = [pair[::-1] if rng.random() < 0.5 else pair for pair in pairs]
+        yield g, pairs, rng.choice([h for h in hs if h.n <= n])
+
+
+def test_toggle_copies_output_pinned():
+    """The raw output of ``_toggle_copies``, each entry as ``(varmask,
+    sorted patterns)`` and the entries sorted, over ``_toggle_copy_pin_cases``,
+    pinned by one digest computed when each toggle of a copy was tested by
+    a search of its own."""
+    digest = hashlib.sha256()
+    counts = Counter()
+    for graph, pairs, h in _toggle_copy_pin_cases():
+        out = sorted((var, sorted(patterns)) for var, patterns in
+                     GD._toggle_copies(graph, pairs, h))
+        digest.update(repr(out).encode() + b"\n")
+        counts["cases"] += 1
+        counts["with a copy"] += bool(out)
+        counts["entries"] += len(out)
+        counts["entries with two toggles or more"] += sum(len(p) > 1 for _, p in out)
+    assert counts == {"cases": 3063, "with a copy": 2068, "entries": 9000,
+                      "entries with two toggles or more": 2918}
+    assert digest.hexdigest() == (
+        "49b9f25d4cba0ec0ed530f796c94a9d5b21910bb5d574d51e1c59464ef24916f")
+
+
 def test_truth_setting_weak_property():
     for row, mode in (("co-A1", "delete"), ("co-A2", "complete"),
                       ("A3", "delete")):
