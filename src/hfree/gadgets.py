@@ -196,34 +196,32 @@ def build_truth_setting(unit: Gadget, p: Optional[int] = None) -> TruthSetting:
 def _toggle_copies(graph: SmallGraph, pairs, h: SmallGraph) -> list[tuple[int, set[int]]]:
     """Which toggles of ``pairs`` give graph an induced copy of h.
 
-    One relaxed search (``find_induced`` with the pairs free) finds each
-    vertex set that induces h for some toggle of the pairs inside it; each
-    toggle of those pairs that leaves h's edge count is then checked by one
-    embedding of h into the toggled copy. Returned as ``(varmask, patterns)``
-    bitmasks over ``pairs`` (each taken as u < v), merged by varmask: the
-    pairs inside a copy, and the toggles of those pairs that make it h.
-    Toggling the pairs in a mask leaves graph h-free exactly when no entry
-    has ``mask & varmask`` in its patterns (``_free_masks``).
+    One relaxed search (``graphs._induced_search`` with the pairs free)
+    finds, for each vertex set and each toggle of the pairs inside it that
+    makes it induce h, one embedding of h; that toggle is the set of pairs
+    inside where graph's adjacency differs from h's between the preimages.
+    Returned as ``(varmask, patterns)`` bitmasks over ``pairs`` (each taken
+    as u < v), merged by varmask: the pairs inside a copy, and the toggles
+    of those pairs that make it h. Toggling the pairs in a mask leaves
+    graph h-free exactly when no entry has ``mask & varmask`` in its
+    patterns (``_free_masks``).
     """
     pair_index = {(min(p), max(p)): i for i, p in enumerate(pairs)}
     free = [0] * graph.n
     for a, b in pair_index:
         free[a] |= 1 << b
         free[b] |= 1 << a
-    hm = h.edge_count()
     copies: dict[int, set[int]] = {}
-    for hit in G.find_induced(graph, h, free=free):
-        T = sorted(hit)
-        var = [(a, b) for a, b in itertools.combinations(T, 2) if free[a] >> b & 1]
-        bits = [1 << pair_index[p] for p in var]
-        sub = G.induced_subgraph(graph, T)
-        pos = {v: i for i, v in enumerate(T)}
-        for sel in range(1 << len(var)):
-            picked = [i for i in range(len(var)) if sel >> i & 1]
-            cand = G.apply_flips(sub, [(pos[var[i][0]], pos[var[i][1]]) for i in picked])
-            # an embedding of h into a graph of its size is an isomorphism
-            if cand.edge_count() == hm and G.contains_induced(cand, h):
-                copies.setdefault(sum(bits), set()).add(sum(bits[i] for i in picked))
+    for emb in G._induced_search(graph, h, False, free):
+        var = toggle = 0
+        for x, y in itertools.combinations(range(h.n), 2):
+            a, b = emb[x], emb[y]
+            if free[a] >> b & 1:
+                bit = 1 << pair_index[min(a, b), max(a, b)]
+                var |= bit
+                if graph.has_edge(a, b) != h.has_edge(x, y):
+                    toggle |= bit
+        copies.setdefault(var, set()).add(toggle)
     return list(copies.items())
 
 

@@ -613,17 +613,17 @@ def _plan(h: SmallGraph, order: Sequence[int]) -> tuple[tuple, tuple]:
 
 
 @functools.lru_cache(maxsize=256)
-def _search_plan(h: SmallGraph) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
+def _search_plan(h: SmallGraph) -> tuple[tuple[int, ...], tuple, tuple, tuple, tuple]:
     """The part of ``_induced_search`` that depends on h alone. h's vertices
     are mapped by descending degree, ties by vertex number; for the i-th
     one, its degree, the earlier positions it is adjacent and non-adjacent
     to, and the earlier position (at most one) whose image its own image
     must exceed, so that only the least embedding onto each vertex set is
-    tried (``_symmetry_breaks``)."""
+    tried (``_symmetry_breaks``); last, each vertex of h's position."""
     horder = sorted(range(h.n), key=lambda v: -h.degree(v))
     adj, non = _plan(h, horder)
     return (tuple(h.degree(v) for v in horder), adj, non,
-            _symmetry_breaks(h, horder, adj, non))
+            _symmetry_breaks(h, horder, adj, non), tuple(map(horder.index, range(h.n))))
 
 
 def _symmetry_breaks(
@@ -688,9 +688,9 @@ def _embed(
     yes: Sequence[int], hard: Sequence[int], starts: Sequence[int],
     adj: Sequence[Sequence[int]], non: Sequence[Sequence[int]], first_only: bool,
     below: Sequence[Sequence[int]] | None = None,
-) -> list[frozenset[int]]:
-    """The vertex sets of the induced embeddings of a pattern, each once,
-    in the order first found; at most one with ``first_only``.
+) -> list[tuple[int, ...]]:
+    """The induced embeddings of a pattern, each as the tuple of the images
+    of its positions, in the order found; at most one with ``first_only``.
 
     The pattern's i-th vertex goes into ``starts[i]``, adjacent to the
     vertices at the earlier positions ``adj[i]`` and not to those at
@@ -711,15 +711,14 @@ def _embed(
     least of its own class.
     """
     k = len(starts)
-    found: dict[int, frozenset[int]] = {}  # by vertex bitmask
+    found: list[tuple[int, ...]] = []
     assign = [0] * k
     if below is None:
         below = ((),) * k
 
     def rec(i: int, used: int) -> bool:
         if i == k:
-            if used not in found:
-                found[used] = frozenset(assign)
+            found.append(tuple(assign))
             return first_only
         cand = starts[i] & ~used
         for j in adj[i]:
@@ -737,29 +736,30 @@ def _embed(
         return False
 
     rec(0, 0)
-    return list(found.values())
+    return found
 
 
 def _induced_search(
     g: SmallGraph, h: SmallGraph, first_only: bool, free: Sequence[int] | None = None
-) -> list[frozenset[int]]:
-    """The vertex sets of g inducing h, each once, in the order first found.
+) -> list[tuple[int, ...]]:
+    """The least embedding of each class under Aut(h) of h into g, as the
+    tuple of the images of h's vertices 0, 1, ..., in the order found.
 
     h's vertices are mapped one at a time, by descending degree, each into
     the vertices of g with a high enough degree (``_embed``). Only the
-    least embedding of each class under Aut(h) is tried (``_search_plan``).
-    The search meets embeddings in lexicographic order, so the first one it
-    meets on a vertex set S is the least onto S; it is the least of its own
-    class too, since all of them map onto S, and it is kept. So the sets,
-    and the order they are first found in, are those of the unpruned
-    search.
+    least embedding of each class is tried (``_search_plan``). Two
+    embeddings onto one vertex set differ by an automorphism of h, so each
+    set that induces h comes once. The search meets embeddings in
+    lexicographic order, and the one it keeps on a set is the least onto
+    it, so the sets come in the order the unpruned search first finds them.
 
     ``free`` (per-vertex rows of a symmetric pair set) relaxes the match:
     a free pair may be an edge or a nonedge whatever h has there, and
     degrees count free pairs as edges. ``free`` marks pairs of g, not of
-    h, so an automorphism of h still maps relaxed embeddings to relaxed
-    embeddings and the same pruning holds; a set may then carry more than
-    one class of embeddings, and is still kept once.
+    h, so an automorphism of h maps a relaxed embedding to one with the
+    same toggle of the free pairs, and the same pruning holds. A set comes
+    once per toggle of its free pairs that makes it induce h: two
+    embeddings onto it with one toggle differ by an automorphism.
     """
     if h.n > g.n:
         return []
@@ -775,22 +775,23 @@ def _induced_search(
         atleast[d] |= 1 << w
     for d in range(len(atleast) - 2, -1, -1):
         atleast[d] |= atleast[d + 1]
-    hdeg, hadj, hnon, below = _search_plan(h)
+    hdeg, hadj, hnon, below, at = _search_plan(h)
     top = len(atleast) - 1
     starts = [atleast[min(d, top)] for d in hdeg]
-    return _embed(yes, hard, starts, hadj, hnon, first_only, below)
+    return [tuple(e[p] for p in at)
+            for e in _embed(yes, hard, starts, hadj, hnon, first_only, below)]
 
 
 def find_induced(
     g: SmallGraph, h: SmallGraph, free: Sequence[int] | None = None
 ) -> list[frozenset[int]]:
-    """All vertex sets of g that induce a graph isomorphic to h.
+    """The vertex sets of g inducing h, each once, in the order first found.
 
     With ``free`` (one bitmask row per vertex of g, symmetric), the sets
     where some choice of edge or nonedge on the free pairs inside them
     induces h.
     """
-    return _induced_search(g, h, first_only=False, free=free)
+    return list(dict.fromkeys(map(frozenset, _induced_search(g, h, False, free))))
 
 
 def contains_induced(g: SmallGraph, h: SmallGraph) -> bool:
@@ -799,7 +800,7 @@ def contains_induced(g: SmallGraph, h: SmallGraph) -> bool:
 
 def first_induced(g: SmallGraph, h: SmallGraph) -> frozenset[int] | None:
     hits = _induced_search(g, h, first_only=True)
-    return hits[0] if hits else None
+    return frozenset(hits[0]) if hits else None
 
 
 def is_free_of(g: SmallGraph, h: SmallGraph) -> bool:

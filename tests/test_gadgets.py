@@ -329,6 +329,23 @@ def _table_toggle_cases():
                     yield tc.graph, tc.allowed, h
 
 
+def test_toggle_copies_make_one_search_and_build_no_graph(monkeypatch):
+    """Each ``_toggle_copies`` call over the table cases makes exactly one
+    induced search and reads every toggle from its embeddings: no
+    ``contains_induced``, ``induced_subgraph`` or ``apply_flips``."""
+    cases = list(_table_toggle_cases())
+    assert len(cases) == 63
+    calls = Counter()
+    for name in ("_induced_search", "contains_induced", "induced_subgraph", "apply_flips"):
+        real = getattr(G, name)
+        monkeypatch.setattr(G, name, lambda *a, _name=name, _real=real, **kw:
+                            calls.update([_name]) or _real(*a, **kw))
+    for graph, pairs, h in cases:
+        calls.clear()
+        GD._toggle_copies(graph, pairs, h)
+        assert calls == {"_induced_search": 1}, (graph, pairs)
+
+
 def _toggle_copy_pin_cases():
     """The table cases, then 3 000 seeded graphs on 3-9 vertices with 0-8
     random pairs, each in a random orientation, and h drawn from every

@@ -496,6 +496,49 @@ def test_induced_search_full_order_pinned():
         "18669c564ddb6d936b870ee3862f3908eba1630d05824b0800e223609aa3dc21")
 
 
+def _reference_toggles(g, h, free):
+    """For each vertex set of g, the toggles of the free pairs inside it
+    (each a frozenset of pairs u < v of g) that make it induce h, by
+    exhaustive listing and brute-force isomorphism."""
+    want = {}
+    for T in itertools.combinations(range(g.n), h.n):
+        inside = [(a, b) for a, b in itertools.combinations(T, 2) if free[a] >> b & 1]
+        sub = G.induced_subgraph(g, T)
+        pos = {v: i for i, v in enumerate(T)}
+        for k in range(len(inside) + 1):
+            for sel in itertools.combinations(inside, k):
+                cand = G.apply_flips(sub, [(pos[a], pos[b]) for a, b in sel])
+                if cand.edge_count() == h.edge_count() and brute_force_isomorphic(cand, h):
+                    want.setdefault(frozenset(T), set()).add(frozenset(sel))
+    return want
+
+
+def test_induced_search_keeps_one_embedding_per_set_and_toggle():
+    """Over ``_order_pin_cases``, a plain ``_induced_search`` yields one
+    embedding per vertex set, and a relaxed one, on each vertex set, one
+    embedding per toggle of the free pairs inside it that makes it induce
+    h (the pairs where g's adjacency differs from h's between the
+    preimages), exactly the toggles brute force finds."""
+    cases = multiple = 0
+    for g, h, free in _order_pin_cases():
+        cases += 1
+        sets = [frozenset(e) for e in G._induced_search(g, h, False)]
+        assert len(sets) == len(set(sets)), (G.to_graph6(g), G.to_graph6(h))
+        got = {}
+        for emb in G._induced_search(g, h, False, free):
+            assert len(set(emb)) == len(emb) == h.n
+            toggle = frozenset(
+                (min(a, b), max(a, b))
+                for (x, a), (y, b) in itertools.combinations(enumerate(emb), 2)
+                if free[a] >> b & 1 and g.has_edge(a, b) != h.has_edge(x, y))
+            got.setdefault(frozenset(emb), []).append(toggle)
+        for toggles in got.values():
+            assert len(toggles) == len(set(toggles)), (G.to_graph6(g), G.to_graph6(h))
+        assert {s: set(t) for s, t in got.items()} == _reference_toggles(g, h, free)
+        multiple += any(len(t) > 1 for t in got.values())
+    assert (cases, multiple) == (372, 42)
+
+
 def test_induced_search_plan_is_keyed_by_h():
     """The search plan of h is cached: searching h, then an equal but
     distinct SmallGraph of h, then a relabeled h, with relaxed and plain

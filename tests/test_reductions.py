@@ -766,13 +766,13 @@ def test_completion_pre_one_search_and_guard(monkeypatch):
     nonedge forbidden), 18 allowed pass with one induced search; 19 are
     refused before any search."""
     calls = []
-    real = G.find_induced
+    real = G._induced_search
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(G, "find_induced", counting)
+    monkeypatch.setattr(G, "_induced_search", counting)
 
     def path_allowed(n):
         g = G.empty_graph(n)
