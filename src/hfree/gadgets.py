@@ -374,7 +374,7 @@ def _first_crossing_copy(enf: Gadget, h: SmallGraph, n_host: int) -> Optional[di
     n - 2 vertices, so sizes below the smallest pattern's plus two are
     skipped, and an enforcer with no pattern walks no host at all.
 
-    A walk that reaches hosts above the levels with known counts (9)
+    A walk that reaches hosts on ``enumeration.N_LIMIT`` (10) vertices
     raises ValueError before it builds one: level 10 alone is about
     5.7 GB in-process."""
     patterns = _residual_patterns(enf, h)
@@ -382,11 +382,11 @@ def _first_crossing_copy(enf: Gadget, h: SmallGraph, n_host: int) -> Optional[di
         return None
     want_edge = enf.mode == "delete"
     for n in range(min(len(sides) for sides, _, _ in patterns) + 2, n_host + 1):
-        if n > len(enumeration.KNOWN_COUNTS):
+        if n >= enumeration.N_LIMIT:
             raise ValueError(
                 f"layer (c) of the {enf.h} {enf.mode} enforcer found no violation "
                 f"on hosts with at most {n - 1} vertices and would need level {n}; "
-                f"use n_host <= {len(enumeration.KNOWN_COUNTS)}")
+                f"use n_host <= {enumeration.N_LIMIT - 1}")
         for host in enumeration.graphs_on(n):
             for pair in itertools.combinations(range(n), 2):
                 if (host.has_edge(*pair) != want_edge

@@ -458,20 +458,21 @@ def test_enforcer_n_host_above_the_enumeration_limit_refused(monkeypatch):
 def test_falsification_above_the_known_levels_refused(monkeypatch):
     """An enforcer with a residual pattern and no violation on smaller hosts
     would walk level 10 (about 5.7 GB) at n_host = N_LIMIT: layer (c)
-    raises ValueError before it asks for that level, while violations
-    found below it are still reported."""
+    raises ValueError before it asks for that level, also once level 10's
+    count is known, while violations found below it are still reported."""
     enf = next(e for e in _broken_co_a1_candidates()
                if GD._residual_patterns(e, GD.host_graph(e.h)))
-    assert len(E.KNOWN_COUNTS) == E.N_LIMIT - 1
 
     def below_ten(n):
-        if n > len(E.KNOWN_COUNTS):
+        if n >= E.N_LIMIT:
             raise AssertionError(f"graphs_on({n}) called")
         return []
 
     monkeypatch.setattr(E, "graphs_on", below_ten)
-    with pytest.raises(ValueError, match="would need level 10"):
-        GD.verify_enforcer(enf, n_host=E.N_LIMIT)
+    for known in (E.KNOWN_COUNTS, E.KNOWN_COUNTS + (12_005_168,)):
+        monkeypatch.setattr(E, "KNOWN_COUNTS", known)
+        with pytest.raises(ValueError, match="would need level 10; use n_host <= 9"):
+            GD.verify_enforcer(enf, n_host=E.N_LIMIT)
     monkeypatch.undo()
     assert not GD.verify_enforcer(enf, n_host=E.N_LIMIT)["layers"]["falsification"]["ok"]
 

@@ -80,6 +80,31 @@ def test_guardrails():
         S.solve(S.EditInstance(G.cycle_graph(5), 5, "delete"), G.cycle_graph(4))
 
 
+def test_exhaustive_guardrail(monkeypatch):
+    """``solve_exhaustive`` refuses an instance with more pair sets than
+    ``EXHAUSTIVE_MAX_WORK`` before any search, and takes one with exactly
+    that many: the empty 30-vertex graph at k = 3 in edit mode has
+    1 + 435 + C(435, 2) + C(435, 3) sets; C4 at k = 2, 1 + 6 + 15 = 22."""
+    calls = []
+    real = G._induced_search
+    monkeypatch.setattr(G, "_induced_search",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    c4 = G.cycle_graph(4)
+    total = 1 + 435 + 94_395 + 13_624_345
+    assert total > S.EXHAUSTIVE_MAX_WORK
+    with pytest.raises(S.GuardrailError,
+                       match=f"exhaustive guardrail: {total} > {S.EXHAUSTIVE_MAX_WORK}"):
+        S.solve_exhaustive(S.EditInstance(G.empty_graph(30), 3, "edit"), c4)
+    assert not calls
+    monkeypatch.setattr(S, "EXHAUSTIVE_MAX_WORK", 22)
+    inst = S.EditInstance(c4, 2, "edit")
+    assert S.solve_exhaustive(inst, c4) == S.Solution(True, frozenset([(0, 1)]))
+    assert calls
+    monkeypatch.setattr(S, "EXHAUSTIVE_MAX_WORK", 21)
+    with pytest.raises(S.GuardrailError, match="exhaustive guardrail: 22 > 21"):
+        S.solve_exhaustive(inst, c4)
+
+
 def _grid(n_max=4, k_max=2, h_max=4):
     hs = [g for n in range(3, h_max + 1) for g in E.graphs_on(n)]
     for n in range(1, n_max + 1):
