@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, Sequence
+import operator
+from typing import Callable, Iterable, Iterator, Sequence
 
 # Soft bound enforced by the reduction constructions (they refuse to emit
 # bigger instances instead of silently truncating). Plain graph values may
@@ -613,17 +614,19 @@ def _plan(h: SmallGraph, order: Sequence[int]) -> tuple[tuple, tuple]:
 
 
 @functools.lru_cache(maxsize=256)
-def _search_plan(h: SmallGraph) -> tuple[tuple[int, ...], tuple, tuple, tuple, tuple]:
+def _search_plan(h: SmallGraph) -> tuple[tuple[int, ...], tuple, tuple, tuple, Callable]:
     """The part of ``_induced_search`` that depends on h alone. h's vertices
     are mapped by descending degree, ties by vertex number; for the i-th
     one, its degree, the earlier positions it is adjacent and non-adjacent
     to, and the earlier position (at most one) whose image its own image
     must exceed, so that only the least embedding onto each vertex set is
-    tried (``_symmetry_breaks``); last, each vertex of h's position."""
+    tried (``_symmetry_breaks``). Last, what reads an embedding's images in
+    the order of h's vertices (``tuple`` for one vertex, its own position)."""
     horder = sorted(range(h.n), key=lambda v: -h.degree(v))
     adj, non = _plan(h, horder)
     return (tuple(h.degree(v) for v in horder), adj, non,
-            _symmetry_breaks(h, horder, adj, non), tuple(map(horder.index, range(h.n))))
+            _symmetry_breaks(h, horder, adj, non),
+            operator.itemgetter(*map(horder.index, range(h.n))) if h.n > 1 else tuple)
 
 
 def _symmetry_breaks(
@@ -706,9 +709,7 @@ def _embed(
     keeps, of each set of embeddings that differ by an automorphism, only
     the least. That is sound when ``starts``, ``yes`` and ``hard`` treat
     automorphic embeddings alike, as they do when ``starts[i]`` depends on
-    the degree of the i-th vertex alone. Every vertex set is still found,
-    first by the same embedding: the least embedding onto a set is the
-    least of its own class.
+    the degree of the i-th vertex alone.
     """
     k = len(starts)
     found: list[tuple[int, ...]] = []
@@ -749,9 +750,9 @@ def _induced_search(
     the vertices of g with a high enough degree (``_embed``). Only the
     least embedding of each class is tried (``_search_plan``). Two
     embeddings onto one vertex set differ by an automorphism of h, so each
-    set that induces h comes once. The search meets embeddings in
-    lexicographic order, and the one it keeps on a set is the least onto
-    it, so the sets come in the order the unpruned search first finds them.
+    set that induces h comes once, by the least embedding onto it, the
+    least of its class. Embeddings come in lexicographic order, so the sets
+    come in the order the unpruned search first finds them.
 
     ``free`` (per-vertex rows of a symmetric pair set) relaxes the match:
     a free pair may be an edge or a nonedge whatever h has there, and
@@ -775,11 +776,10 @@ def _induced_search(
         atleast[d] |= 1 << w
     for d in range(len(atleast) - 2, -1, -1):
         atleast[d] |= atleast[d + 1]
-    hdeg, hadj, hnon, below, at = _search_plan(h)
+    hdeg, hadj, hnon, below, by_vertex = _search_plan(h)
     top = len(atleast) - 1
     starts = [atleast[min(d, top)] for d in hdeg]
-    return [tuple(e[p] for p in at)
-            for e in _embed(yes, hard, starts, hadj, hnon, first_only, below)]
+    return list(map(by_vertex, _embed(yes, hard, starts, hadj, hnon, first_only, below)))
 
 
 def find_induced(

@@ -384,22 +384,27 @@ def test_find_induced():
     assert len(G.find_induced(G.path_graph(5), G.path_graph(4))) == 2
 
 
-def _reference_induced(g, h, free_pairs=()):
-    """Every |V(h)|-subset of V(g) that induces h for some flip of the free
-    pairs inside it, by exhaustive listing and brute-force isomorphism."""
-    out = set()
+def _reference_toggles(g, h, free_pairs=()):
+    """For each |V(h)|-subset of V(g) that induces h for some flip of the
+    free pairs (u < v) inside it, those flips, each a frozenset of pairs
+    of g, by exhaustive listing and brute-force isomorphism."""
+    want = {}
     for T in itertools.combinations(range(g.n), h.n):
         pos = {v: i for i, v in enumerate(T)}
         sub = G.induced_subgraph(g, T)
-        inside = [(pos[a], pos[b]) for a, b in free_pairs if a in pos and b in pos]
-        flips = (
-            sel
-            for k in range(len(inside) + 1)
-            for sel in itertools.combinations(inside, k)
-        )
-        if any(brute_force_isomorphic(G.apply_flips(sub, sel), h) for sel in flips):
-            out.add(frozenset(T))
-    return out
+        inside = [(a, b) for a, b in free_pairs if a in pos and b in pos]
+        for k in range(len(inside) + 1):
+            for sel in itertools.combinations(inside, k):
+                if brute_force_isomorphic(
+                        G.apply_flips(sub, [(pos[a], pos[b]) for a, b in sel]), h):
+                    want.setdefault(frozenset(T), set()).add(frozenset(sel))
+    return want
+
+
+def _reference_induced(g, h, free_pairs=()):
+    """Every |V(h)|-subset of V(g) that induces h for some flip of the free
+    pairs inside it."""
+    return set(_reference_toggles(g, h, free_pairs))
 
 
 def test_induced_search_matches_brute_force():
@@ -496,23 +501,6 @@ def test_induced_search_full_order_pinned():
         "18669c564ddb6d936b870ee3862f3908eba1630d05824b0800e223609aa3dc21")
 
 
-def _reference_toggles(g, h, free):
-    """For each vertex set of g, the toggles of the free pairs inside it
-    (each a frozenset of pairs u < v of g) that make it induce h, by
-    exhaustive listing and brute-force isomorphism."""
-    want = {}
-    for T in itertools.combinations(range(g.n), h.n):
-        inside = [(a, b) for a, b in itertools.combinations(T, 2) if free[a] >> b & 1]
-        sub = G.induced_subgraph(g, T)
-        pos = {v: i for i, v in enumerate(T)}
-        for k in range(len(inside) + 1):
-            for sel in itertools.combinations(inside, k):
-                cand = G.apply_flips(sub, [(pos[a], pos[b]) for a, b in sel])
-                if cand.edge_count() == h.edge_count() and brute_force_isomorphic(cand, h):
-                    want.setdefault(frozenset(T), set()).add(frozenset(sel))
-    return want
-
-
 def test_induced_search_keeps_one_embedding_per_set_and_toggle():
     """Over ``_order_pin_cases``, a plain ``_induced_search`` yields one
     embedding per vertex set, and a relaxed one, on each vertex set, one
@@ -534,7 +522,9 @@ def test_induced_search_keeps_one_embedding_per_set_and_toggle():
             got.setdefault(frozenset(emb), []).append(toggle)
         for toggles in got.values():
             assert len(toggles) == len(set(toggles)), (G.to_graph6(g), G.to_graph6(h))
-        assert {s: set(t) for s, t in got.items()} == _reference_toggles(g, h, free)
+        free_pairs = [(a, b) for a, b in itertools.combinations(range(g.n), 2)
+                      if free[a] >> b & 1]
+        assert {s: set(t) for s, t in got.items()} == _reference_toggles(g, h, free_pairs)
         multiple += any(len(t) > 1 for t in got.values())
     assert (cases, multiple) == (372, 42)
 
